@@ -36,15 +36,12 @@ from .pebbles import (
     update_components,
 )
 from .canonical import (
-    CanonicalPathPlan,
-    CanonicalViolationError,
     ConstructionResult,
     canonical_add_edge,
-    canonical_find_pebble,
     collect_pebbles_canonically,
     creates_monochromatic_cycle,
-    execute_plan,
     monochromatic_cycle_colors,
+    route_pebble,
     run_canonical_game,
 )
 from .decompose import (

@@ -3,14 +3,14 @@
 Canonical add-edge covers a new edge with a color carried by both endpoints
 when one exists (so the two tree roots merge without closing a cycle) and with
 the highest color present otherwise.  Canonical slides never close a
-monochromatic cycle; the planner sketches a slide path that needs no such move
-by rerouting along monochromatic trees, and a dynamic executor with the same
-guarantee backs it up.
+monochromatic cycle: `route_pebble` finds a pebble with the plain search and
+brings it along that path, shortcutting along a monochromatic tree wherever
+every available cover would close a cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .graph import Multigraph, SparsityParams
@@ -29,15 +29,6 @@ from .pebbles import (
 
 class CanonicalError(Exception):
     pass
-
-
-class PlanUnsoundError(CanonicalError):
-    """The sketch cannot be trusted (broken walk, oscillating reroute, or a
-    simulated slide that closes a cycle); callers take the dynamic route."""
-
-
-class CanonicalViolationError(CanonicalError):
-    """An execution was about to close a monochromatic cycle."""
 
 
 def canonical_add_edge(state: GameState, v: int, w: int) -> Move:
@@ -90,197 +81,6 @@ def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
             return False  # ran into a pre-existing cycle elsewhere
         seen.add(y)
         x = y
-
-
-@dataclass
-class CanonicalPathPlan:
-    """A slide path sketch: successor edge and tentative pebble color per vertex.
-
-    Executing the steps in reverse order brings one pebble to `source` without
-    any cycle-closing slide.
-    """
-
-    source: int
-    target: int
-    succ: dict[int, int] = field(default_factory=dict)
-    colors: dict[int, int] = field(default_factory=dict)
-    steps: list[tuple[int, int, int]] = field(default_factory=list)  # (tail, edge, head)
-
-
-def _walk_plan(state: GameState, source: int, target: int, succ: dict[int, int]):
-    """Materialize the successor walk; raises PlanUnsoundError on any defect."""
-    steps: list[tuple[int, int, int]] = []
-    seen_edges: set[int] = set()
-    x = source
-    limit = state.n * state.params.k + 1
-    while x != target:
-        if len(steps) > limit:
-            raise PlanUnsoundError("successor walk does not terminate")
-        e = succ.get(x, -1)
-        if e < 0 or state.tails[e] != x or e in seen_edges:
-            raise PlanUnsoundError("successor walk leaves the sketch")
-        seen_edges.add(e)
-        y = state.heads[e]
-        steps.append((x, e, y))
-        x = y
-    return steps
-
-
-def canonical_find_pebble(
-    state: GameState, source: int, forbidden: frozenset[int] | set[int] = frozenset()
-) -> CanonicalPathPlan | None:
-    plan, _ = plan_pebble_path(state, source, forbidden)
-    return plan
-
-
-def plan_pebble_path(
-    state: GameState, source: int, forbidden: frozenset[int] | set[int] = frozenset()
-) -> tuple[CanonicalPathPlan | None, set[int]]:
-    """Plan a cycle-free pebble route to `source`; also report the reachable set.
-
-    Returns (plan, visited); plan is None exactly when the plain search fails.
-    May raise PlanUnsoundError in pathological sketches; callers fall back to
-    the dynamic executor on the same search path.
-    """
-    path, visited = find_pebble(state, source, forbidden)
-    if path is None:
-        return None, visited
-    if not path:
-        return CanonicalPathPlan(source, source), visited
-    heads = state.heads
-    ecolors = state.colors
-    out_color = state.out_color
-    target = heads[path[-1]]
-    colors: dict[int, int] = {target: state.pebble_colors(target)[0]}
-    succ: dict[int, int] = {}
-    verts = [source]
-    for e in path:
-        verts.append(heads[e])
-
-    def resolve(a: int, e: int, b: int) -> None:
-        guard: set[tuple[int, int]] = set()
-        while True:
-            ce = ecolors[e]
-            q = colors[b]
-            if q == ce:
-                succ[a] = e
-                colors[a] = ce
-                return
-            # sliding e would cover it with q while dropping ce on a; if a's
-            # q-chain touches the planned path, reroute along it instead
-            chain: list[tuple[int, int]] = []
-            x = a
-            seen = {a}
-            hit = -1
-            while True:
-                f = out_color[x][q]
-                if f < 0:
-                    break
-                y = heads[f]
-                chain.append((x, f))
-                if y in colors:
-                    hit = y
-                    break
-                if y in seen:
-                    chain.clear()
-                    break
-                seen.add(y)
-                x = y
-            if hit < 0:
-                succ[a] = e
-                colors[a] = ce
-                return
-            for xj, fj in chain:
-                succ[xj] = fj
-                colors[xj] = q
-            if colors[hit] == q:
-                return
-            # the chain's last hop still mismatches; re-examine it
-            a, e, b = chain[-1][0], chain[-1][1], hit
-            key = (a, colors[b])
-            if key in guard:
-                # the reroute oscillates between two mismatched chains; the
-                # sketch cannot be trusted, so hand over to the dynamic route
-                raise PlanUnsoundError("reroute oscillation")
-            guard.add(key)
-
-    for i in range(len(path) - 1, -1, -1):
-        a = verts[i]
-        if a in colors:
-            continue
-        resolve(a, path[i], verts[i + 1])
-
-    plan = CanonicalPathPlan(source, target, succ, colors)
-    plan.steps = _walk_plan(state, source, target, succ)
-    if not _plan_is_safe(state, plan):
-        raise PlanUnsoundError("sketch would close a monochromatic cycle")
-    return plan, visited
-
-
-def _plan_is_safe(state: GameState, plan: CanonicalPathPlan) -> bool:
-    """Simulate the plan's slides on an overlay and reject any cycle-closing one.
-
-    The sketch is computed against the pre-move configuration, but execution
-    mutates edges nearest the pebble first; replaying the slides against
-    overlay-patched slots checks the condition each slide will actually face.
-    """
-    slot: dict[tuple[int, int], int] = {}
-    edge_over: dict[int, tuple[int, int, int]] = {}
-    out_color = state.out_color
-    tails, heads, ecolors = state.tails, state.heads, state.colors
-
-    def get_slot(v: int, c: int) -> int:
-        return slot.get((v, c), out_color[v][c])
-
-    def get_edge(e: int) -> tuple[int, int, int]:
-        return edge_over.get(e, (tails[e], heads[e], ecolors[e]))
-
-    for a, e, b in reversed(plan.steps):
-        cover = plan.colors[b]
-        t, h, old = get_edge(e)
-        if old != cover:
-            if t == h:
-                return False
-            x, seen = t, {t}
-            while True:
-                f = get_slot(x, cover)
-                if f < 0:
-                    break
-                _, y, _ = get_edge(f)
-                if y == h:
-                    return False
-                if y in seen:
-                    break
-                seen.add(y)
-                x = y
-        slot[(t, old)] = -1
-        slot[(h, cover)] = e
-        edge_over[e] = (h, t, cover)
-    return True
-
-
-def execute_plan(
-    state: GameState,
-    plan: CanonicalPathPlan,
-    *,
-    on_slide: Optional[Callable[[GameState, int, int], None]] = None,
-) -> list[Move]:
-    """Run the plan's slides from the pebble end back to the source.
-
-    Plans produced by the planner are pre-verified cycle-free; a foreign plan
-    that would close a cycle is rejected before the offending slide.
-    """
-    moves: list[Move] = []
-    for a, e, b in reversed(plan.steps):
-        cover = plan.colors[b]
-        if on_slide is not None:
-            on_slide(state, e, cover)
-        if state.colors[e] != cover and creates_monochromatic_cycle(state, e, cover):
-            raise CanonicalViolationError(
-                f"planned slide on edge {e} covered with color {cover} closes a cycle"
-            )
-        moves.append(pebble_slide(state, e, cover))
-    return moves
 
 
 def _monochromatic_chain_to(state: GameState, start: int, color: int, goal: int) -> list[int] | None:
@@ -353,6 +153,26 @@ def bring_pebble_dynamic(
     return moves
 
 
+def route_pebble(
+    state: GameState,
+    target: int,
+    forbidden: frozenset[int] | set[int] = frozenset(),
+    *,
+    on_slide: Optional[Callable[[GameState, int, int], None]] = None,
+) -> bool:
+    """Bring one pebble from outside `forbidden` onto `target` with canonical slides.
+
+    Succeeds exactly when `find_pebble` does; no slide closes a monochromatic
+    cycle.  Returns False, leaving the state untouched, when no pebble is
+    reachable.
+    """
+    path, _ = find_pebble(state, target, forbidden)
+    if path is None:
+        return False
+    bring_pebble_dynamic(state, path, on_slide=on_slide)
+    return True
+
+
 def collect_pebbles_canonically(
     state: GameState,
     v: int,
@@ -363,9 +183,8 @@ def collect_pebbles_canonically(
 ) -> bool:
     """Gather at least `target` (default l+1) pebbles on {v, w} with canonical slides.
 
-    Fills v first, then w; pebbles already on {v, w} are never slid away.
-    When the sketched plan cannot be trusted, the dynamic shortcut executor
-    brings the pebble instead.  Returns False when the reachable region is
+    Fills v first, then w, one `route_pebble` at a time; pebbles already on
+    {v, w} are never slid away.  Returns False when the reachable region is
     exhausted short of the target.
     """
     params = state.params
@@ -373,26 +192,38 @@ def collect_pebbles_canonically(
     forbidden = frozenset((v, w))
     sources = (v,) if v == w else (v, w)
     while state.peb_pair(v, w) < goal:
-        moved = False
-        for src in sources:
-            if state.peb_sum[src] >= params.k:
-                continue
-            try:
-                plan, _ = plan_pebble_path(state, src, forbidden)
-            except PlanUnsoundError:
-                path, _ = find_pebble(state, src, forbidden)
-                if path is not None:
-                    bring_pebble_dynamic(state, path, on_slide=on_slide)
-                    moved = True
-                    break
-                continue
-            if plan is not None:
-                execute_plan(state, plan, on_slide=on_slide)
-                moved = True
-                break
-        if not moved:
+        if not any(
+            state.peb_sum[src] < params.k
+            and route_pebble(state, src, forbidden, on_slide=on_slide)
+            for src in sources
+        ):
             return False
     return True
+
+
+def play_edge(
+    state: GameState,
+    u: int,
+    v: int,
+    *,
+    on_slide: Optional[Callable[[GameState, int, int], None]] = None,
+) -> bool:
+    """One step of the game: add uv canonically if it keeps the graph sparse.
+
+    The edge is screened by the loop rule and the component map, then by
+    pebble collection.  A failed collection exposes the same saturated block
+    an accepted tight edge does, so both feed the component map.  Returns
+    True when the edge was added.
+    """
+    if u == v and state.params.l >= state.params.k:
+        return False
+    if reject_fast(state, u, v):
+        return False
+    accepted = collect_pebbles_canonically(state, u, v, on_slide=on_slide)
+    if accepted:
+        canonical_add_edge(state, u, v)
+    update_components(state, u, v)
+    return accepted
 
 
 @dataclass
@@ -430,8 +261,7 @@ def run_canonical_game(
 ) -> ConstructionResult:
     """Process g's edges in order, keeping a maximum-size sparse subgraph.
 
-    Accepted edges are added canonically; rejection is a normal outcome.  Each
-    edge is first screened by the component map, then by pebble collection.
+    Each edge takes one `play_edge` step; rejection is a normal outcome.
     """
     if g.n < 1:
         raise ValueError("the game needs at least one vertex")
@@ -439,22 +269,8 @@ def run_canonical_game(
     state.after_move = after_move
     accepted: list[int] = []
     rejected: list[int] = []
-    loops_forbidden = params.l >= params.k
     for eid, (u, v) in enumerate(g.edges):
-        if u == v and loops_forbidden:
-            rejected.append(eid)
-            continue
-        if reject_fast(state, u, v):
-            rejected.append(eid)
-            continue
-        if collect_pebbles_canonically(state, u, v, on_slide=on_slide):
-            canonical_add_edge(state, u, v)
-            accepted.append(eid)
-        else:
-            rejected.append(eid)
-        # a failed collection exposes the same saturated block an accepted
-        # tight edge does, so both feed the component map
-        update_components(state, u, v)
+        (accepted if play_edge(state, u, v, on_slide=on_slide) else rejected).append(eid)
     return ConstructionResult(g, params, state, accepted, rejected)
 
 

@@ -29,7 +29,7 @@ class NotTightError(ValueError):
     """Role-bearing certificates are only defined for tight inputs."""
 
 
-CERTIFICATE_KINDS = ("coloring", "maps-and-trees", "proper-ltk", "graded-tight")
+CERTIFICATE_KINDS = ("coloring", "maps-and-trees", "proper-ltk")
 
 
 @dataclass(frozen=True)
@@ -476,8 +476,6 @@ def validate_certificate(
         return _validate_maps_and_trees(g, cert)
     if cert.kind == "proper-ltk":
         return _validate_proper_ltk(g, cert, subset_limit=subset_limit, seed=seed)
-    if cert.kind == "graded-tight":
-        return _validate_graded_tight(g, cert)
     return False, f"unknown certificate kind {cert.kind!r}"
 
 
@@ -550,18 +548,6 @@ def _validate_proper_ltk(
     except CertificateError as exc:
         return False, str(exc)
     return True, ""
-
-
-def _validate_graded_tight(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
-    from .sliders import graded_tight_check
-
-    if (cert.params.k, cert.params.l) != (2, 3):
-        return False, "graded-tight certificates use k=2, l=3"
-    try:
-        ok = graded_tight_check(g)
-    except ValueError as exc:
-        return False, str(exc)
-    return (True, "") if ok else (False, "graph is not (2,0,3)-graded-tight")
 
 
 # -- certificate files ---------------------------------------------------------

@@ -404,8 +404,8 @@ def random_tight_graph(n: int, params: SparsityParams, seed: int) -> Multigraph:
     legal, until k*n - l edges are in place; the construction itself guarantees
     tightness.  Deterministic per seed.
     """
-    from .canonical import canonical_add_edge, collect_pebbles_canonically
-    from .pebbles import init_game, reject_fast, update_components
+    from .canonical import play_edge
+    from .pebbles import init_game
 
     target = params.max_edges(n)
     if target < 0:
@@ -413,46 +413,27 @@ def random_tight_graph(n: int, params: SparsityParams, seed: int) -> Multigraph:
     rng = random.Random(seed)
     state = init_game(n, params)
     edges: list[tuple[int, int]] = []
-    loops_forbidden = params.l >= params.k
     stale = 0
     while len(edges) < target:
         if stale > 20 * n * n + 100:
             # rejection sampling has stalled; scan for any addable pair, else
             # no (k,l)-tight graph on n vertices exists at all
-            added = False
-            for u in range(n):
-                for v in range(u, n):
-                    if u == v and loops_forbidden:
-                        continue
-                    if reject_fast(state, u, v):
-                        continue
-                    if collect_pebbles_canonically(state, u, v):
-                        canonical_add_edge(state, u, v)
-                        edges.append((u, v))
-                        added = True
-                        break
-                    update_components(state, u, v)
-                if added:
-                    break
-            if not added:
+            pair = next(
+                ((u, v) for u in range(n) for v in range(u, n) if play_edge(state, u, v)),
+                None,
+            )
+            if pair is None:
                 raise ValueError(
                     f"no ({params.k},{params.l})-tight graph exists on {n} vertices"
                 )
+            edges.append(pair)
             stale = 0
             continue
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v and loops_forbidden:
-            stale += 1
-            continue
-        if reject_fast(state, u, v):
-            stale += 1
-            continue
-        if collect_pebbles_canonically(state, u, v):
-            canonical_add_edge(state, u, v)
+        if play_edge(state, u, v):
             edges.append((u, v))
             stale = 0
         else:
             stale += 1
-        update_components(state, u, v)
     return Multigraph(n, edges)

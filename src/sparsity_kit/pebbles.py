@@ -156,17 +156,6 @@ class GameState:
     def out_degree_nonloop(self, v: int) -> int:
         return sum(1 for e in self.out_color[v] if e >= 0 and self.heads[e] != v)
 
-    def span_subset(self, subset: Iterable[int]) -> int:
-        s = set(subset)
-        return sum(1 for e in range(self.m) if self.tails[e] in s and self.heads[e] in s)
-
-    def out_subset(self, subset: Iterable[int]) -> int:
-        s = set(subset)
-        return sum(1 for e in range(self.m) if self.tails[e] in s and self.heads[e] not in s)
-
-    def peb_subset(self, subset: Iterable[int]) -> int:
-        return sum(self.peb_sum[v] for v in set(subset))
-
     def undirected_edges(self) -> list[tuple[int, int]]:
         return [(self.tails[e], self.heads[e]) for e in range(self.m)]
 
@@ -418,21 +407,16 @@ class InvariantFailure:
 class InvariantReport:
     ok: bool
     failures: list[InvariantFailure] = field(default_factory=list)
-    subsets_checked: int = 0
-    exhaustive: bool = True
 
 
-def check_invariants(
-    state: GameState, *, subset_limit: int = 8, samples: int = 200, seed: int = 0
-) -> InvariantReport:
-    """Evaluate the engine invariants on a state.
+def check_invariants(state: GameState) -> InvariantReport:
+    """Evaluate the engine invariants on a state, exactly at every n.
 
-    Per-vertex and per-color balances and monochromatic path termination are
-    checked exactly; the subset balance is exhaustive for n <= subset_limit and
-    sampled (seeded) above.  On failure the report carries a witness.
+    Per-vertex and per-color balances, edge-slot agreement and monochromatic
+    path termination are checked.  Together they imply the subset balance
+    (span + out + pebbles = k * |subset|) for every vertex subset, so no
+    subset is enumerated.  On failure the report carries a witness.
     """
-    import random
-
     failures: list[InvariantFailure] = []
     k, l, n = state.params.k, state.params.l, state.n
 
@@ -496,37 +480,24 @@ def check_invariants(
                 seen.add(cur)
                 cur = nxt
 
-    # subset balance: span + out + pebbles = k * |subset|
-    subsets_checked = 0
-    exhaustive = n <= subset_limit
-    if exhaustive:
-        masks = range(1, 1 << n)
-
-        def verts_of(mask: int) -> list[int]:
-            return [i for i in range(n) if mask >> i & 1]
-
-        candidates = (verts_of(m) for m in masks)
-    else:
-        rng = random.Random(seed)
-        pool: list[list[int]] = [[v] for v in range(n)]
-        for _ in range(samples):
-            size = rng.randint(2, n)
-            pool.append(rng.sample(range(n), size))
-        candidates = iter(pool)
-    for subset in candidates:
-        subsets_checked += 1
-        got = state.span_subset(subset) + state.out_subset(subset) + state.peb_subset(subset)
-        if got != k * len(subset):
+    # every edge sits in its tail's slot of its color and no slot holds
+    # anything else, so summing the vertex balance over any vertex subset
+    # gives span + out + pebbles = k * |subset|
+    for e in range(state.m):
+        t, c = state.tails[e], state.colors[e]
+        if not 0 <= c < k or state.out_color[t][c] != e:
             failures.append(
                 InvariantFailure(
-                    "subset-balance",
-                    f"subset {sorted(subset)}: span+out+peb = {got} != {k * len(subset)}",
-                    tuple(sorted(subset)),
+                    "edge-slot", f"edge {e} is not in vertex {t}'s color-{c} slot", (t,)
                 )
             )
-            break
+    occupied = sum(1 for row in state.out_color for e in row if e >= 0)
+    if occupied != state.m:
+        failures.append(
+            InvariantFailure("edge-slot", f"{occupied} occupied out-slots for {state.m} edges")
+        )
 
-    return InvariantReport(not failures, failures, subsets_checked, exhaustive)
+    return InvariantReport(not failures, failures)
 
 
 # -- trace files -------------------------------------------------------------------
@@ -567,9 +538,7 @@ class TraceError(PebbleGameError):
         super().__init__(message if index is None else f"move {index}: {message}")
 
 
-def replay_trace(
-    lines: Iterable[str], *, debug_invariants: bool = False, subset_limit: int = 8
-) -> GameState:
+def replay_trace(lines: Iterable[str], *, debug_invariants: bool = False) -> GameState:
     """Replay a serialized trace; raises TraceError on illegal moves or hash mismatch."""
     state: GameState | None = None
     expected_hash: str | None = None
@@ -602,7 +571,7 @@ def replay_trace(
         except IllegalMoveError as exc:
             raise TraceError(str(exc), move_index) from None
         if debug_invariants:
-            report = check_invariants(state, subset_limit=subset_limit)
+            report = check_invariants(state)
             if not report.ok:
                 raise TraceError(f"invariant violated: {report.failures[0].name}", move_index)
         move_index += 1

@@ -9,16 +9,9 @@ split into two forests, each tree spanning exactly one loop of its color.
 
 from __future__ import annotations
 
-from .canonical import (
-    bring_pebble_dynamic,
-    creates_monochromatic_cycle,
-    execute_plan,
-    plan_pebble_path,
-    run_canonical_game,
-    PlanUnsoundError,
-)
+from .canonical import route_pebble, run_canonical_game
 from .graph import Multigraph, SparsityParams
-from .pebbles import GameState, find_pebble, pebble_slide
+from .pebbles import GameState
 
 _PARAMS_23 = SparsityParams(2, 3)
 
@@ -44,24 +37,6 @@ def _consume_loop_pebble(state: GameState, v: int, color: int) -> None:
     state.in_edges[v].add(eid)
 
 
-def _bring_any_pebble(state: GameState, v: int) -> bool:
-    """Canonically route some pebble onto v; True on success."""
-    if state.peb_sum[v] > 0:
-        return True
-    try:
-        plan, _ = plan_pebble_path(state, v, frozenset())
-    except PlanUnsoundError:
-        path, _ = find_pebble(state, v, frozenset())
-        if path is None:
-            return False
-        bring_pebble_dynamic(state, path)
-        return True
-    if plan is None:
-        return False
-    execute_plan(state, plan)
-    return True
-
-
 def graded_tight_check(g: Multigraph) -> bool:
     """Is g (2,0,3)-graded-tight (loopless part (2,3)-sparse, whole (2,0)-tight)?
 
@@ -83,133 +58,120 @@ def graded_tight_check(g: Multigraph) -> bool:
         return False
     state = result.state
     for v in loops:
-        if not _bring_any_pebble(state, v):
+        if not route_pebble(state, v):
             return False
         color = state.pebble_colors(v)[0]
         _consume_loop_pebble(state, v, color)
     return state.total_pebbles() == 0
 
 
-def _place_colored_pebble(state: GameState, v: int, color: int) -> bool:
-    """Make peb_color(v) = 1 with canonical slides, consuming nothing.
+def _rooted_forest(
+    n: int, edges: list[tuple[int, int]], node: list[int], owner: list[int], color: int
+):
+    """Root every tree of the color's forest on the contracted vertices 0..n.
 
-    If the slot is filled by an edge, some pebble is routed to that edge's head
-    and the edge is slid, dropping its color pebble back on v.  The covering
-    choice prefers the edge's own color (always safe); other colors are used
-    only when they close no cycle.
+    Returns per vertex its tree id, the edge to its parent, the parent and its
+    depth.
     """
-    if state.pebbles[v][color] > 0:
-        return True
-    e = state.out_color[v][color]
-    if e < 0:
-        return False  # slot lost entirely; cannot happen on engine states
-    w = state.heads[e]
-    for _ in range(2):
-        if state.peb_sum[w] == 0:
-            if not _bring_any_pebble(state, w):
-                return False
-        avail = state.pebble_colors(w)
-        pick = -1
-        if color in avail:
-            pick = color
-        else:
-            for c in avail:
-                if not creates_monochromatic_cycle(state, e, c):
-                    pick = c
-                    break
-        if pick >= 0:
-            pebble_slide(state, e, pick)
-            return True
-        # every cover on w closes a cycle; try once more with a second pebble
-        if state.peb_sum[w] >= state.params.k:
-            break
-        plan = None
-        try:
-            plan, _ = plan_pebble_path(state, w, frozenset((v, w)))
-        except PlanUnsoundError:
-            path, _ = find_pebble(state, w, frozenset((v, w)))
-            if path is None:
-                break
-            bring_pebble_dynamic(state, path)
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for e, (u, v) in enumerate(edges):
+        if owner[e] == color:
+            adj[node[u]].append(e)
+            adj[node[v]].append(e)
+    tree = [-1] * (n + 1)
+    up = [-1] * (n + 1)
+    par = [-1] * (n + 1)
+    depth = [0] * (n + 1)
+    for root in range(n + 1):
+        if tree[root] >= 0:
             continue
-        if plan is None:
-            break
-        execute_plan(state, plan)
+        tree[root] = root
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for e in adj[x]:
+                a, b = node[edges[e][0]], node[edges[e][1]]
+                y = b if a == x else a
+                if tree[y] < 0:
+                    tree[y], up[y], par[y], depth[y] = root, e, x, depth[x] + 1
+                    stack.append(y)
+    return tree, up, par, depth
+
+
+def _augment(
+    n: int, edges: list[tuple[int, int]], node: list[list[int]], owner: list[int], start: int
+) -> bool:
+    """Insert edge `start` into one of the two forests along a shortest exchange path.
+
+    An arc f -> g (into color c) means f enters forest c and g, on the cycle f
+    would close there, leaves it for the other forest.  The search ends at an
+    edge that joins two trees of a forest it is not in.  False when no path
+    exists, i.e. the placed edges plus `start` cannot be split at all.
+    """
+    forests = [_rooted_forest(n, edges, node[c], owner, c) for c in range(2)]
+    back = {start: (-1, -1)}  # edge -> (edge that displaces it, color it enters)
+    queue = [start]
+    for f in queue:
+        u, v = edges[f]
+        for c in range(2):
+            if owner[f] == c:
+                continue
+            a, b = node[c][u], node[c][v]
+            if a == b:
+                continue  # both ends are looped in this color: never placeable
+            tree, up, par, depth = forests[c]
+            if tree[a] != tree[b]:
+                while f >= 0:
+                    nxt = back[f]
+                    owner[f] = c
+                    f, c = nxt
+                return True
+            while a != b:  # the cycle f closes in forest c
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                g = up[a]
+                if g not in back:
+                    back[g] = (f, c)
+                    queue.append(g)
+                a = par[a]
     return False
 
 
-def _forest_matching_exists(
-    n: int, edges: list[tuple[int, int]], loops: list[tuple[int, int]]
-) -> bool:
-    """Exact search: can the edges be 2-colored into forests whose trees each
-    span exactly one loop of their color?
+def _tree_pair_exists(n: int, edges: list[tuple[int, int]], loops: list[tuple[int, int]]) -> bool:
+    """Can the edges be 2-colored into forests whose trees each span exactly one
+    loop of their color?
 
-    Backtracking over edge colors with per-color union-find; merging two
-    components that both own a loop of that color can never be fixed, so it
-    prunes.  At the end every component of either color must own exactly one.
+    Contracting the vertices looped in color c into one extra vertex n turns
+    the color-c forest into a spanning tree of the contracted graph, so this is
+    Edmonds' matroid partition into two graphic matroids.  Edges go greedily
+    into the first forest that takes them; each leftover is then inserted by
+    `_augment`.  Polynomial and iterative.
     """
-    parent = [[i for i in range(n)] for _ in range(2)]
-    size = [[1] * n for _ in range(2)]
-    owned = [[0] * n for _ in range(2)]
+    node = [list(range(n)) for _ in range(2)]
     for v, c in loops:
-        owned[c][v] += 1
-        if owned[c][v] > 1:
-            return False
+        node[c][v] = n
+    parent = [list(range(n + 1)) for _ in range(2)]
 
-    def find(c: int, x: int) -> int:
-        p = parent[c]
+    def find(p: list[int], x: int) -> int:
         while p[x] != x:
+            p[x] = p[p[x]]
             x = p[x]
         return x
 
-    undo: list[tuple[int, int, int]] = []
-
-    def union(c: int, a: int, b: int) -> bool:
-        ra, rb = find(c, a), find(c, b)
-        if ra == rb:
-            return False  # cycle
-        if owned[c][ra] + owned[c][rb] > 1:
-            return False  # two same-color loops in one tree
-        if size[c][ra] < size[c][rb]:
-            ra, rb = rb, ra
-        undo.append((c, rb, ra))
-        parent[c][rb] = ra
-        size[c][ra] += size[c][rb]
-        owned[c][ra] += owned[c][rb]
-        return True
-
-    def unwind(mark: int) -> None:
-        while len(undo) > mark:
-            c, rb, ra = undo.pop()
-            parent[c][rb] = rb
-            size[c][ra] -= size[c][rb]
-            owned[c][ra] -= owned[c][rb]
-
-    def final_ok() -> bool:
+    owner = [-1] * len(edges)
+    for e, (u, v) in enumerate(edges):
         for c in range(2):
-            seen_roots = set()
-            for v in range(n):
-                r = find(c, v)
-                if r in seen_roots:
-                    continue
-                seen_roots.add(r)
-                if owned[c][r] != 1:
-                    return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(edges):
-            return final_ok()
-        u, v = edges[i]
-        for c in range(2):
-            mark = len(undo)
-            if union(c, u, v):
-                if rec(i + 1):
-                    return True
-            unwind(mark)
-        return False
-
-    return rec(0)
+            ra, rb = find(parent[c], node[c][u]), find(parent[c], node[c][v])
+            if ra != rb:
+                parent[c][ra] = rb
+                owner[e] = c
+                break
+    for e in range(len(edges)):
+        if owner[e] < 0 and not _augment(n, edges, node, owner, e):
+            return False
+    return all(
+        owner.count(c) == n - sum(1 for _, lc in loops if lc == c) for c in range(2)
+    )
 
 
 def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bool:
@@ -218,10 +180,9 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
     `loop_colors` maps each loop edge id of g to 0 (x) or 1 (y); at most one
     loop of each color per vertex.  True iff the loopless part is (2,3)-sparse
     and the edges admit a 2-coloring into forests with each tree spanning
-    exactly one loop of its color.  The canonical game plus greedy placement of
-    color-matched pebbles on the loop vertices decides almost every instance;
-    when the greedy route is blocked, an exact pruned coloring search settles
-    it (a single game run fixes one forest pair, which can be the wrong one).
+    exactly one loop of its color.  The (2,3) game and the pebble count settle
+    sparsity and the edge total; an iterative matroid partition (Edmonds 1965)
+    then decides the forest split exactly in polynomial time.
     """
     loops: list[tuple[int, int]] = []  # (vertex, color)
     seen_per_vertex: set[tuple[int, int]] = set()
@@ -243,17 +204,10 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
         if not (0 <= eid < g.m) or not g.is_loop(eid):
             raise ValueError(f"loop color given for non-loop edge {eid}")
 
-    plain = Multigraph(g.n, plain_edges)
-    result = run_canonical_game(plain, _PARAMS_23)
+    result = run_canonical_game(Multigraph(g.n, plain_edges), _PARAMS_23)
     if result.rejected:
         return False
     if result.pebbles_remaining() != len(loops):
         return False  # total count cannot reach (2,0)-tight
-    state = result.state
-    for v, c in loops:
-        if not _place_colored_pebble(state, v, c):
-            # the greedy route is blocked; this run's forest pair may simply
-            # be the wrong one, so settle it exactly
-            return _forest_matching_exists(g.n, plain_edges, loops)
-        _consume_loop_pebble(state, v, c)
-    return True
+    del result  # free the game state so its peak does not add to the partition's
+    return _tree_pair_exists(g.n, plain_edges, loops)

@@ -10,15 +10,14 @@ from sparsity_kit import (
     add_edge,
     brute_force_sparse,
     canonical_add_edge,
-    canonical_find_pebble,
     collect_pebbles_canonically,
     creates_monochromatic_cycle,
-    execute_plan,
     init_game,
     monochromatic_cycle_colors,
+    route_pebble,
     run_canonical_game,
 )
-from sparsity_kit.canonical import bring_pebble_dynamic, plan_pebble_path
+from sparsity_kit.canonical import bring_pebble_dynamic
 from sparsity_kit.pebbles import find_pebble, pebble_slide
 
 from conftest import ALL_PARAMS
@@ -182,16 +181,17 @@ def test_cycle_detection_matches_simulation():
     assert trials > 500
 
 
-def test_canonical_find_pebble_fresh_state_empty_plan():
+def test_route_pebble_fresh_state_needs_no_slides():
     s = init_game(3, SparsityParams(2, 2))
-    plan = canonical_find_pebble(s, 0)
-    assert plan is not None and plan.steps == []
+    slides = []
+    assert route_pebble(s, 0, on_slide=lambda state, e, c: slides.append(e))
+    assert slides == [] and s.peb_sum[0] == 2
 
 
-def test_canonical_plan_reroutes_along_tree():
+def test_route_pebble_reroutes_along_tree():
     # A color-0 chain 0<-1<-2 rooted at 0 and a color-1 edge 2->3 whose only
-    # escape pebble sits past the color-0 tree: executing the plan must not
-    # close a color-0 cycle.
+    # escape pebble sits past the color-0 tree: routing must not close a
+    # color-0 cycle.
     s = GameState.from_parts(
         3,
         SparsityParams(2, 2),
@@ -199,9 +199,7 @@ def test_canonical_plan_reroutes_along_tree():
         [[1, 0], [0, 0], [1, 0]],
     )
     before = monochromatic_cycle_colors(s)
-    plan, _ = plan_pebble_path(s, 1, frozenset((1,)))
-    assert plan is not None
-    execute_plan(s, plan)
+    assert route_pebble(s, 1, frozenset((1,)))
     assert s.peb_sum[1] == 1
     assert monochromatic_cycle_colors(s) == before
 
@@ -219,13 +217,14 @@ def test_canonical_succeeds_whenever_plain_search_does():
         forb = frozenset({src, rng.randrange(n)})
         plain, _ = find_pebble(s, src, forb)
         before = set(monochromatic_cycle_colors(s))
-        plan, _ = plan_pebble_path(s, src, forb)
-        assert (plan is None) == (plain is None)
-        if plan is None or not plan.steps:
+        peb_before = s.peb_sum[src]
+        routed = route_pebble(s, src, forb)
+        assert routed == (plain is not None)
+        if not routed:
             continue
-        execute_plan(s, plan)
+        assert s.peb_sum[src] == peb_before + 1
         after = set(monochromatic_cycle_colors(s))
-        assert after <= before, "plan execution created a monochromatic cycle"
+        assert after <= before, "routing created a monochromatic cycle"
         checked += 1
     assert checked > 300
 

@@ -375,30 +375,6 @@ def test_adversarial_proper_coloring_implies_sparse():
     assert not found
 
 
-def test_graded_tight_certificate_validation():
-    from sparsity_kit import Certificate
-
-    # triangle with one loop per vertex: loops in one color, the directed
-    # 3-cycle in the other (the validator ignores roles for this kind)
-    rows = (
-        ColoredEdge(0, 0, 1, 1, 0),
-        ColoredEdge(1, 1, 2, 1, 1),
-        ColoredEdge(2, 2, 0, 1, 2),
-        ColoredEdge(3, 0, 0, 0, 0),
-        ColoredEdge(4, 1, 1, 0, 1),
-        ColoredEdge(5, 2, 2, 0, 2),
-    )
-    g = Multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)])
-    cert = Certificate("graded-tight", SparsityParams(2, 3), 3, rows)
-    ok, why = validate_certificate(g, cert)
-    assert ok, why
-    # drop a loop: the whole graph is no longer (2,0)-tight
-    g_bad = Multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)])
-    cert_bad = Certificate("graded-tight", SparsityParams(2, 3), 3, rows[:5])
-    ok, why = validate_certificate(g_bad, cert_bad)
-    assert not ok and "graded" in why
-
-
 def test_dot_output_mentions_colors_and_orientation(k4_graph):
     res = run_canonical_game(k4_graph, SparsityParams(2, 2))
     cert = extract_certificate(res)

@@ -216,6 +216,17 @@ def test_check_invariants_subset_witness():
     assert "subset-balance" in names or "vertex-balance" in names
 
 
+def test_check_invariants_flags_stale_slot():
+    # vertex 2's slot claims edge 0, whose tail is vertex 0: every per-vertex
+    # count balances, but the subset {2} does not
+    s = GameState.from_parts(3, SparsityParams(1, 0), [(0, 1, 0)], [[0], [1], [1]])
+    s.out_color[2][0] = 0
+    s.pebbles[2][0] = 0
+    s.peb_sum[2] = 0
+    report = check_invariants(s)
+    assert [f.name for f in report.failures] == ["edge-slot"]
+
+
 def test_k4_state_holds_exactly_l_pebbles(k4_two_color_state):
     report = check_invariants(k4_two_color_state)
     assert report.ok

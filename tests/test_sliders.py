@@ -4,10 +4,13 @@ import pytest
 
 from sparsity_kit import (
     Multigraph,
+    SparsityParams,
     axis_parallel_slider_check,
     brute_force_axis_parallel,
     brute_force_graded_tight,
     graded_tight_check,
+    random_tight_graph,
+    run_canonical_game,
 )
 
 
@@ -69,6 +72,22 @@ def test_axis_rejects_uncolored_loop():
     g = Multigraph(1, [(0, 0)])
     with pytest.raises(ValueError, match="no color"):
         axis_parallel_slider_check(g, {})
+
+
+def test_axis_planted_positive_with_a_thousand_edges():
+    # one loop per pebble a game on a shuffled copy leaves: that game's
+    # coloring is a witness, and the check must not recurse once per edge
+    n = 502
+    params = SparsityParams(2, 3)
+    base = random_tight_graph(n, params, 5)
+    assert base.m >= 1000
+    shuffled = list(base.edges)
+    random.Random(5).shuffle(shuffled)
+    state = run_canonical_game(Multigraph(n, shuffled), params).state
+    loops = [(v, c) for v in range(n) for c in range(2) if state.pebbles[v][c] > 0]
+    edges = list(base.edges) + [(v, v) for v, _ in loops]
+    colors = {base.m + i: c for i, (_, c) in enumerate(loops)}
+    assert axis_parallel_slider_check(Multigraph(n, edges), colors)
 
 
 def test_axis_agreement_randomized():
