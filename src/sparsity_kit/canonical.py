@@ -3,9 +3,10 @@
 Canonical add-edge covers a new edge with a color carried by both endpoints
 when one exists (so the two tree roots merge without closing a cycle) and with
 the highest color present otherwise.  Canonical slides never close a
-monochromatic cycle: `route_pebble` finds a pebble with the plain search and
-brings it along that path, shortcutting along a monochromatic tree wherever
-every available cover would close a cycle.
+monochromatic cycle: `route_pebble` finds the nearest pebble with the
+breadth-first `find_pebble` and brings it along that shortest path,
+shortcutting along a monochromatic tree wherever every available cover would
+close a cycle.
 """
 
 from __future__ import annotations

@@ -185,24 +185,25 @@ def cmd_bench(args) -> int:
     prev: tuple[int, float] | None = None
     for n in sizes:
         g = random_tight_graph(n, params, seed * 1_000_003 + n)
+        slid: list[int] = []
         start = time.perf_counter()
-        result = run_canonical_game(g, params)
+        result = run_canonical_game(g, params, on_slide=lambda state, e, c: slid.append(e))
         elapsed = time.perf_counter() - start
         assert result.all_accepted()
         ratio = None
         if prev is not None and prev[0] * 2 == n and prev[1] > 0:
             ratio = elapsed / prev[1]
-        rows.append((n, g.m, elapsed, ratio))
+        rows.append((n, g.m, elapsed, ratio, len(slid)))
         prev = (n, elapsed)
     if args.format == "csv":
-        print("n,edges,seconds,ratio")
-        for n, m, secs, ratio in rows:
-            print(f"{n},{m},{secs:.6f},{'' if ratio is None else f'{ratio:.3f}'}")
+        print("n,edges,seconds,ratio,slides")
+        for n, m, secs, ratio, slides in rows:
+            print(f"{n},{m},{secs:.6f},{'' if ratio is None else f'{ratio:.3f}'},{slides}")
     else:
-        print(f"{'n':>8} {'edges':>8} {'seconds':>10} {'t(2n)/t(n)':>11}")
-        for n, m, secs, ratio in rows:
+        print(f"{'n':>8} {'edges':>8} {'seconds':>10} {'t(2n)/t(n)':>11} {'slides':>8}")
+        for n, m, secs, ratio, slides in rows:
             rtxt = "-" if ratio is None else f"{ratio:.3f}"
-            print(f"{n:>8} {m:>8} {secs:>10.4f} {rtxt:>11}")
+            print(f"{n:>8} {m:>8} {secs:>10.4f} {rtxt:>11} {slides:>8}")
     return EXIT_OK
 
 
@@ -248,7 +249,7 @@ def build_parser() -> _Parser:
     p.add_argument("--debug-invariants", action="store_true")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("bench", help="time constructions on random tight graphs")
+    p = sub.add_parser("bench", help="time constructions and count slides on random tight graphs")
     add_kl(p)
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--seed", type=int, default=None)

@@ -144,12 +144,6 @@ class GameState:
     def pebble_colors(self, v: int) -> list[int]:
         return [c for c in range(self.params.k) if self.pebbles[v][c] > 0]
 
-    def out_edges(self, v: int) -> list[int]:
-        """Outgoing edge ids of v in ascending edge id order."""
-        outs = [e for e in self.out_color[v] if e >= 0]
-        outs.sort()
-        return outs
-
     def loop_count(self, v: int) -> int:
         return sum(1 for e in self.out_color[v] if e >= 0 and self.heads[e] == self.tails[e] == v)
 
@@ -260,50 +254,42 @@ def apply_move(state: GameState, move: Move) -> Move:
 def find_pebble(
     state: GameState, source: int, forbidden: frozenset[int] | set[int] = frozenset()
 ) -> tuple[list[int] | None, set[int]]:
-    """Depth-first search from `source` for a pebbled vertex outside `forbidden`.
+    """Breadth-first search from `source` for a pebbled vertex outside `forbidden`.
 
-    Returns (path, visited): `path` is a list of edge ids forming a simple
-    directed path from source to the found vertex (empty if source itself
-    qualifies), or None if no pebble is reachable, in which case `visited` is
-    the full reachable set.  Out-edges are explored in ascending edge id order.
+    Returns (path, visited): `path` is a list of edge ids forming a shortest
+    directed path from source to such a vertex (empty if source itself
+    qualifies), so bringing the pebble back takes the fewest slides; or None
+    if no pebble is reachable, in which case `visited` is the full reachable
+    set.  Each vertex's out-slots are explored in color order.
     """
     peb_sum = state.peb_sum
-    heads = state.heads
     if peb_sum[source] > 0 and source not in forbidden:
         return [], {source}
+    heads = state.heads
+    out_color = state.out_color
     visited = {source}
     parent: dict[int, int] = {}
-    stack: list[tuple[int, Iterable[int]]] = [(source, iter(state.out_edges(source)))]
-    found = -1
-    while stack:
-        x, it = stack[-1]
-        advanced = False
-        for e in it:
+    queue = [source]
+    for x in queue:  # the list grows while it is walked, so it acts as a FIFO
+        for e in out_color[x]:
+            if e < 0:
+                continue
             y = heads[e]
             if y in visited:
                 continue
             visited.add(y)
             parent[y] = e
             if peb_sum[y] > 0 and y not in forbidden:
-                found = y
-                stack.clear()
-                advanced = True
-                break
-            stack.append((y, iter(state.out_edges(y))))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-    if found < 0:
-        return None, visited
-    path: list[int] = []
-    cur = found
-    while cur != source:
-        e = parent[cur]
-        path.append(e)
-        cur = state.tails[e]
-    path.reverse()
-    return path, visited
+                path: list[int] = []
+                tails = state.tails
+                while y != source:
+                    e = parent[y]
+                    path.append(e)
+                    y = tails[e]
+                path.reverse()
+                return path, visited
+            queue.append(y)
+    return None, visited
 
 
 def bring_pebble(state: GameState, path: list[int]) -> list[Move]:

@@ -230,6 +230,18 @@ def test_bench_csv(capsys):
     assert out.startswith("n,edges,seconds")
 
 
+def test_bench_reports_slides(capsys):
+    assert main(["bench", "--k", "2", "--l", "3", "--sizes", "16", "--seed", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "slides" and int(row.split()[-1]) > 0
+    assert (
+        main(["bench", "--k", "2", "--l", "3", "--sizes", "16", "--seed", "1", "--format", "csv"])
+        == 0
+    )
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "n,edges,seconds,ratio,slides" and int(row.split(",")[-1]) > 0
+
+
 def test_stdin_stdout_streaming(capsys, monkeypatch, tmp_path):
     import io
     import sys

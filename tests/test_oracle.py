@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from sparsity_kit import (
@@ -144,6 +147,31 @@ def test_random_tight_graph_deterministic_per_seed():
     c = random_tight_graph(6, params, 124)
     assert a.edges == b.edges
     assert a.edges != c.edges or a.n == c.n  # different seed usually differs
+
+
+# (k, l, n, seed); the two n = 500 graphs match the benchmark's input sizes
+PINNED_GRAPHS = [
+    (1, 1, 30, 1),
+    (2, 0, 30, 2),
+    (2, 2, 40, 3),
+    (2, 3, 60, 4),
+    (3, 3, 30, 5),
+    (3, 5, 30, 6),
+    (1, 0, 25, 7),
+    (2, 3, 500, 12345),
+    (3, 3, 500, 12345),
+]
+PINNED_DIGEST = "2903ac5141468c77cf8f8c11e8acd846aa53edf0866d68d269db59316a8c0a67"
+
+
+def test_random_tight_graph_edge_lists_are_pinned():
+    # acceptance depends on sparsity alone, so no engine change may alter the
+    # generated graphs, which every benchmark workload is built from
+    digest = hashlib.sha256()
+    for k, l, n, seed in PINNED_GRAPHS:
+        g = random_tight_graph(n, SparsityParams(k, l), seed)
+        digest.update(json.dumps([k, l, n, seed, g.edges]).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 def test_random_tight_graph_single_vertex_loop():

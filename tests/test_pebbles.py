@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -21,6 +22,7 @@ from sparsity_kit import (
     trace_to_lines,
     update_components,
 )
+from sparsity_kit.canonical import play_edge
 
 
 def total_pebbles_everywhere(state):
@@ -147,6 +149,61 @@ def test_find_pebble_walks_cycle_to_the_pebbled_vertex():
     assert s.heads[path[-1]] == 2
 
 
+SEARCH_PARAMS = [
+    SparsityParams(k, l) for k, l in [(1, 0), (1, 1), (2, 0), (2, 2), (2, 3), (3, 3), (3, 5)]
+]
+
+
+def _distances(state, source):
+    """Directed BFS distances from source, read from tails/heads alone."""
+    adj = [[] for _ in range(state.n)]
+    for t, h in zip(state.tails, state.heads):
+        adj[t].append(h)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def test_find_pebble_returns_a_shortest_path_or_the_reachable_set():
+    rng = random.Random(2024)
+    hits = misses = 0
+    for trial in range(60):
+        params = rng.choice(SEARCH_PARAMS)
+        n = rng.randint(2, 30)
+        g = Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(params.k * n)])
+        s = run_canonical_game(g, params).state
+        for _ in range(rng.randint(0, 3 * n) if s.m else 0):
+            e = rng.randrange(s.m)
+            colors = s.pebble_colors(s.heads[e])
+            if colors:
+                pebble_slide(s, e, rng.choice(colors))
+        for _ in range(10):
+            source = rng.randrange(n)
+            forbidden = set(rng.sample(range(n), rng.randint(0, n)))
+            path, visited = find_pebble(s, source, forbidden)
+            dist = _distances(s, source)
+            targets = [dist[y] for y in dist if s.peb_sum[y] > 0 and y not in forbidden]
+            if path is None:
+                assert not targets
+                assert visited == set(dist)
+                misses += 1
+                continue
+            cur = source
+            for e in path:
+                assert s.tails[e] == cur
+                cur = s.heads[e]
+            assert s.peb_sum[cur] > 0 and cur not in forbidden
+            assert len(path) == min(targets)
+            hits += 1
+    assert hits > 100 and misses > 100
+
+
 def test_bring_pebble_empty_path_is_noop():
     s = init_game(2, SparsityParams(2, 3))
     assert bring_pebble(s, []) == []
@@ -267,6 +324,43 @@ def test_first_edge_forms_two_vertex_block_in_upper_range():
     assert cid[2] != cid[0]
     rep = brute_force_sparse(g, SparsityParams(2, 3))
     assert (0, 1) in rep.blocks
+
+
+def _reaches_no_outside_pebble(state, pair):
+    """Vertices from which no pebbled vertex outside `pair` is reachable."""
+    return {
+        x
+        for x in range(state.n)
+        if not any(state.peb_sum[y] > 0 and y not in pair for y in _distances(state, x))
+    }
+
+
+def test_tagged_block_is_the_set_that_reaches_no_outside_pebble():
+    # after an accepted edge leaving exactly l pebbles on {u, v}, the block is
+    # tagged with a fresh id iff u and v reach no other pebble, and then it is
+    # exactly the set of vertices that reach no pebble outside {u, v}
+    rng = random.Random(31)
+    tagged = untagged = 0
+    for trial in range(40):
+        k = rng.choice((1, 2, 3))
+        params = SparsityParams(k, rng.randint(1, 2 * k - 1))
+        n = rng.randint(2, 20)
+        s = init_game(n, params)
+        for _ in range(3 * n):
+            u, v = rng.randrange(n), rng.randrange(n)
+            before = list(s.component_id)
+            if not play_edge(s, u, v) or s.peb_pair(u, v) != params.l:
+                continue
+            free = _reaches_no_outside_pebble(s, {u, v})
+            if u in free and v in free:
+                cid = s.component_id[u]
+                assert cid != 0 and cid not in before
+                assert {x for x in range(n) if s.component_id[x] == cid} == free
+                tagged += 1
+            else:
+                assert s.component_id == before
+                untagged += 1
+    assert tagged > 100 and untagged > 10
 
 
 def test_reject_fast_after_k4_two_two(k4):
