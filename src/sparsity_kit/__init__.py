@@ -75,6 +75,7 @@ from .oracle import (
     brute_force_sparse,
     enumerate_small_multigraphs,
     enumerate_tight_graphs,
+    overfull_subset,
     random_tight_graph,
 )
 

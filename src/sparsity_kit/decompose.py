@@ -6,18 +6,20 @@ per vertex.  The validators here work from that stored orientation: map-graph
 checks are per-vertex degree counts, tree checks are connectivity counts, and
 tree-piece counts come from the root rule (a piece is rooted at a vertex whose
 color slot holds a pebble, or whose colored out-edge leaves the subgraph).
+By that rule a subset holds exactly k*n' - m' pieces, so the "at least l
+pieces everywhere" condition of coloring and proper lTk certificates is
+(k,l)-sparsity itself, decided exactly by `oracle.overfull_subset`.
 """
 
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .canonical import ConstructionResult
-from .graph import Multigraph, SparsityParams
+from .graph import Multigraph, SparsityParams, induced_edge_count, vertex_subset
+from .oracle import overfull_subset
 from .pebbles import GameState
 
 
@@ -110,9 +112,13 @@ def _check_cover(g: Multigraph, d: Decomposition) -> None:
         raise CertificateError("vertex counts differ")
     if len(d.edges) != g.m:
         raise CertificateError("decomposition does not cover the graph's edges")
+    seen: set[int] = set()
     for e in d.edges:
         if not 0 <= e.id < g.m:
             raise CertificateError(f"edge id {e.id} out of range")
+        if e.id in seen:
+            raise CertificateError(f"edge id {e.id} listed twice")
+        seen.add(e.id)
         u, v = g.edges[e.id]
         if {e.u, e.v} != {u, v}:
             raise CertificateError(f"edge {e.id} endpoints disagree with the graph")
@@ -145,62 +151,21 @@ def tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) -> list[
     whether the color slot is globally free (a pebble in game terms) or its
     out-edge merely leaves the subgraph.
     """
-    s = frozenset(subset)
-    if not s:
-        raise ValueError("empty subgraph undefined")
+    s = vertex_subset(d.n, subset)
     _check_cover(g, d)
     slots = _out_slots(d)
-    k = d.params.k
     pieces: list[TreePiece] = []
-    for color in range(k):
-        inside: dict[int, ColoredEdge] = {}
-        adj: dict[int, list[ColoredEdge]] = {v: [] for v in s}
-        for v in s:
-            e = slots.get((v, color))
-            if e is not None and e.head in s:
-                inside[v] = e
-                adj[v].append(e)
-                if e.head != v:
-                    adj[e.head].append(e)
-        seen: set[int] = set()
-        for start in sorted(s):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            comp_edges: set[int] = set()
-            while stack:
-                x = stack.pop()
-                for e in adj[x]:
-                    comp_edges.add(e.id)
-                    for y in (e.tail, e.head):
-                        if y not in comp:
-                            comp.add(y)
-                            stack.append(y)
-            seen |= comp
-            if len(comp_edges) >= len(comp):
+    for color in range(d.params.k):
+        inside = [
+            e for v in s if (e := slots.get((v, color))) is not None and e.head in s
+        ]
+        for root, eids, comp in _class_components(s, inside):
+            if len(eids) >= len(comp):
                 continue  # contains a cycle inside the subgraph: a map piece
-            roots = [v for v in comp if v not in inside]
-            root = roots[0] if len(roots) == 1 else min(roots)
             kind = "pebble" if (root, color) not in slots else "out-edge"
-            pieces.append(
-                TreePiece(color, frozenset(comp), tuple(sorted(comp_edges)), root, kind)
-            )
+            pieces.append(TreePiece(color, frozenset(comp), tuple(eids), root, kind))
     pieces.sort(key=lambda p: (p.root, 0 if p.root_kind == "pebble" else 1, p.color))
     return pieces
-
-
-@lru_cache(maxsize=128)
-def _slot_heads(d: Decomposition) -> tuple[tuple[int, ...], ...]:
-    """Per vertex and color, the head of the outgoing edge (or -1)."""
-    table = [[-1] * d.params.k for _ in range(d.n)]
-    for e in d.edges:
-        if table[e.tail][e.color] != -1:
-            raise CertificateError(
-                f"vertex {e.tail} has two outgoing edges of color {e.color}"
-            )
-        table[e.tail][e.color] = e.head
-    return tuple(map(tuple, table))
 
 
 def count_tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) -> int:
@@ -211,17 +176,13 @@ def count_tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) ->
     automatically acyclic (it has strictly fewer edges than vertices), and a
     rootless component is a cycle, so roots and tree-pieces are in bijection.
     """
-    s = frozenset(subset)
-    if not s:
-        raise ValueError("empty subgraph undefined")
-    heads = _slot_heads(d)
-    k = d.params.k
+    s = vertex_subset(d.n, subset)
+    slots = _out_slots(d)
     total = 0
     for v in s:
-        row = heads[v]
-        for c in range(k):
-            h = row[c]
-            if h < 0 or h not in s:
+        for c in range(d.params.k):
+            e = slots.get((v, c))
+            if e is None or e.head not in s:
                 total += 1
     return total
 
@@ -235,8 +196,7 @@ def count_tree_pieces_exact(d: Decomposition, g: Multigraph, subset: Iterable[in
     if len(s) < 2:
         raise ValueError("count defined for subsets of at least 2 vertices")
     count = len(tree_pieces(d, g, s))
-    m_sub = sum(1 for u, v in (g.edges[e.id] for e in d.edges) if u in s and v in s)
-    expected = d.params.k * len(s) - m_sub
+    expected = d.params.k * len(s) - induced_edge_count(g, s)
     if count != expected:
         raise CertificateError(
             f"tree-piece count {count} != k*n'-m' = {expected} on subset {sorted(s)}"
@@ -244,48 +204,27 @@ def count_tree_pieces_exact(d: Decomposition, g: Multigraph, subset: Iterable[in
     return count
 
 
-def _piece_check_subsets(
-    n: int, params: SparsityParams, *, subset_limit: int = 8, samples: int = 200, seed: int = 0
-) -> tuple[list[list[int]], bool]:
-    """Subsets to verify the >= l tree-piece condition on.
-
-    Exhaustive (all subsets of size >= 2, plus singletons in the lower range,
-    where they carry k >= l pieces) for n <= subset_limit; sampled above.
-    """
-    include_singletons = params.lower_range
-    if n <= subset_limit:
-        subsets = []
-        for mask in range(1, 1 << n):
-            verts = [i for i in range(n) if mask >> i & 1]
-            if len(verts) == 1 and not include_singletons:
-                continue
-            subsets.append(verts)
-        return subsets, True
-    rng = random.Random(seed)
-    subsets = [list(range(n))]
-    if include_singletons:
-        subsets.extend([v] for v in range(n))
-    for _ in range(samples):
-        size = rng.randint(2, n)
-        subsets.append(rng.sample(range(n), size))
-    return subsets, False
+def _overfull_failure(g: Multigraph, params: SparsityParams) -> str:
+    """Why g is not (k,l)-sparse, naming an overfull subset; empty if it is sparse."""
+    witness = overfull_subset(g, params)
+    if witness is None:
+        return ""
+    return (
+        f"subset {list(witness)} spans {induced_edge_count(g, witness)} edges, "
+        f"more than k*n'-l = {params.k * len(witness) - params.l}"
+    )
 
 
 def certify_coloring(
-    g: Multigraph,
-    d: Decomposition,
-    params: SparsityParams,
-    *,
-    subset_limit: int = 8,
-    samples: int = 200,
-    seed: int = 0,
+    g: Multigraph, d: Decomposition, params: SparsityParams
 ) -> tuple[bool, dict]:
     """Validate the generic colored decomposition.
 
     True iff every color class is (1,0)-sparse (witnessed by the stored
-    orientation: out-degree <= 1 per vertex per color) and every checked
-    subgraph holds at least l tree-pieces.  The report records the quantifier
-    actually used.
+    orientation: out-degree <= 1 per vertex per color) and every subgraph
+    holds at least l tree-pieces.  By the root rule a subset's piece count is
+    k*n' - m', so the piece condition is exactly (k,l)-sparsity of g, which
+    `oracle.overfull_subset` decides; a failure names an overfull subset.
     """
     if params != d.params:
         raise CertificateError("parameter mismatch")
@@ -296,45 +235,10 @@ def certify_coloring(
     except CertificateError as exc:
         report["failure"] = str(exc)
         return False, report
-    subsets, exhaustive = _piece_check_subsets(
-        g.n, params, subset_limit=subset_limit, samples=samples, seed=seed
-    )
-    report["subsets_checked"] = len(subsets)
-    report["exhaustive"] = exhaustive
-    # component-closed subsets: each color class component's vertex set
-    extra = []
-    if not exhaustive:
-        for cls in d.color_classes():
-            comp_sets = _component_vertex_sets(g, cls)
-            extra.extend(sorted(cs) for cs in comp_sets if len(cs) >= 2)
-        report["component_subsets"] = len(extra)
-    for subset in subsets + extra:
-        count = count_tree_pieces(d, g, subset)
-        if count < params.l:
-            report["failure"] = (
-                f"subset {sorted(subset)} has {count} tree-pieces, needs >= {params.l}"
-            )
-            return False, report
-    return True, report
-
-
-def _component_vertex_sets(g: Multigraph, edges: Sequence[ColoredEdge]) -> list[set[int]]:
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        ra, rb = find(e.u), find(e.v)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), set()).add(v)
-    return [s for s in groups.values()]
+    failure = _overfull_failure(g, params)
+    if failure:
+        report["failure"] = failure
+    return not failure, report
 
 
 # -- role-bearing certificates -------------------------------------------------
@@ -346,14 +250,15 @@ def _require_tight(result: ConstructionResult) -> None:
 
 
 def _class_components(
-    n: int, rows: Sequence[ColoredEdge]
+    vertices: Iterable[int], rows: Iterable[ColoredEdge]
 ) -> list[tuple[int, list[int], set[int]]]:
     """(root, edge ids, vertices) per connected component, singletons included.
 
-    The root is the unique component vertex without an outgoing edge of the
-    class's color; only meaningful for acyclic classes.
+    `rows` must lie inside `vertices`.  The root is the unique component
+    vertex without an outgoing edge of the class's color; only meaningful for
+    acyclic classes.
     """
-    adj: dict[int, list[ColoredEdge]] = {v: [] for v in range(n)}
+    adj: dict[int, list[ColoredEdge]] = {v: [] for v in vertices}
     has_out = set()
     for e in rows:
         adj[e.u].append(e)
@@ -362,7 +267,7 @@ def _class_components(
         has_out.add(e.tail)
     comps = []
     seen: set[int] = set()
-    for start in range(n):
+    for start in adj:
         if start in seen:
             continue
         comp = {start}
@@ -396,7 +301,7 @@ def extract_maps_and_trees(result: ConstructionResult) -> Certificate:
     maps: list[tuple[int, ...]] = []
     for c in range(params.l):
         rows = classes[c]
-        comps = _class_components(n, rows)
+        comps = _class_components(range(n), rows)
         if len(rows) != n - 1 or len(comps) != 1:
             raise CertificateError(f"color {c} is not a spanning tree")
         trees.append(tuple(sorted(e.id for e in rows)))
@@ -426,7 +331,7 @@ def extract_proper_ltk(result: ConstructionResult) -> Certificate:
     n = result.graph.n
     collected: list[tuple[int, int, tuple[int, ...]]] = []  # (root, color, edge ids)
     for c, rows in enumerate(d.color_classes()):
-        comps = _class_components(n, rows)
+        comps = _class_components(range(n), rows)
         for root, eids, comp in comps:
             if len(eids) != len(comp) - 1:
                 raise CertificateError(f"color {c} contains a cycle")
@@ -457,29 +362,30 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
 # -- validation -----------------------------------------------------------------
 
 
-def validate_certificate(
-    g: Multigraph, cert: Certificate, *, subset_limit: int = 8, seed: int = 0
-) -> tuple[bool, str]:
+def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
     """Run the kind-specific validator; returns (ok, first failing check)."""
-    params = cert.params
     d = cert.decomposition
     try:
         _check_cover(g, d)
-        slots = _out_slots(d)
+        _out_slots(d)
     except CertificateError as exc:
         return False, str(exc)
-    del slots
     if cert.kind == "coloring":
-        ok, report = certify_coloring(g, d, params, subset_limit=subset_limit, seed=seed)
-        return ok, report.get("failure", "")
+        failure = _overfull_failure(g, cert.params)
+        return not failure, failure
     if cert.kind == "maps-and-trees":
         return _validate_maps_and_trees(g, cert)
     if cert.kind == "proper-ltk":
-        return _validate_proper_ltk(g, cert, subset_limit=subset_limit, seed=seed)
+        return _validate_proper_ltk(g, cert)
     return False, f"unknown certificate kind {cert.kind!r}"
 
 
 def _validate_maps_and_trees(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
+    """Structural checks only, no sparsity search.
+
+    l spanning trees plus k-l out-degree-one map-graphs span at most
+    k*n' - l edges on every subset by themselves.
+    """
     params = cert.params
     if not params.lower_range:
         return False, "maps-and-trees certificate outside the lower range"
@@ -487,18 +393,13 @@ def _validate_maps_and_trees(g: Multigraph, cert: Certificate) -> tuple[bool, st
         return False, "edge count is not k*n - l"
     if len(cert.trees) != params.l or len(cert.maps) != params.k - params.l:
         return False, "wrong number of tree/map roles"
-    d = cert.decomposition
-    classes = d.color_classes()
+    classes = cert.decomposition.color_classes()
     for c in range(params.l):
         rows = classes[c]
         if sorted(e.id for e in rows) != sorted(cert.trees[c]):
             return False, f"tree role {c} does not match color class {c}"
-        comps = _class_components(g.n, rows)
-        if len(rows) != g.n - 1 or len(comps) != 1:
+        if len(rows) != g.n - 1 or len(_class_components(range(g.n), rows)) != 1:
             return False, f"color {c} is not a spanning tree"
-        root, eids, comp = comps[0]
-        if len(eids) != len(comp) - 1:
-            return False, f"color {c} contains a cycle"
     for i, c in enumerate(range(params.l, params.k)):
         rows = classes[c]
         if sorted(e.id for e in rows) != sorted(cert.maps[i]):
@@ -511,43 +412,29 @@ def _validate_maps_and_trees(g: Multigraph, cert: Certificate) -> tuple[bool, st
     return True, ""
 
 
-def _validate_proper_ltk(
-    g: Multigraph, cert: Certificate, *, subset_limit: int = 8, seed: int = 0
-) -> tuple[bool, str]:
+def _validate_proper_ltk(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
+    """Forest color classes whose components are the tree roles, on a sparse g.
+
+    With m = k*n - l, forest classes have l components in all, and each
+    color's components cover every vertex once, so every vertex lies in
+    exactly k of the l trees.  What remains is the tree-piece condition,
+    which is (k,l)-sparsity of g.
+    """
     params = cert.params
     if not params.upper_range:
         return False, "proper-ltk certificate outside the upper range"
     if g.m != params.max_edges(g.n):
         return False, "edge count is not k*n - l"
-    d = cert.decomposition
-    expected: list[tuple[int, ...]] = []
-    membership = [0] * g.n
-    for c, rows in enumerate(d.color_classes()):
-        for root, eids, comp in _class_components(g.n, rows):
+    expected: list[list[int]] = []
+    for c, rows in enumerate(cert.decomposition.color_classes()):
+        for root, eids, comp in _class_components(range(g.n), rows):
             if len(eids) != len(comp) - 1:
                 return False, f"color {c} contains a cycle"
-            expected.append(tuple(eids))
-            for v in comp:
-                membership[v] += 1
-    if sorted(map(sorted, expected)) != sorted(map(sorted, cert.trees)):
+            expected.append(eids)
+    if sorted(expected) != sorted(map(sorted, cert.trees)):
         return False, "tree roles do not match the color components"
-    if len(cert.trees) != params.l:
-        return False, f"{len(cert.trees)} trees, expected l={params.l}"
-    if any(mv != params.k for mv in membership):
-        return False, "some vertex is not in exactly k trees"
-    ok, report = certify_coloring(g, d, params, subset_limit=subset_limit, seed=seed)
-    if not ok:
-        return False, report.get("failure", "tree-piece condition failed")
-    # spot-check the exact piece-count identity on the full set and a pair
-    try:
-        count_tree_pieces_exact(d, g, range(g.n))
-        if g.m:
-            u, v = g.edges[0]
-            if u != v:
-                count_tree_pieces_exact(d, g, {u, v})
-    except CertificateError as exc:
-        return False, str(exc)
-    return True, ""
+    failure = _overfull_failure(g, params)
+    return not failure, failure
 
 
 # -- certificate files ---------------------------------------------------------

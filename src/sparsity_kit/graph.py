@@ -81,14 +81,20 @@ class Multigraph:
         return [i for i, (u, v) in enumerate(self.edges) if u == v]
 
 
-def induced_edge_count(g: Multigraph, subset: Iterable[int]) -> int:
-    """Number of edges with both endpoints (for loops, the one endpoint) in `subset`."""
-    s = set(subset)
+def vertex_subset(n: int, subset: Iterable[int]) -> frozenset[int]:
+    """`subset` as a set of vertices of an n-vertex graph; raises if empty or out of range."""
+    s = frozenset(subset)
     if not s:
         raise ValueError("empty subgraph undefined")
     for v in s:
-        if not 0 <= v < g.n:
+        if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
+    return s
+
+
+def induced_edge_count(g: Multigraph, subset: Iterable[int]) -> int:
+    """Number of edges with both endpoints (for loops, the one endpoint) in `subset`."""
+    s = vertex_subset(g.n, subset)
     return sum(1 for u, v in g.edges if u in s and v in s)
 
 

@@ -1,7 +1,9 @@
-"""Independent brute-force ground truth: subset scans, partition search, enumeration.
+"""Independent ground truth: subset scans, partition search, enumeration, and
+one polynomial sparsity check.
 
 Everything here is deliberately implemented from the definitions (exhaustive
-vertex-subset scans, exhaustive or pruned colorings) and never calls the pebble
+vertex-subset scans, exhaustive or pruned colorings) or, for
+`overfull_subset`, from the uncolored pebble game, and never calls the pebble
 engine's recognition path, so it can arbitrate the engine's answers.  The one
 exception is the random generator, which plays the canonical game on purpose:
 a game construction is sound by definition, which is exactly what makes its
@@ -69,6 +71,58 @@ def brute_force_sparse(g: Multigraph, params: SparsityParams, *, max_n: int = 20
         if not any(bs < other for other in block_sets)
     ]
     return report
+
+
+def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | None:
+    """A vertex set spanning more than max(k*n' - l, 0) edges, or None if g is sparse.
+
+    The uncolored pebble game of Lee & Streinu (Hakimi's orientation test):
+    every vertex starts with k free pebbles, and an edge goes in once l + 1
+    of them sit on its endpoints, oriented away from the endpoint that pays
+    one.  A free pebble is fetched by reversing a shortest directed path to
+    it.  When no pebble can be fetched, the vertices reachable from the
+    endpoints are closed under out-edges and hold at most l free pebbles, so
+    with the new edge they span more than k*n' - l edges.  Shares no code
+    with the colored engine, so it can arbitrate it at any n.
+    """
+    k, l = params.k, params.l
+    free = [k] * g.n
+    out: list[list[int]] = [[] for _ in range(g.n)]  # edge ids oriented away from v
+    for e, (u, v) in enumerate(g.edges):
+        if u == v and l >= k:
+            return (u,)
+        while (free[u] if u == v else free[u] + free[v]) <= l:
+            parent = dict.fromkeys((u, v), -1)
+            queue = list(parent)
+            found = -1
+            for x in queue:  # breadth-first; the list grows as it is walked
+                for f in out[x]:
+                    a, b = g.edges[f]
+                    y = b if a == x else a
+                    if y not in parent:
+                        parent[y] = f
+                        if free[y]:
+                            found = y
+                            break
+                        queue.append(y)
+                if found >= 0:
+                    break
+            if found < 0:
+                return tuple(sorted(parent))
+            free[found] -= 1
+            y = found
+            while parent[y] >= 0:
+                f = parent[y]
+                a, b = g.edges[f]
+                x = a if b == y else b
+                out[x].remove(f)
+                out[y].append(f)
+                y = x
+            free[y] += 1
+        payer = u if free[u] else v
+        free[payer] -= 1
+        out[payer].append(e)
+    return None
 
 
 # -- decomposition existence -----------------------------------------------------

@@ -257,3 +257,25 @@ def test_outputs_are_byte_identical_across_runs(k4_file, tmp_path):
     main(["decompose", "--k", "2", "--l", "2", k4_file, "-o", str(a)])
     main(["decompose", "--k", "2", "--l", "2", k4_file, "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_certify_rejects_repeated_edge_id(tmp_path, capsys):
+    # id 3 twice and id 2 never: the row count still matches m
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 4\n0 1\n0 1\n0 1\n1 2\n")
+    rows = [(0, 0, 1, 0, 0), (3, 1, 2, 0, 1), (1, 0, 1, 1, 1), (3, 1, 2, 1, 2)]
+    payload = {
+        "k": 2,
+        "l": 2,
+        "n": 3,
+        "kind": "maps-and-trees",
+        "edges": [
+            {"id": i, "u": u, "v": v, "color": c, "oriented_from": t}
+            for i, u, v, c, t in rows
+        ],
+        "roles": {"trees": [[0, 3], [1, 3]], "maps": []},
+    }
+    cert_path = tmp_path / "g.cert.json"
+    cert_path.write_text(json.dumps(payload))
+    assert main(["certify", str(graph), str(cert_path)]) == 4
+    assert "listed twice" in capsys.readouterr().out

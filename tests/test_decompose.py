@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,11 +14,13 @@ from sparsity_kit import (
     certificate_from_json,
     certificate_to_json,
     certify_coloring,
+    count_tree_pieces,
     count_tree_pieces_exact,
     extract_certificate,
     extract_coloring,
     extract_maps_and_trees,
     extract_proper_ltk,
+    induced_edge_count,
     random_tight_graph,
     result_decomposition,
     run_canonical_game,
@@ -25,7 +28,7 @@ from sparsity_kit import (
     tree_pieces,
     validate_certificate,
 )
-from sparsity_kit.decompose import ColoredEdge, Decomposition
+from sparsity_kit.decompose import Certificate, ColoredEdge, Decomposition, _class_components
 
 from conftest import K4_EDGES
 
@@ -105,7 +108,7 @@ def test_tree_piece_ordering_is_stable(k4_decomposition, k4_graph):
 def test_certify_coloring_k4(k4_decomposition, k4_graph):
     ok, report = certify_coloring(k4_graph, k4_decomposition, SparsityParams(2, 2))
     assert ok
-    assert report["exhaustive"]
+    assert "failure" not in report
 
 
 def test_certify_coloring_rejects_doubled_cycle():
@@ -148,8 +151,6 @@ def test_count_tree_pieces_exact_triangle():
 def test_root_rule_count_matches_piece_enumeration():
     # the fast root-rule counter and the component-building enumeration are
     # independent routes to the same number
-    from sparsity_kit import count_tree_pieces
-
     rng = random.Random(71)
     for _ in range(40):
         k = rng.choice((1, 2, 3))
@@ -382,3 +383,81 @@ def test_dot_output_mentions_colors_and_orientation(k4_graph):
     assert dot.startswith("digraph")
     assert "->" in dot
     assert 'color="' in dot
+
+
+def test_cover_check_rejects_repeated_edge_id():
+    # id 3 listed twice and id 2 left out: the rows still number m, and the
+    # graph (three parallel edges on {0, 1}) is not (2,2)-sparse
+    g = Multigraph(3, [(0, 1), (0, 1), (0, 1), (1, 2)])
+    params = SparsityParams(2, 2)
+    rows = (
+        ColoredEdge(0, 0, 1, 0, 0),
+        ColoredEdge(3, 1, 2, 0, 1),
+        ColoredEdge(1, 0, 1, 1, 1),
+        ColoredEdge(3, 1, 2, 1, 2),
+    )
+    cert = Certificate("maps-and-trees", params, 3, rows, ((0, 3), (1, 3)), ())
+    ok, why = validate_certificate(g, cert)
+    assert not ok
+    assert "edge id 3 listed twice" in why
+    with pytest.raises(CertificateError, match="listed twice"):
+        certify_coloring(g, cert.decomposition, params)
+
+
+def test_piece_counts_reject_out_of_range_vertices(k4_decomposition, k4_graph):
+    for bad in (-1, k4_graph.n):
+        with pytest.raises(ValueError, match="out of range"):
+            count_tree_pieces(k4_decomposition, k4_graph, {bad, 0})
+        with pytest.raises(ValueError, match="out of range"):
+            tree_pieces(k4_decomposition, k4_graph, {bad, 0})
+
+
+def _named_subset(why: str) -> list[int]:
+    match = re.search(r"subset \[([\d, ]+)\] spans", why)
+    assert match, why
+    return [int(v) for v in match.group(1).split(",")]
+
+
+def test_relabelled_22_coloring_is_neither_23_certificate():
+    # K4 plus vertices 4..29 joined by two edges each, but one joined by one:
+    # m = 2n - 3, yet K4 spans 6 > 2*4 - 3 edges.  The (2,2) game's coloring
+    # has forest classes with l = 3 components in all, so only the sparsity
+    # check can reject it as a (2,3) certificate.
+    params = SparsityParams(2, 3)
+    for seed in range(10):
+        rng = random.Random(seed)
+        edges = list(K4_EDGES)
+        single = rng.randrange(4, 30)
+        for v in range(4, 30):
+            edges.extend((u, v) for u in rng.sample(range(v), 1 if v == single else 2))
+        g = Multigraph(30, edges)
+        assert g.m == params.max_edges(g.n)
+        res = run_canonical_game(g, SparsityParams(2, 2))
+        assert not res.rejected
+        d = result_decomposition(res)
+        trees = tuple(
+            tuple(eids)
+            for rows in d.color_classes()
+            for _, eids, _ in _class_components(range(g.n), rows)
+        )
+        for cert in (
+            Certificate("proper-ltk", params, g.n, d.edges, trees),
+            Certificate("coloring", params, g.n, d.edges),
+        ):
+            ok, why = validate_certificate(g, cert)
+            assert not ok, (seed, cert.kind)
+            sub = _named_subset(why)
+            assert induced_edge_count(g, sub) > params.k * len(sub) - params.l
+
+
+def test_certify_coloring_rejects_upper_range_loop():
+    # a singleton with a loop spans 1 > max(2*1 - 3, 0) edges; every subset
+    # of two or more vertices still holds 3 tree-pieces
+    g = Multigraph(2, [(0, 0)])
+    params = SparsityParams(2, 3)
+    d = Decomposition(params, 2, (ColoredEdge(0, 0, 0, 0, 0),))
+    ok, report = certify_coloring(g, d, params)
+    assert not ok
+    assert _named_subset(report["failure"]) == [0]
+    assert not brute_force_sparse(g, params).sparse
+    assert run_canonical_game(g, params).rejected == [0]

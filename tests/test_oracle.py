@@ -1,17 +1,23 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from sparsity_kit import (
+    Decomposition,
     Multigraph,
     OracleSizeError,
     SparsityParams,
     brute_force_partition,
     brute_force_sparse,
+    certify_coloring,
     enumerate_small_multigraphs,
     enumerate_tight_graphs,
+    induced_edge_count,
+    overfull_subset,
     random_tight_graph,
+    result_decomposition,
     run_canonical_game,
 )
 
@@ -209,3 +215,76 @@ def test_generator_validity_battery():
             res = run_canonical_game(g, params)
             assert res.is_tight()
             count += 1
+
+
+def _assert_overfull(g, params, witness):
+    assert induced_edge_count(g, witness) > max(params.k * len(witness) - params.l, 0)
+
+
+def test_overfull_subset_matches_brute_force():
+    # random multigraphs with loops and parallel edges, sized around k*n - l so
+    # both verdicts are common; a coloring certificate, where one exists, must
+    # get the same verdict from certify_coloring
+    rng = random.Random(2008)
+    verdicts = {True: 0, False: 0}
+    certified = 0
+    for trial in range(2_700):
+        params = ALL_PARAMS[trial % len(ALL_PARAMS)]
+        n = rng.randint(1, 7)
+        m = rng.randint(0, params.k * n + 1)
+        g = Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+        sparse = brute_force_sparse(g, params).sparse
+        witness = overfull_subset(g, params)
+        assert (witness is None) == sparse, (params, g.edges, witness)
+        if witness is not None:
+            _assert_overfull(g, params, witness)
+        verdicts[sparse] += 1
+        # the (k,0) game colors every edge of a (k,0)-sparse graph
+        res = run_canonical_game(g, SparsityParams(params.k, 0))
+        if not res.rejected:
+            d = result_decomposition(res)
+            relabelled = Decomposition(params, n, d.edges)
+            assert certify_coloring(g, relabelled, params)[0] == sparse
+            certified += 1
+    assert min(verdicts.values()) > 800 and certified > 1_500, (verdicts, certified)
+
+
+def test_overfull_subset_matches_engine():
+    # tight graphs for every (k,l) with k <= 3 at n = 50..300, each also with
+    # one to three edges swapped for random vertex pairs
+    rng = random.Random(2007)
+    verdicts = {True: 0, False: 0}
+    for i in range(70):
+        params = ALL_PARAMS[i % len(ALL_PARAMS)]
+        n = rng.randint(50, 300)
+        tight = random_tight_graph(n, params, rng.randrange(2**31))
+        variants = [tight]
+        for _ in range(2):
+            edges = list(tight.edges)
+            for _ in range(rng.randint(1, 3)):
+                edges[rng.randrange(len(edges))] = (rng.randrange(n), rng.randrange(n))
+            variants.append(Multigraph(n, edges))
+        for g in variants:
+            sparse = run_canonical_game(g, params).rejected == []
+            witness = overfull_subset(g, params)
+            assert (witness is None) == sparse, (params, n, i)
+            if witness is not None:
+                _assert_overfull(g, params, witness)
+            verdicts[sparse] += 1
+    assert min(verdicts.values()) > 40, verdicts
+
+
+def test_overfull_subset_large_tight_graph_runs_without_recursion():
+    # K5 is (3,5)-tight; joining each new vertex to three distinct earlier
+    # vertices keeps it tight, up to n = 2000 with m = 5995 edges
+    rng = random.Random(35)
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    for w in range(5, 2000):
+        edges.extend((u, w) for u in rng.sample(range(w), 3))
+    rng.shuffle(edges)
+    g = Multigraph(2000, edges)
+    params = SparsityParams(3, 5)
+    assert g.m == params.max_edges(g.n)
+    assert overfull_subset(g, params) is None
+    doubled = Multigraph(g.n, edges + [edges[0]])  # a pair may span one edge only
+    _assert_overfull(doubled, params, overfull_subset(doubled, params))
