@@ -25,7 +25,6 @@ from .pebbles import (
     TraceError,
     add_edge,
     apply_move,
-    bring_pebble,
     check_invariants,
     find_pebble,
     init_game,

@@ -4,9 +4,12 @@ Canonical add-edge covers a new edge with a color carried by both endpoints
 when one exists (so the two tree roots merge without closing a cycle) and with
 the highest color present otherwise.  Canonical slides never close a
 monochromatic cycle: `route_pebble` finds the nearest pebble with the
-breadth-first `find_pebble` and brings it along that shortest path,
-shortcutting along a monochromatic tree wherever every available cover would
-close a cycle.
+breadth-first `find_pebble` and `bring_pebble_dynamic`, the one path executor,
+brings it along that shortest path, shortcutting along a monochromatic tree
+wherever every available cover would close a cycle.  Every move is made by
+`pebbles.add_edge` or `pebbles.pebble_slide`, so a state's trace and its
+`after_move` hook see each one; `run_canonical_game(after_move=...)` is the way
+to observe a game.
 """
 
 from __future__ import annotations
@@ -60,28 +63,11 @@ def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
 
     Covering with the edge's own color only re-roots its tree.  Otherwise the
     reversed edge closes a cycle exactly when the old tail's cover-colored
-    out-chain already leads to the old head.
+    out-chain already leads to the old head; a loop recolored this way is a
+    fresh one-edge cycle.
     """
     t, h, old = state.edge(eid)
-    if old == cover:
-        return False
-    if t == h:
-        return True  # recoloring a loop starts a fresh one-edge cycle
-    x = t
-    seen = {t}
-    heads = state.heads
-    out_color = state.out_color
-    while True:
-        f = out_color[x][cover]
-        if f < 0:
-            return False
-        y = heads[f]
-        if y == h:
-            return True
-        if y in seen:
-            return False  # ran into a pre-existing cycle elsewhere
-        seen.add(y)
-        x = y
+    return old != cover and (t == h or _monochromatic_chain_to(state, t, cover, h) is not None)
 
 
 def _monochromatic_chain_to(state: GameState, start: int, color: int, goal: int) -> list[int] | None:
@@ -98,17 +84,12 @@ def _monochromatic_chain_to(state: GameState, start: int, color: int, goal: int)
         if y == goal:
             return chain
         if y in seen:
-            return None
+            return None  # ran into a pre-existing cycle elsewhere
         seen.add(y)
         x = y
 
 
-def bring_pebble_dynamic(
-    state: GameState,
-    path: list[int],
-    *,
-    on_slide: Optional[Callable[[GameState, int, int], None]] = None,
-) -> list[Move]:
+def bring_pebble_dynamic(state: GameState, path: list[int]) -> list[Move]:
     """Slide a pebble along `path` to its start, avoiding cycle-closing covers.
 
     Whenever every available covering pebble would close a cycle, the path
@@ -134,8 +115,6 @@ def bring_pebble_dynamic(
                     pick = c
                     break
         if pick >= 0:
-            if on_slide is not None:
-                on_slide(state, e, pick)
             moves.append(pebble_slide(state, e, pick))
             path.pop()
             continue
@@ -155,11 +134,7 @@ def bring_pebble_dynamic(
 
 
 def route_pebble(
-    state: GameState,
-    target: int,
-    forbidden: frozenset[int] | set[int] = frozenset(),
-    *,
-    on_slide: Optional[Callable[[GameState, int, int], None]] = None,
+    state: GameState, target: int, forbidden: frozenset[int] | set[int] = frozenset()
 ) -> bool:
     """Bring one pebble from outside `forbidden` onto `target` with canonical slides.
 
@@ -170,45 +145,31 @@ def route_pebble(
     path, _ = find_pebble(state, target, forbidden)
     if path is None:
         return False
-    bring_pebble_dynamic(state, path, on_slide=on_slide)
+    bring_pebble_dynamic(state, path)
     return True
 
 
-def collect_pebbles_canonically(
-    state: GameState,
-    v: int,
-    w: int,
-    target: int | None = None,
-    *,
-    on_slide: Optional[Callable[[GameState, int, int], None]] = None,
-) -> bool:
-    """Gather at least `target` (default l+1) pebbles on {v, w} with canonical slides.
+def collect_pebbles_canonically(state: GameState, v: int, w: int) -> bool:
+    """Gather at least l+1 pebbles on {v, w} with canonical slides.
 
     Fills v first, then w, one `route_pebble` at a time; pebbles already on
     {v, w} are never slid away.  Returns False when the reachable region is
-    exhausted short of the target.
+    exhausted short of l+1.
     """
     params = state.params
-    goal = params.l + 1 if target is None else target
     forbidden = frozenset((v, w))
     sources = (v,) if v == w else (v, w)
-    while state.peb_pair(v, w) < goal:
+    while state.peb_pair(v, w) <= params.l:
         if not any(
             state.peb_sum[src] < params.k
-            and route_pebble(state, src, forbidden, on_slide=on_slide)
+            and route_pebble(state, src, forbidden)
             for src in sources
         ):
             return False
     return True
 
 
-def play_edge(
-    state: GameState,
-    u: int,
-    v: int,
-    *,
-    on_slide: Optional[Callable[[GameState, int, int], None]] = None,
-) -> bool:
+def play_edge(state: GameState, u: int, v: int) -> bool:
     """One step of the game: add uv canonically if it keeps the graph sparse.
 
     The edge is screened by the loop rule and the component map, then by
@@ -220,7 +181,7 @@ def play_edge(
         return False
     if reject_fast(state, u, v):
         return False
-    accepted = collect_pebbles_canonically(state, u, v, on_slide=on_slide)
+    accepted = collect_pebbles_canonically(state, u, v)
     if accepted:
         canonical_add_edge(state, u, v)
     update_components(state, u, v)
@@ -257,7 +218,6 @@ def run_canonical_game(
     params: SparsityParams,
     *,
     record_trace: bool = False,
-    on_slide: Optional[Callable[[GameState, int, int], None]] = None,
     after_move: Optional[Callable[[GameState, Move], None]] = None,
 ) -> ConstructionResult:
     """Process g's edges in order, keeping a maximum-size sparse subgraph.
@@ -271,7 +231,7 @@ def run_canonical_game(
     accepted: list[int] = []
     rejected: list[int] = []
     for eid, (u, v) in enumerate(g.edges):
-        (accepted if play_edge(state, u, v, on_slide=on_slide) else rejected).append(eid)
+        (accepted if play_edge(state, u, v) else rejected).append(eid)
     return ConstructionResult(g, params, state, accepted, rejected)
 
 

@@ -27,7 +27,7 @@ from .decompose import (
 )
 from .graph import GraphFormatError, Multigraph, SparsityParams, parse_graph, write_graph
 from .oracle import random_tight_graph
-from .pebbles import TraceError, check_invariants, replay_trace, trace_to_lines
+from .pebbles import SlideMove, TraceError, check_invariants, replay_trace, trace_to_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,9 +185,14 @@ def cmd_bench(args) -> int:
     prev: tuple[int, float] | None = None
     for n in sizes:
         g = random_tight_graph(n, params, seed * 1_000_003 + n)
-        slid: list[int] = []
+        slid: list[SlideMove] = []
+
+        def count_slides(state, move):
+            if isinstance(move, SlideMove):
+                slid.append(move)
+
         start = time.perf_counter()
-        result = run_canonical_game(g, params, on_slide=lambda state, e, c: slid.append(e))
+        result = run_canonical_game(g, params, after_move=count_slides)
         elapsed = time.perf_counter() - start
         assert result.all_accepted()
         ratio = None

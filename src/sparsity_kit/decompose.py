@@ -460,6 +460,12 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _as_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, but true is no vertex or color
+        raise CertificateError(f"malformed certificate: {what} must be an integer, got {value!r}")
+    return value
+
+
 def certificate_from_json(text: str | bytes) -> Certificate:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -468,18 +474,18 @@ def certificate_from_json(text: str | bytes) -> Certificate:
     except json.JSONDecodeError as exc:
         raise CertificateError(f"bad certificate JSON: {exc}") from None
     try:
-        params = SparsityParams(payload["k"], payload["l"])
+        params = SparsityParams(_as_int(payload["k"], "k"), _as_int(payload["l"], "l"))
         kind = payload["kind"]
         if kind not in CERTIFICATE_KINDS:
             raise CertificateError(f"unknown kind {kind!r}")
-        edges = tuple(
-            ColoredEdge(e["id"], e["u"], e["v"], e["color"], e["oriented_from"])
-            for e in payload["edges"]
-        )
+        fields = ("id", "u", "v", "color", "oriented_from")
+        edges = tuple(ColoredEdge(*(_as_int(e[f], f) for f in fields)) for e in payload["edges"])
         roles = payload.get("roles", {})
-        trees = tuple(tuple(t) for t in roles.get("trees", []))
-        maps = tuple(tuple(m) for m in roles.get("maps", []))
-        return Certificate(kind, params, payload["n"], edges, trees, maps)
+        trees, maps = (
+            tuple(tuple(_as_int(i, f"{role} edge id") for i in ids) for ids in roles.get(role, []))
+            for role in ("trees", "maps")
+        )
+        return Certificate(kind, params, _as_int(payload["n"], "n"), edges, trees, maps)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CertificateError):
             raise

@@ -3,9 +3,12 @@
 The state is a directed multigraph H with stable edge ids.  Every vertex starts
 with one pebble of each of the k colors; an edge is added by spending a pebble
 from one endpoint (which becomes the tail), and a pebble-slide reverses an edge
-by covering it with a pebble taken from its head.  Because each vertex holds at
-most one pebble per color and at most one outgoing edge per color, per-vertex
-adjacency is a k-slot array, which keeps searches O(n) on sparse states.
+by covering it with a pebble taken from its head.  Once a state is built, these
+two moves (`add_edge` and `pebble_slide`) are the only writers of its edges and
+pebbles, and each reports itself to the state's trace and `after_move` hook.
+Because each vertex holds at most one pebble per color and at most one outgoing
+edge per color, per-vertex adjacency is a k-slot array, which keeps searches
+O(n) on sparse states.
 """
 
 from __future__ import annotations
@@ -143,12 +146,6 @@ class GameState:
 
     def pebble_colors(self, v: int) -> list[int]:
         return [c for c in range(self.params.k) if self.pebbles[v][c] > 0]
-
-    def loop_count(self, v: int) -> int:
-        return sum(1 for e in self.out_color[v] if e >= 0 and self.heads[e] == self.tails[e] == v)
-
-    def out_degree_nonloop(self, v: int) -> int:
-        return sum(1 for e in self.out_color[v] if e >= 0 and self.heads[e] != v)
 
     def undirected_edges(self) -> list[tuple[int, int]]:
         return [(self.tails[e], self.heads[e]) for e in range(self.m)]
@@ -292,30 +289,6 @@ def find_pebble(
     return None, visited
 
 
-def bring_pebble(state: GameState, path: list[int]) -> list[Move]:
-    """Slide along `path` in reverse edge order, moving one pebble to its start.
-
-    The covering pebble at the path's end is the lowest color present; each
-    later slide is covered by the pebble the previous slide dropped.
-    """
-    if not path:
-        return []
-    for a, b in zip(path, path[1:]):
-        if state.heads[a] != state.tails[b]:
-            raise IllegalMoveError("stale path: edges no longer form a chain")
-    end = state.heads[path[-1]]
-    avail = state.pebble_colors(end)
-    if not avail:
-        raise IllegalMoveError("stale path: no pebble at the end")
-    cover = avail[0]
-    moves = []
-    for e in reversed(path):
-        dropped = state.colors[e]
-        moves.append(pebble_slide(state, e, cover))
-        cover = dropped
-    return moves
-
-
 # -- component maintenance ------------------------------------------------------
 
 
@@ -398,10 +371,11 @@ class InvariantReport:
 def check_invariants(state: GameState) -> InvariantReport:
     """Evaluate the engine invariants on a state, exactly at every n.
 
-    Per-vertex and per-color balances, edge-slot agreement and monochromatic
-    path termination are checked.  Together they imply the subset balance
-    (span + out + pebbles = k * |subset|) for every vertex subset, so no
-    subset is enumerated.  On failure the report carries a witness.
+    Per-vertex and per-color balances and edge-slot agreement are checked.
+    Together they imply the subset balance (span + out + pebbles = k * |subset|)
+    for every vertex subset, so no subset is enumerated; the color slots also
+    make every monochromatic path end at its first pebble or in a cycle.  On
+    failure the report carries a witness.
     """
     failures: list[InvariantFailure] = []
     k, l, n = state.params.k, state.params.l, state.n
@@ -414,9 +388,9 @@ def check_invariants(state: GameState) -> InvariantReport:
             InvariantFailure("min-pebbles", f"{total} pebbles on vertices, need >= {needed}")
         )
 
-    # per-vertex balance: loops + outgoing + pebbles = k
+    # per-vertex balance: occupied out-slots + pebbles = k
     for v in range(n):
-        got = state.loop_count(v) + state.out_degree_nonloop(v) + state.peb_sum[v]
+        got = sum(1 for e in state.out_color[v] if e >= 0) + state.peb_sum[v]
         if got != k:
             failures.append(
                 InvariantFailure("vertex-balance", f"vertex {v}: {got} != k={k}", (v,))
@@ -432,39 +406,6 @@ def check_invariants(state: GameState) -> InvariantReport:
                         "color-slot", f"vertex {v} color {c}: pebbles+out = {slots} != 1", (v,)
                     )
                 )
-
-    # monochromatic paths end at the first same-color pebble or in a cycle
-    for v in range(n):
-        for c in range(k):
-            cur = v
-            seen = set()
-            while True:
-                if state.pebbles[cur][c] > 0:
-                    if state.out_color[cur][c] >= 0:
-                        failures.append(
-                            InvariantFailure(
-                                "monochrome-termination",
-                                f"color {c}: pebbled vertex {cur} also has an outgoing "
-                                f"color-{c} edge",
-                                (v, cur),
-                            )
-                        )
-                    break
-                e = state.out_color[cur][c]
-                if e < 0:
-                    failures.append(
-                        InvariantFailure(
-                            "monochrome-termination",
-                            f"color {c}: path from {v} dies at {cur} with no pebble",
-                            (v, cur),
-                        )
-                    )
-                    break
-                nxt = state.heads[e]
-                if nxt in seen or nxt == cur:
-                    break  # cycle
-                seen.add(cur)
-                cur = nxt
 
     # every edge sits in its tail's slot of its color and no slot holds
     # anything else, so summing the vertex balance over any vertex subset

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from .canonical import route_pebble, run_canonical_game
 from .graph import Multigraph, SparsityParams
-from .pebbles import GameState
+from .pebbles import add_edge
 
 _PARAMS_23 = SparsityParams(2, 3)
+_PARAMS_20 = SparsityParams(2, 0)
 
 X_LOOP = 0
 Y_LOOP = 1
@@ -25,25 +26,14 @@ def _split_loops(g: Multigraph) -> tuple[Multigraph, list[int]]:
     return Multigraph(g.n, plain), loops
 
 
-def _consume_loop_pebble(state: GameState, v: int, color: int) -> None:
-    """Spend the color pebble on v for a loop; a one-pebble (l = 0 grade) add."""
-    state.pebbles[v][color] -= 1
-    state.peb_sum[v] -= 1
-    eid = state.m
-    state.tails.append(v)
-    state.heads.append(v)
-    state.colors.append(color)
-    state.out_color[v][color] = eid
-    state.in_edges[v].add(eid)
-
-
 def graded_tight_check(g: Multigraph) -> bool:
     """Is g (2,0,3)-graded-tight (loopless part (2,3)-sparse, whole (2,0)-tight)?
 
-    The loopless edges are played under (2,3); each loop then consumes one
-    pebble at its vertex, routed there if needed (the one-pebble condition of
-    the l = 0 grade).  A failed routing exposes a saturated region that the
-    pending loop would overfill, so greedy placement is exact.  The graph is
+    The loopless edges are played under (2,3); the state then switches to the
+    l = 0 grade, where one pebble pays for a loop, and each loop is added with
+    `add_edge` on a pebble routed to its vertex if needed, an ordinary move of
+    the game.  A failed routing exposes a saturated region that the pending
+    loop would overfill, so greedy placement is exact.  The graph is
     graded-tight iff everything is placed and no pebble remains.
     """
     loop_count = [0] * g.n
@@ -57,11 +47,11 @@ def graded_tight_check(g: Multigraph) -> bool:
     if result.rejected:
         return False
     state = result.state
+    state.params = _PARAMS_20
     for v in loops:
         if not route_pebble(state, v):
             return False
-        color = state.pebble_colors(v)[0]
-        _consume_loop_pebble(state, v, color)
+        add_edge(state, v, v, state.pebble_colors(v)[0])
     return state.total_pebbles() == 0
 
 

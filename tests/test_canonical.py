@@ -183,9 +183,10 @@ def test_cycle_detection_matches_simulation():
 
 def test_route_pebble_fresh_state_needs_no_slides():
     s = init_game(3, SparsityParams(2, 2))
-    slides = []
-    assert route_pebble(s, 0, on_slide=lambda state, e, c: slides.append(e))
-    assert slides == [] and s.peb_sum[0] == 2
+    moves = []
+    s.after_move = lambda state, move: moves.append(move)
+    assert route_pebble(s, 0)
+    assert moves == [] and s.peb_sum[0] == 2
 
 
 def test_route_pebble_reroutes_along_tree():

@@ -279,3 +279,36 @@ def test_certify_rejects_repeated_edge_id(tmp_path, capsys):
     cert_path.write_text(json.dumps(payload))
     assert main(["certify", str(graph), str(cert_path)]) == 4
     assert "listed twice" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "field, retype",
+    [
+        ("id", str),
+        ("u", float),
+        ("v", bool),
+        ("color", lambda c: None),
+        ("color", bool),
+        ("oriented_from", bool),
+    ],
+)
+def test_certify_rejects_non_integer_fields(k4_file, tmp_path, capsys, field, retype):
+    cert_path = tmp_path / "k4.cert.json"
+    main(["decompose", "--k", "2", "--l", "2", k4_file, "-o", str(cert_path)])
+    payload = json.loads(cert_path.read_text())
+    # a row whose field is 1, so 1.0 and true stand for the same number
+    row = next(r for r in payload["edges"] if r[field] == 1)
+    row[field] = retype(row[field])
+    cert_path.write_text(json.dumps(payload))
+    assert main(["certify", k4_file, str(cert_path)]) == 1
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+def test_certify_rejects_non_integer_role_edge_id(k4_file, tmp_path, capsys):
+    cert_path = tmp_path / "k4.cert.json"
+    main(["decompose", "--k", "2", "--l", "2", k4_file, "-o", str(cert_path)])
+    payload = json.loads(cert_path.read_text())
+    payload["roles"]["trees"][0][0] = str(payload["roles"]["trees"][0][0])
+    cert_path.write_text(json.dumps(payload))
+    assert main(["certify", k4_file, str(cert_path)]) == 1
+    assert "trees edge id must be an integer" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from sparsity_kit import (
     Multigraph,
     SparsityParams,
     add_edge,
-    bring_pebble,
     brute_force_sparse,
     check_invariants,
     find_pebble,
@@ -22,7 +21,7 @@ from sparsity_kit import (
     trace_to_lines,
     update_components,
 )
-from sparsity_kit.canonical import play_edge
+from sparsity_kit.canonical import bring_pebble_dynamic, play_edge
 
 
 def total_pebbles_everywhere(state):
@@ -206,14 +205,14 @@ def test_find_pebble_returns_a_shortest_path_or_the_reachable_set():
 
 def test_bring_pebble_empty_path_is_noop():
     s = init_game(2, SparsityParams(2, 3))
-    assert bring_pebble(s, []) == []
+    assert bring_pebble_dynamic(s, []) == []
 
 
 def test_bring_pebble_single_edge():
     s = init_game(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 0)
     before = s.peb_sum[0]
-    moves = bring_pebble(s, [0])
+    moves = bring_pebble_dynamic(s, [0])
     assert len(moves) == 1
     assert s.peb_sum[0] == before + 1
 
@@ -228,21 +227,11 @@ def test_bring_pebble_three_edge_path_counts():
     path, _ = find_pebble(s, 0, forbidden={0})
     assert [s.tails[e] for e in path] == [0, 1, 2]
     peb_before = [s.peb_sum[v] for v in range(4)]
-    moves = bring_pebble(s, path)
+    moves = bring_pebble_dynamic(s, path)
     assert len(moves) == 3
     assert s.peb_sum[0] == peb_before[0] + 1
     assert s.peb_sum[3] == peb_before[3] - 1
     assert s.peb_sum[1] == peb_before[1] and s.peb_sum[2] == peb_before[2]
-
-
-def test_bring_pebble_stale_path_errors():
-    s = init_game(3, SparsityParams(2, 3))
-    add_edge(s, 0, 1, 0)
-    add_edge(s, 1, 2, 0)
-    path = [0, 1]
-    pebble_slide(s, 0, 1)  # reverses edge 0, invalidating the chain
-    with pytest.raises(IllegalMoveError, match="stale"):
-        bring_pebble(s, path)
 
 
 def test_bring_pebble_never_changes_undirected_edges():
@@ -253,7 +242,7 @@ def test_bring_pebble_never_changes_undirected_edges():
     undirected = sorted(tuple(sorted(e)) for e in s.undirected_edges())
     path, _ = find_pebble(s, 0, forbidden={0})
     if path:
-        bring_pebble(s, path)
+        bring_pebble_dynamic(s, path)
     assert sorted(tuple(sorted(e)) for e in s.undirected_edges()) == undirected
 
 
@@ -262,6 +251,22 @@ def test_check_invariants_flags_doubled_pebble():
     report = check_invariants(s)
     assert not report.ok
     assert any(f.name == "color-slot" and 0 in f.witness for f in report.failures)
+
+
+def test_check_invariants_flags_pebbled_vertex_with_out_edge_of_that_color():
+    # vertex 0 holds a color-0 pebble and also sends a color-0 edge
+    s = GameState.from_parts(2, SparsityParams(1, 0), [(0, 1, 0)], [[1], [0]])
+    report = check_invariants(s)
+    assert any(f.name == "color-slot" and f.witness == (0,) for f in report.failures)
+
+
+def test_check_invariants_flags_color_path_that_dies_without_a_pebble():
+    # the color-0 path 0 -> 1 -> 2 stops at vertex 2, which has no pebble
+    s = GameState.from_parts(
+        3, SparsityParams(1, 0), [(0, 1, 0), (1, 2, 0)], [[0], [0], [0]]
+    )
+    report = check_invariants(s)
+    assert [f.witness for f in report.failures if f.name == "color-slot"] == [(2,)]
 
 
 def test_check_invariants_subset_witness():

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from sparsity_kit import (
+    AddEdgeMove,
+    GameState,
     Multigraph,
     SparsityParams,
     axis_parallel_slider_check,
@@ -18,6 +20,21 @@ def test_graded_triangle_with_three_loops():
     g = Multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)])
     assert graded_tight_check(g)
     assert brute_force_graded_tight(g)
+
+
+def test_graded_check_places_each_loop_through_the_move_layer(monkeypatch):
+    loops = []
+    emit = GameState._emit
+
+    def spy(state, move):
+        if isinstance(move, AddEdgeMove) and move.v == move.w:
+            loops.append(move)
+        emit(state, move)
+
+    monkeypatch.setattr(GameState, "_emit", spy)
+    g = Multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)])
+    assert graded_tight_check(g)
+    assert sorted(move.v for move in loops) == [0, 1, 2]
 
 
 def test_graded_single_vertex_two_loops():
