@@ -72,15 +72,17 @@ def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
 
 def _monochromatic_chain_to(state: GameState, start: int, color: int, goal: int) -> list[int] | None:
     """Edge ids of start's color-chain up to `goal`, or None if it never arrives."""
+    out_color = state.out_color
+    heads = state.heads
     x = start
     chain: list[int] = []
     seen = {start}
     while True:
-        f = state.out_color[x][color]
+        f = out_color[x][color]
         if f < 0:
             return None
         chain.append(f)
-        y = state.heads[f]
+        y = heads[f]
         if y == goal:
             return chain
         if y in seen:
@@ -92,28 +94,35 @@ def _monochromatic_chain_to(state: GameState, start: int, color: int, goal: int)
 def bring_pebble_dynamic(state: GameState, path: list[int]) -> list[Move]:
     """Slide a pebble along `path` to its start, avoiding cycle-closing covers.
 
-    Whenever every available covering pebble would close a cycle, the path
-    suffix is replaced by the covering color's tree path from its first touch,
-    whose slides are all same-colored and safe.  Each replacement strictly
-    shortens the unprocessed prefix, so this always terminates.
+    Each edge is covered with its own color when its head holds that pebble,
+    which only re-roots the color's tree; otherwise with the lowest available
+    color that closes no cycle.  Whenever every available covering pebble
+    would close a cycle, the path suffix is replaced by the covering color's
+    tree path from its first touch, whose slides are all same-colored and
+    safe.  Each replacement strictly shortens the unprocessed prefix, so this
+    always terminates.
     """
     path = list(path)
     moves: list[Move] = []
+    heads = state.heads
+    colors = state.colors
+    pebbles = state.pebbles
     while path:
         e = path[-1]
-        h = state.heads[e]
-        ce = state.colors[e]
+        h = heads[e]
+        ce = colors[e]
+        if pebbles[h][ce] > 0:  # the edge's own color only re-roots its tree
+            moves.append(pebble_slide(state, e, ce))
+            path.pop()
+            continue
         avail = state.pebble_colors(h)
         if not avail:
             raise IllegalMoveError("dynamic path lost its pebble")
         pick = -1
-        if ce in avail:
-            pick = ce
-        else:
-            for c in avail:
-                if not creates_monochromatic_cycle(state, e, c):
-                    pick = c
-                    break
+        for c in avail:
+            if not creates_monochromatic_cycle(state, e, c):
+                pick = c
+                break
         if pick >= 0:
             moves.append(pebble_slide(state, e, pick))
             path.pop()
@@ -152,20 +161,19 @@ def route_pebble(
 def collect_pebbles_canonically(state: GameState, v: int, w: int) -> bool:
     """Gather at least l+1 pebbles on {v, w} with canonical slides.
 
-    Fills v first, then w, one `route_pebble` at a time; pebbles already on
-    {v, w} are never slid away.  Returns False when the reachable region is
-    exhausted short of l+1.
+    Fills v first, then w, one `route_pebble` at a time (a full endpoint is
+    skipped); pebbles already on {v, w} are never slid away.  Returns False
+    when the reachable region is exhausted short of l+1.
     """
-    params = state.params
+    k, l = state.params.k, state.params.l
+    peb_sum = state.peb_sum
     forbidden = frozenset((v, w))
-    sources = (v,) if v == w else (v, w)
-    while state.peb_pair(v, w) <= params.l:
-        if not any(
-            state.peb_sum[src] < params.k
-            and route_pebble(state, src, forbidden)
-            for src in sources
-        ):
-            return False
+    while state.peb_pair(v, w) <= l:
+        if peb_sum[v] < k and route_pebble(state, v, forbidden):
+            continue
+        if v != w and peb_sum[w] < k and route_pebble(state, w, forbidden):
+            continue
+        return False
     return True
 
 

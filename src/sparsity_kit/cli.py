@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import statistics
 import sys
 import time
 
@@ -175,6 +177,9 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+BENCH_REPEATS = 5
+
+
 def cmd_bench(args) -> int:
     params = _params(args)
     sizes = args.sizes
@@ -183,32 +188,59 @@ def cmd_bench(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     rows = []
     prev: tuple[int, float] | None = None
+    slides = 0
+
+    def count_slides(state, move):
+        nonlocal slides
+        if isinstance(move, SlideMove):
+            slides += 1
+
     for n in sizes:
         g = random_tight_graph(n, params, seed * 1_000_003 + n)
-        slid: list[SlideMove] = []
-
-        def count_slides(state, move):
-            if isinstance(move, SlideMove):
-                slid.append(move)
-
-        start = time.perf_counter()
-        result = run_canonical_game(g, params, after_move=count_slides)
-        elapsed = time.perf_counter() - start
-        assert result.all_accepted()
+        times = []
+        for _ in range(BENCH_REPEATS):  # every repeat plays the same moves
+            slides = 0
+            start = time.perf_counter()
+            result = run_canonical_game(g, params, after_move=count_slides)
+            times.append(time.perf_counter() - start)
+            assert result.all_accepted()
+        median = statistics.median(times)
+        q1, _, q3 = statistics.quantiles(times, n=4)
         ratio = None
         if prev is not None and prev[0] * 2 == n and prev[1] > 0:
-            ratio = elapsed / prev[1]
-        rows.append((n, g.m, elapsed, ratio, len(slid)))
-        prev = (n, elapsed)
-    if args.format == "csv":
+            ratio = median / prev[1]
+        rows.append(
+            {
+                "n": n,
+                "edges": g.m,
+                "seconds": median,
+                "seconds_iqr": q3 - q1,
+                "ratio": ratio,
+                "slides": slides,
+            }
+        )
+        prev = (n, median)
+    if args.format == "json":
+        payload = {
+            "k": params.k,
+            "l": params.l,
+            "seed": seed,
+            "repeats": BENCH_REPEATS,
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "rows": rows,
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif args.format == "csv":
         print("n,edges,seconds,ratio,slides")
-        for n, m, secs, ratio, slides in rows:
-            print(f"{n},{m},{secs:.6f},{'' if ratio is None else f'{ratio:.3f}'},{slides}")
+        for r in rows:
+            ratio = "" if r["ratio"] is None else f"{r['ratio']:.3f}"
+            print(f"{r['n']},{r['edges']},{r['seconds']:.6f},{ratio},{r['slides']}")
     else:
         print(f"{'n':>8} {'edges':>8} {'seconds':>10} {'t(2n)/t(n)':>11} {'slides':>8}")
-        for n, m, secs, ratio, slides in rows:
-            rtxt = "-" if ratio is None else f"{ratio:.3f}"
-            print(f"{n:>8} {m:>8} {secs:>10.4f} {rtxt:>11} {slides:>8}")
+        for r in rows:
+            ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
+            print(f"{r['n']:>8} {r['edges']:>8} {r['seconds']:>10.4f} {ratio:>11} {r['slides']:>8}")
     return EXIT_OK
 
 
@@ -258,7 +290,7 @@ def build_parser() -> _Parser:
     add_kl(p)
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -30,7 +30,8 @@ class SparsityParams:
     l: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or not isinstance(self.l, int):
+        # bool is an int subclass, but True/False are not counts
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (self.k, self.l)):
             raise ValueError("k and l must be integers")
         if self.k < 1:
             raise ValueError("k must be a positive integer")

@@ -390,18 +390,29 @@ def enumerate_small_multigraphs(n: int, m_max: int) -> Iterator[Multigraph]:
             yield Multigraph(n, combo)
 
 
+TIGHT_ENUMERATION_LIMIT = 2_000_000
+
+
 def enumerate_tight_graphs(n: int, params: SparsityParams) -> Iterator[Multigraph]:
     """All (k,l)-tight multigraphs on n labeled vertices, one per edge multiset.
 
     Depth-first over edge slots with an incremental subset-count prune: adding
     an edge can only break the count on subsets containing both endpoints.
+    The whole list is built before the first graph is returned, so the size
+    guard fires at the call: more than `TIGHT_ENUMERATION_LIMIT` candidate
+    edge multisets (`count_tight_candidates`) raises `OracleSizeError`.
     """
+    # every n >= 8 is past the limit for every (k, l); testing n first keeps
+    # the candidate count, a binomial of about n^2/2, cheap to compute
+    if n >= 8 or count_tight_candidates(n, params) > TIGHT_ENUMERATION_LIMIT:
+        raise OracleSizeError(
+            f"tight enumeration refused for n={n}: over {TIGHT_ENUMERATION_LIMIT} candidates"
+        )
     target = params.max_edges(n)
     if target < 0:
-        return
+        return iter(())
     if target == 0:
-        yield Multigraph(n, [])
-        return
+        return iter([Multigraph(n, [])])
     slots = [(u, v) for u in range(n) for v in range(u, n)]
     k, l = params.k, params.l
     span = [0] * (1 << n)
@@ -437,7 +448,7 @@ def enumerate_tight_graphs(n: int, params: SparsityParams) -> Iterator[Multigrap
         rec(slot_idx + 1, remaining)
 
     rec(0, target)
-    yield from out
+    return iter(out)
 
 
 def count_tight_candidates(n: int, params: SparsityParams) -> int:

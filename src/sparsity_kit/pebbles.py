@@ -5,7 +5,10 @@ with one pebble of each of the k colors; an edge is added by spending a pebble
 from one endpoint (which becomes the tail), and a pebble-slide reverses an edge
 by covering it with a pebble taken from its head.  Once a state is built, these
 two moves (`add_edge` and `pebble_slide`) are the only writers of its edges and
-pebbles, and each reports itself to the state's trace and `after_move` hook.
+pebbles, and each reports itself to the state's trace and `after_move` hook
+as an `AddEdgeMove` or `SlideMove`.  These move records are named tuples:
+immutable, cheap to build on the hot path, and equal to the plain tuple of
+their fields.
 Because each vertex holds at most one pebble per color and at most one outgoing
 edge per color, per-vertex adjacency is a k-slot array, which keeps searches
 O(n) on sparse states.
@@ -16,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional
 
 from .graph import SparsityParams
 
@@ -39,15 +42,13 @@ class ColorNotAvailableError(IllegalMoveError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class AddEdgeMove:
+class AddEdgeMove(NamedTuple):
     v: int
     w: int
     color: int
 
 
-@dataclass(frozen=True)
-class SlideMove:
+class SlideMove(NamedTuple):
     edge: int
     tail: int  # tail before the slide
     head: int  # head before the slide
@@ -214,20 +215,28 @@ def pebble_slide(state: GameState, eid: int, color: int) -> SlideMove:
     The pebble that was on the edge returns to the old tail; the edge takes the
     covering pebble's color.
     """
-    if not 0 <= eid < state.m:
+    tails = state.tails
+    if not 0 <= eid < len(tails):
         raise IllegalMoveError(f"no edge {eid}")
-    t, h, old = state.tails[eid], state.heads[eid], state.colors[eid]
-    if not 0 <= color < state.params.k or state.pebbles[h][color] <= 0:
+    heads = state.heads
+    colors = state.colors
+    pebbles = state.pebbles
+    t, h, old = tails[eid], heads[eid], colors[eid]
+    head_pebbles = pebbles[h]
+    if not 0 <= color < state.params.k or head_pebbles[color] <= 0:
         raise IllegalMoveError(f"no pebble of color {color} on vertex {h}")
-    state.out_color[t][old] = -1
-    state.pebbles[t][old] += 1
-    state.peb_sum[t] += 1
-    state.pebbles[h][color] -= 1
-    state.peb_sum[h] -= 1
-    state.tails[eid], state.heads[eid], state.colors[eid] = h, t, color
-    state.out_color[h][color] = eid
-    state.in_edges[h].discard(eid)
-    state.in_edges[t].add(eid)
+    peb_sum = state.peb_sum
+    out_color = state.out_color
+    in_edges = state.in_edges
+    out_color[t][old] = -1
+    pebbles[t][old] += 1
+    peb_sum[t] += 1
+    head_pebbles[color] -= 1
+    peb_sum[h] -= 1
+    tails[eid], heads[eid], colors[eid] = h, t, color
+    out_color[h][color] = eid
+    in_edges[h].discard(eid)
+    in_edges[t].add(eid)
     move = SlideMove(eid, t, h, color)
     state._emit(move)
     return move
@@ -250,31 +259,31 @@ def apply_move(state: GameState, move: Move) -> Move:
 
 def find_pebble(
     state: GameState, source: int, forbidden: frozenset[int] | set[int] = frozenset()
-) -> tuple[list[int] | None, set[int]]:
+) -> tuple[list[int] | None, AbstractSet[int]]:
     """Breadth-first search from `source` for a pebbled vertex outside `forbidden`.
 
     Returns (path, visited): `path` is a list of edge ids forming a shortest
     directed path from source to such a vertex (empty if source itself
     qualifies), so bringing the pebble back takes the fewest slides; or None
     if no pebble is reachable, in which case `visited` is the full reachable
-    set.  Each vertex's out-slots are explored in color order.
+    set.  `visited` is a read-only set view.  Each vertex's out-slots are
+    explored in color order.
     """
+    # parent[y] is the edge that discovered y; its keys are the visited set
+    parent = {source: -1}
     peb_sum = state.peb_sum
     if peb_sum[source] > 0 and source not in forbidden:
-        return [], {source}
+        return [], parent.keys()
     heads = state.heads
     out_color = state.out_color
-    visited = {source}
-    parent: dict[int, int] = {}
     queue = [source]
     for x in queue:  # the list grows while it is walked, so it acts as a FIFO
         for e in out_color[x]:
             if e < 0:
                 continue
             y = heads[e]
-            if y in visited:
+            if y in parent:
                 continue
-            visited.add(y)
             parent[y] = e
             if peb_sum[y] > 0 and y not in forbidden:
                 path: list[int] = []
@@ -284,9 +293,9 @@ def find_pebble(
                     path.append(e)
                     y = tails[e]
                 path.reverse()
-                return path, visited
+                return path, parent.keys()
             queue.append(y)
-    return None, visited
+    return None, parent.keys()
 
 
 # -- component maintenance ------------------------------------------------------
@@ -296,22 +305,22 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     """The maximal tight vertex set containing {v, w}, or None if none exists.
 
     First a forward search confirms every pebble reachable from {v, w} already
-    sits on {v, w}; then the backward closure of all other pebbled vertices is
+    sits on {v, w}, testing each vertex as it is discovered; then the backward closure of all other pebbled vertices is
     removed, leaving exactly the vertices that cannot reach a free pebble.
     """
     heads = state.heads
+    out_color = state.out_color
     peb_sum = state.peb_sum
     pair = {v, w}
     seen = set(pair)
     stack = [v, w] if v != w else [v]
     while stack:
-        x = stack.pop()
-        if peb_sum[x] > 0 and x not in pair:
-            return None
-        for e in state.out_color[x]:
+        for e in out_color[stack.pop()]:
             if e >= 0:
                 y = heads[e]
                 if y not in seen:
+                    if peb_sum[y] > 0:  # y is outside {v, w}, which start in `seen`
+                        return None
                     seen.add(y)
                     stack.append(y)
     bad = {x for x in range(state.n) if peb_sum[x] > 0 and x not in pair}

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -14,11 +16,12 @@ from sparsity_kit import (
     creates_monochromatic_cycle,
     init_game,
     monochromatic_cycle_colors,
+    random_tight_graph,
     route_pebble,
     run_canonical_game,
 )
 from sparsity_kit.canonical import bring_pebble_dynamic
-from sparsity_kit.pebbles import find_pebble, pebble_slide
+from sparsity_kit.pebbles import find_pebble, pebble_slide, trace_to_lines
 
 from conftest import ALL_PARAMS
 
@@ -368,3 +371,26 @@ def test_upper_range_never_has_cycles():
             assert not monochromatic_cycle_colors(state)
 
         run_canonical_game(g, params, after_move=hook)
+
+
+# One SHA-256 over seeded games, fixed when the engine's move choices were
+# last intended to change.  A hot-path rewrite that plays any move differently
+# (another slide, cover color, tail, or component tag) changes this digest.
+SAME_MOVES_DIGEST = "266827787653ebbe51129560c6bc15b63598c9536f2402d3ce3439c395644bd4"
+
+
+def test_seeded_games_play_the_same_moves():
+    digest = hashlib.sha256()
+    for k, l in [(1, 0), (1, 1), (2, 0), (2, 2), (2, 3), (3, 3), (3, 5)]:
+        params = SparsityParams(k, l)
+        n = 120
+        rng = random.Random(10 * k + l)
+        edges = list(random_tight_graph(n, params, 10 * k + l).edges)
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+        rng.shuffle(edges)
+        res = run_canonical_game(Multigraph(n, edges), params, record_trace=True)
+        assert len(res.rejected) == 200
+        for line in trace_to_lines(res.state):
+            digest.update(line.encode() + b"\n")
+        digest.update(json.dumps([res.accepted, res.rejected, res.state.component_id]).encode())
+    assert digest.hexdigest() == SAME_MOVES_DIGEST

@@ -242,6 +242,23 @@ def test_bench_reports_slides(capsys):
     assert header == "n,edges,seconds,ratio,slides" and int(row.split(",")[-1]) > 0
 
 
+def test_bench_json(capsys):
+    args = ["bench", "--k", "2", "--l", "3", "--sizes", "8", "16", "--seed", "1"]
+    assert main(args + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["k"], payload["l"], payload["seed"], payload["repeats"]) == (2, 3, 1, 5)
+    assert payload["python"] and payload["cpu_count"] >= 1
+    small, large = payload["rows"]
+    assert (small["n"], small["edges"], large["n"], large["edges"]) == (8, 13, 16, 29)
+    assert small["ratio"] is None and large["ratio"] > 0
+    for row in (small, large):
+        assert row["seconds"] > 0 and row["seconds_iqr"] >= 0
+    # the other formats report the same slide counts as the JSON
+    assert main(args + ["--format", "csv"]) == 0
+    csv_rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(line.split(",")[-1]) for line in csv_rows] == [small["slides"], large["slides"]]
+
+
 def test_stdin_stdout_streaming(capsys, monkeypatch, tmp_path):
     import io
     import sys

@@ -26,6 +26,12 @@ def test_params_reject_out_of_range(k, l):
         SparsityParams(k, l)
 
 
+@pytest.mark.parametrize("k,l", [(True, False), (True, 0), (2, True), (1.0, 0), (2, "1")])
+def test_params_reject_non_integer_values(k, l):
+    with pytest.raises(ValueError, match="integers"):
+        SparsityParams(k, l)
+
+
 def test_induced_count_full_k4(k4):
     assert induced_edge_count(k4, range(4)) == 6
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -74,6 +75,23 @@ def test_size_refusal():
         brute_force_partition(Multigraph(7, []), SparsityParams(1, 1), "maps-and-trees")
     with pytest.raises(OracleSizeError):
         list(enumerate_small_multigraphs(6, 1))
+
+
+def test_tight_enumeration_refuses_at_the_call_before_allocating():
+    # the unguarded enumeration allocated a 2^n span table on its first step;
+    # here each call must raise before returning, without allocating it
+    tracemalloc.start()
+    try:
+        for n, params in ((8, SparsityParams(1, 1)), (5, SparsityParams(3, 0)), (64, SparsityParams(2, 3))):
+            with pytest.raises(OracleSizeError):
+                enumerate_tight_graphs(n, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # admitted sizes still enumerate: (1,1)-tight means spanning tree (Cayley: 6^4)
+    assert len(list(enumerate_tight_graphs(6, SparsityParams(1, 1)))) == 6**4
+    assert list(enumerate_tight_graphs(1, SparsityParams(2, 3))) == []
 
 
 def test_partition_k4_two_spanning_trees(k4):
