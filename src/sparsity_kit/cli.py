@@ -15,6 +15,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 from .canonical import run_canonical_game
 from .decompose import (
@@ -180,6 +181,21 @@ def cmd_replay(args) -> int:
 BENCH_REPEATS = 5
 
 
+def _certificate_peak_bytes(result) -> int:
+    """tracemalloc peak of extracting and writing the certificate of `result`."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        certificate_to_json(extract_certificate(result))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def cmd_bench(args) -> int:
     params = _params(args)
     sizes = args.sizes
@@ -204,6 +220,7 @@ def cmd_bench(args) -> int:
             result = run_canonical_game(g, params, after_move=count_slides)
             times.append(time.perf_counter() - start)
             assert result.all_accepted()
+        cert_peak = _certificate_peak_bytes(result)
         median = statistics.median(times)
         q1, _, q3 = statistics.quantiles(times, n=4)
         ratio = None
@@ -217,6 +234,7 @@ def cmd_bench(args) -> int:
                 "seconds_iqr": q3 - q1,
                 "ratio": ratio,
                 "slides": slides,
+                "certificate_peak_mb": cert_peak / 1e6,
             }
         )
         prev = (n, median)

@@ -253,6 +253,8 @@ def test_bench_json(capsys):
     assert small["ratio"] is None and large["ratio"] > 0
     for row in (small, large):
         assert row["seconds"] > 0 and row["seconds_iqr"] >= 0
+    # extracting and writing the larger certificate holds more memory
+    assert 0 < small["certificate_peak_mb"] < large["certificate_peak_mb"] < 1
     # the other formats report the same slide counts as the JSON
     assert main(args + ["--format", "csv"]) == 0
     csv_rows = capsys.readouterr().out.splitlines()[1:]
@@ -329,3 +331,14 @@ def test_certify_rejects_non_integer_role_edge_id(k4_file, tmp_path, capsys):
     cert_path.write_text(json.dumps(payload))
     assert main(["certify", k4_file, str(cert_path)]) == 1
     assert "trees edge id must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("roles", [None, [], 3], ids=["null", "list", "number"])
+def test_certify_rejects_roles_that_are_not_an_object(k4_file, tmp_path, capsys, roles):
+    cert_path = tmp_path / "k4.cert.json"
+    main(["decompose", "--k", "2", "--l", "2", k4_file, "-o", str(cert_path)])
+    payload = json.loads(cert_path.read_text())
+    payload["roles"] = roles
+    cert_path.write_text(json.dumps(payload))
+    assert main(["certify", k4_file, str(cert_path)]) == 1
+    assert "roles must be an object" in capsys.readouterr().err

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -28,7 +30,13 @@ from sparsity_kit import (
     tree_pieces,
     validate_certificate,
 )
-from sparsity_kit.decompose import Certificate, ColoredEdge, Decomposition, _class_components
+from sparsity_kit.decompose import (
+    CERTIFICATE_KINDS,
+    Certificate,
+    ColoredEdge,
+    Decomposition,
+    _class_components,
+)
 
 from conftest import K4_EDGES
 
@@ -314,6 +322,60 @@ def test_certificate_json_empty_decomposition():
     text = certificate_to_json(cert)
     assert '"edges":[]' in text
     assert certificate_from_json(text) == cert
+
+
+# One SHA-256 over the certificate JSON of seeded tight games, fixed when the
+# writer's output was last intended to change.  A serializer rewrite that
+# changes any byte of any kind changes this digest.
+CERTIFICATE_JSON_DIGEST = "c7127c9c7d1e764069d12dcd5cdfe9250de2e26ed7df6c5e4c669ccafd55ad4b"
+
+
+def test_certificate_json_is_pinned():
+    digest = hashlib.sha256()
+    for k, l in [(1, 0), (1, 1), (2, 0), (2, 2), (2, 3), (3, 3), (3, 5)]:
+        params = SparsityParams(k, l)
+        # no (3,5)-tight graph exists on 3 vertices; 5 is the fewest
+        for n in (5 if (k, l) == (3, 5) else 3, 40, 300):
+            res = run_canonical_game(random_tight_graph(n, params, n), params)
+            for kind in CERTIFICATE_KINDS:
+                try:
+                    cert = extract_certificate(res, kind)
+                except NotTightError:  # the kind is outside this range
+                    continue
+                text = certificate_to_json(cert)
+                assert certificate_to_json(certificate_from_json(text)) == text
+                digest.update(text.encode())
+    assert digest.hexdigest() == CERTIFICATE_JSON_DIGEST
+
+
+def test_colored_edge_is_a_plain_tuple():
+    e = ColoredEdge(3, 0, 1, 2, 1)
+    assert e == (3, 0, 1, 2, 1)
+    assert (e.id, e.u, e.v, e.color, e.tail, e.head) == (3, 0, 1, 2, 1, 0)
+
+
+def test_certificate_writer_memory_per_edge():
+    # between a dict per edge for json.dumps (about 1 KB per edge) and one
+    # formatted string per edge (about 0.2 KB)
+    params = SparsityParams(3, 3)
+    res = run_canonical_game(random_tight_graph(500, params, 12345), params)
+    cert = extract_certificate(res, "maps-and-trees")
+    tracemalloc.start()
+    try:
+        certificate_to_json(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(cert.edges) < 300
+
+
+@pytest.mark.parametrize("field, value", [("color", True), ("id", 1.0)])
+def test_certificate_writer_rejects_non_integer_fields(k4_graph, field, value):
+    cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)))
+    edges = (cert.edges[0], cert.edges[1]._replace(**{field: value}), *cert.edges[2:])
+    bad = Certificate(cert.kind, cert.params, cert.n, edges, cert.trees, cert.maps)
+    with pytest.raises(CertificateError, match=f"{field} must be an integer"):
+        certificate_to_json(bad)
 
 
 def test_certificate_rejects_malformed_json():
