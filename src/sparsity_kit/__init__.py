@@ -52,13 +52,10 @@ from .decompose import (
     TreePiece,
     certificate_from_json,
     certificate_to_json,
-    certify_coloring,
     count_tree_pieces,
     count_tree_pieces_exact,
     extract_certificate,
     extract_coloring,
-    extract_maps_and_trees,
-    extract_proper_ltk,
     result_decomposition,
     to_dot,
     tree_pieces,

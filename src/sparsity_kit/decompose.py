@@ -2,13 +2,15 @@
 
 A pebble game configuration colors every edge and orients it away from the
 vertex its pebble was spent at, so each color class has out-degree at most one
-per vertex.  The validators here work from that stored orientation: map-graph
-checks are per-vertex degree counts, tree checks are connectivity counts, and
-tree-piece counts come from the root rule (a piece is rooted at a vertex whose
-color slot holds a pebble, or whose colored out-edge leaves the subgraph).
-By that rule a subset holds exactly k*n' - m' pieces, so the "at least l
-pieces everywhere" condition of coloring and proper lTk certificates is
-(k,l)-sparsity itself, decided exactly by `oracle.overfull_subset`.
+per vertex.  Extraction only derives a certificate's tree and map roles from
+that coloring; `validate_certificate` is the one checker for every kind.  It
+works from the stored orientation: out-degree is a per-vertex slot count, tree
+checks are connectivity counts, and tree-piece counts come from the root rule
+(a piece is rooted at a vertex whose color slot holds a pebble, or whose
+colored out-edge leaves the subgraph).  By that rule a subset holds exactly
+k*n' - m' pieces, so the "at least l pieces everywhere" condition of coloring
+and proper lTk certificates is (k,l)-sparsity itself, decided exactly by
+`oracle.overfull_subset`.
 
 Edge records are `ColoredEdge` named tuples, and certificates are written as
 canonical JSON one formatted string per edge, so serialization holds about
@@ -37,6 +39,9 @@ class NotTightError(ValueError):
 
 
 CERTIFICATE_KINDS = ("coloring", "maps-and-trees", "proper-ltk")
+
+# Tree or map roles: one tuple of edge ids per tree or map.
+_Roles = tuple[tuple[int, ...], ...]
 
 
 class ColoredEdge(NamedTuple):
@@ -83,8 +88,8 @@ class Certificate:
     params: SparsityParams
     n: int
     edges: tuple[ColoredEdge, ...]
-    trees: tuple[tuple[int, ...], ...] = ()
-    maps: tuple[tuple[int, ...], ...] = ()
+    trees: _Roles = ()
+    maps: _Roles = ()
 
     @property
     def decomposition(self) -> Decomposition:
@@ -119,19 +124,20 @@ def _check_cover(g: Multigraph, d: Decomposition) -> None:
     if len(d.edges) != g.m:
         raise CertificateError("decomposition does not cover the graph's edges")
     seen: set[int] = set()
-    for e in d.edges:
-        if not 0 <= e.id < g.m:
-            raise CertificateError(f"edge id {e.id} out of range")
-        if e.id in seen:
-            raise CertificateError(f"edge id {e.id} listed twice")
-        seen.add(e.id)
-        u, v = g.edges[e.id]
-        if {e.u, e.v} != {u, v}:
-            raise CertificateError(f"edge {e.id} endpoints disagree with the graph")
-        if e.tail not in (e.u, e.v):
-            raise CertificateError(f"edge {e.id} oriented from a non-endpoint")
-        if not 0 <= e.color < d.params.k:
-            raise CertificateError(f"edge {e.id} color {e.color} out of range")
+    k = d.params.k
+    for eid, a, b, color, tail in d.edges:
+        if not 0 <= eid < g.m:
+            raise CertificateError(f"edge id {eid} out of range")
+        if eid in seen:
+            raise CertificateError(f"edge id {eid} listed twice")
+        seen.add(eid)
+        u, v = g.edges[eid]
+        if not (a == u and b == v or a == v and b == u):
+            raise CertificateError(f"edge {eid} endpoints disagree with the graph")
+        if tail != a and tail != b:
+            raise CertificateError(f"edge {eid} oriented from a non-endpoint")
+        if not 0 <= color < k:
+            raise CertificateError(f"edge {eid} color {color} out of range")
 
 
 def _out_slots(d: Decomposition) -> dict[tuple[int, int], ColoredEdge]:
@@ -221,222 +227,133 @@ def _overfull_failure(g: Multigraph, params: SparsityParams) -> str:
     )
 
 
-def certify_coloring(
-    g: Multigraph, d: Decomposition, params: SparsityParams
-) -> tuple[bool, dict]:
-    """Validate the generic colored decomposition.
-
-    True iff every color class is (1,0)-sparse (witnessed by the stored
-    orientation: out-degree <= 1 per vertex per color) and every subgraph
-    holds at least l tree-pieces.  By the root rule a subset's piece count is
-    k*n' - m', so the piece condition is exactly (k,l)-sparsity of g, which
-    `oracle.overfull_subset` decides; a failure names an overfull subset.
-    """
-    if params != d.params:
-        raise CertificateError("parameter mismatch")
-    _check_cover(g, d)
-    report: dict = {"kind": "coloring", "k": params.k, "l": params.l}
-    try:
-        _out_slots(d)
-    except CertificateError as exc:
-        report["failure"] = str(exc)
-        return False, report
-    failure = _overfull_failure(g, params)
-    if failure:
-        report["failure"] = failure
-    return not failure, report
-
-
 # -- role-bearing certificates -------------------------------------------------
-
-
-def _require_tight(result: ConstructionResult) -> None:
-    if result.rejected or result.pebbles_remaining() != result.params.l:
-        raise NotTightError("input not tight")
 
 
 def _class_components(
     vertices: Iterable[int], rows: Iterable[ColoredEdge]
-) -> list[tuple[int, list[int], set[int]]]:
+) -> list[tuple[int, list[int], list[int]]]:
     """(root, edge ids, vertices) per connected component, singletons included.
 
-    `rows` must lie inside `vertices`.  The root is the unique component
-    vertex without an outgoing edge of the class's color; only meaningful for
-    acyclic classes.  The walk follows (neighbour, edge id) pairs built once.
+    `rows` must lie inside `vertices` with at most one row per tail vertex, as
+    in one color class of a checked orientation, so a component's edges are
+    the out-edges of its vertices.  The root is the unique component vertex
+    without an outgoing edge; only meaningful for acyclic classes.
     """
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    has_out = set()
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    out: dict[int, int] = {}
     for eid, u, v, _, tail in rows:
-        adj[u].append((v, eid))
-        if u != v:
-            adj[v].append((u, eid))
-        has_out.add(tail)
+        adj[u].append(v)
+        adj[v].append(u)
+        out[tail] = eid
     comps = []
     seen: set[int] = set()
     for start in adj:
         if start in seen:
             continue
-        comp = {start}
-        stack = [start]
-        eids: set[int] = set()
-        while stack:
-            for y, eid in adj[stack.pop()]:
-                eids.add(eid)
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        roots = [v for v in comp if v not in has_out]
+        seen.add(start)
+        comp = [start]
+        for x in comp:  # breadth-first: the list grows while it is walked
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        roots = [v for v in comp if v not in out]
         root = min(roots) if roots else min(comp)
-        comps.append((root, sorted(eids), comp))
+        comps.append((root, sorted(out[v] for v in comp if v in out), comp))
     return comps
 
 
-def extract_maps_and_trees(result: ConstructionResult) -> Certificate:
-    """Split a tight lower-range construction into l spanning trees + k-l maps."""
-    params = result.params
-    if not params.lower_range:
-        raise NotTightError("maps-and-trees requires the lower range (l <= k)")
-    _require_tight(result)
-    d = result_decomposition(result)
-    n = result.graph.n
-    classes = d.color_classes()
-    trees: list[tuple[int, ...]] = []
-    maps: list[tuple[int, ...]] = []
-    for c in range(params.l):
-        rows = classes[c]
-        comps = _class_components(range(n), rows)
-        if len(rows) != n - 1 or len(comps) != 1:
-            raise CertificateError(f"color {c} is not a spanning tree")
-        trees.append(tuple(sorted(e.id for e in rows)))
-    for c in range(params.l, params.k):
-        rows = classes[c]
-        out_deg = [0] * n
-        for e in rows:
-            out_deg[e.tail] += 1
-        if any(deg != 1 for deg in out_deg):
-            raise CertificateError(f"color {c} is not a spanning map-graph")
-        maps.append(tuple(sorted(e.id for e in rows)))
-    return Certificate("maps-and-trees", params, n, d.edges, tuple(trees), tuple(maps))
+def _tree_components(d: Decomposition, kind: str):
+    """(root, color, edge ids, vertex count) of each component of a tree-role class.
 
-
-def extract_proper_ltk(result: ConstructionResult) -> Certificate:
-    """Enumerate the l edge-disjoint trees of a tight upper-range construction.
-
-    Every color class of a canonical upper-range game is a forest; its
-    components (empty trees included) are the trees, each rooted at the vertex
-    holding that color's pebble, and every vertex lies in exactly k of them.
+    Tree-role classes are the first l colors of maps-and-trees and every color
+    of proper-lTk; they are walked one class at a time, in color order.
     """
-    params = result.params
-    if not params.upper_range:
-        raise NotTightError("a proper tree decomposition requires the upper range (l >= k)")
-    _require_tight(result)
-    d = result_decomposition(result)
-    n = result.graph.n
-    collected: list[tuple[int, int, tuple[int, ...]]] = []  # (root, color, edge ids)
-    for c, rows in enumerate(d.color_classes()):
-        comps = _class_components(range(n), rows)
-        for root, eids, comp in comps:
-            if len(eids) != len(comp) - 1:
-                raise CertificateError(f"color {c} contains a cycle")
-            collected.append((root, c, tuple(eids)))
-    if len(collected) != params.l:
-        raise CertificateError(
-            f"decomposition has {len(collected)} trees, expected l={params.l}"
-        )
-    collected.sort(key=lambda t: (t[0], t[1]))
-    trees = tuple(t[2] for t in collected)
-    return Certificate("proper-ltk", params, n, d.edges, trees, ())
+    classes = d.color_classes()
+    for c in range(d.params.l if kind == "maps-and-trees" else d.params.k):
+        for root, eids, comp in _class_components(range(d.n), classes[c]):
+            yield root, c, eids, len(comp)
+
+
+def _roles(d: Decomposition, kind: str) -> tuple[_Roles, _Roles]:
+    """The (trees, maps) roles the coloring of `d` defines, unchecked.
+
+    maps-and-trees: each color class's edge ids, sorted; colors below l are
+    the trees, the rest the maps.  proper-lTk: every component of every color
+    class, ordered by (root, color), and no maps.
+    """
+    if kind == "maps-and-trees":
+        ids = [tuple(sorted(e.id for e in rows)) for rows in d.color_classes()]
+        return tuple(ids[: d.params.l]), tuple(ids[d.params.l :])
+    found = sorted((root, c, tuple(eids)) for root, c, eids, _ in _tree_components(d, kind))
+    return tuple(eids for _, _, eids in found), ()
 
 
 def extract_certificate(result: ConstructionResult, kind: str | None = None) -> Certificate:
-    """Produce the natural certificate for a construction (range-selected kind)."""
+    """The certificate of a construction; the kind defaults to the range's own.
+
+    Role-bearing kinds need a tight input in their range (NotTightError
+    otherwise).  Extraction only derives the roles from the coloring, so an
+    engine bug shows up as an invalid certificate from `validate_certificate`.
+    """
+    params = result.params
     if kind is None:
-        kind = "maps-and-trees" if result.params.lower_range else "proper-ltk"
-    if kind == "coloring":
-        d = result_decomposition(result)
-        return Certificate("coloring", result.params, result.graph.n, d.edges)
-    if kind == "maps-and-trees":
-        return extract_maps_and_trees(result)
-    if kind == "proper-ltk":
-        return extract_proper_ltk(result)
-    raise ValueError(f"cannot extract certificate of kind {kind!r}")
+        kind = "maps-and-trees" if params.lower_range else "proper-ltk"
+    if kind not in CERTIFICATE_KINDS:
+        raise ValueError(f"cannot extract certificate of kind {kind!r}")
+    if kind == "maps-and-trees" and not params.lower_range:
+        raise NotTightError("maps-and-trees requires the lower range (l <= k)")
+    if kind == "proper-ltk" and not params.upper_range:
+        raise NotTightError("a proper tree decomposition requires the upper range (l >= k)")
+    if kind != "coloring" and (result.rejected or result.pebbles_remaining() != params.l):
+        raise NotTightError("input not tight")
+    d = result_decomposition(result)
+    trees, maps = _roles(d, kind) if kind != "coloring" else ((), ())
+    return Certificate(kind, params, d.n, d.edges, trees, maps)
 
 
 # -- validation -----------------------------------------------------------------
 
 
 def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
-    """Run the kind-specific validator; returns (ok, first failing check)."""
-    d = cert.decomposition
+    """The one certificate checker, for every kind; returns (ok, first failing check).
+
+    Every kind: the edges cover g once each, with out-degree at most one per
+    vertex and color.  Role-bearing kinds: the range, m = k*n - l, every
+    tree-role class a forest (for maps-and-trees also one spanning component),
+    and roles equal to the derived ones: by position for maps-and-trees, as a
+    multiset for proper-lTk, ids in any order.  Map classes then have exactly
+    n edges each.  coloring and proper-lTk: g is (k,l)-sparse, decided exactly
+    by `oracle.overfull_subset`; valid maps-and-trees roles imply sparsity.
+    """
+    d, params, kind = cert.decomposition, cert.params, cert.kind
     try:
         _check_cover(g, d)
         _out_slots(d)
     except CertificateError as exc:
         return False, str(exc)
-    if cert.kind == "coloring":
-        failure = _overfull_failure(g, cert.params)
-        return not failure, failure
-    if cert.kind == "maps-and-trees":
-        return _validate_maps_and_trees(g, cert)
-    if cert.kind == "proper-ltk":
-        return _validate_proper_ltk(g, cert)
-    return False, f"unknown certificate kind {cert.kind!r}"
-
-
-def _validate_maps_and_trees(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
-    """Structural checks only, no sparsity search.
-
-    l spanning trees plus k-l out-degree-one map-graphs span at most
-    k*n' - l edges on every subset by themselves.
-    """
-    params = cert.params
-    if not params.lower_range:
-        return False, "maps-and-trees certificate outside the lower range"
-    if g.m != params.max_edges(g.n):
-        return False, "edge count is not k*n - l"
-    if len(cert.trees) != params.l or len(cert.maps) != params.k - params.l:
-        return False, "wrong number of tree/map roles"
-    classes = cert.decomposition.color_classes()
-    for c in range(params.l):
-        rows = classes[c]
-        if sorted(e.id for e in rows) != sorted(cert.trees[c]):
-            return False, f"tree role {c} does not match color class {c}"
-        if len(rows) != g.n - 1 or len(_class_components(range(g.n), rows)) != 1:
-            return False, f"color {c} is not a spanning tree"
-    for i, c in enumerate(range(params.l, params.k)):
-        rows = classes[c]
-        if sorted(e.id for e in rows) != sorted(cert.maps[i]):
-            return False, f"map role {i} does not match color class {c}"
-        out_deg = [0] * g.n
-        for e in rows:
-            out_deg[e.tail] += 1
-        if any(deg != 1 for deg in out_deg):
-            return False, f"color {c} does not orient out-degree exactly one"
-    return True, ""
-
-
-def _validate_proper_ltk(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
-    """Forest color classes whose components are the tree roles, on a sparse g.
-
-    With m = k*n - l, forest classes have l components in all, and each
-    color's components cover every vertex once, so every vertex lies in
-    exactly k of the l trees.  What remains is the tree-piece condition,
-    which is (k,l)-sparsity of g.
-    """
-    params = cert.params
-    if not params.upper_range:
-        return False, "proper-ltk certificate outside the upper range"
-    if g.m != params.max_edges(g.n):
-        return False, "edge count is not k*n - l"
-    expected: list[list[int]] = []
-    for c, rows in enumerate(cert.decomposition.color_classes()):
-        for root, eids, comp in _class_components(range(g.n), rows):
-            if len(eids) != len(comp) - 1:
+    if kind not in CERTIFICATE_KINDS:
+        return False, f"unknown certificate kind {kind!r}"
+    if kind != "coloring":
+        lower = kind == "maps-and-trees"
+        if not (params.lower_range if lower else params.upper_range):
+            return False, f"{kind} certificate outside the {'lower' if lower else 'upper'} range"
+        if g.m != params.max_edges(g.n):
+            return False, "edge count is not k*n - l"
+        found = []  # the edge ids of every checked component: the proper-lTk trees
+        for _, c, eids, size in _tree_components(d, kind):
+            if len(eids) != size - 1:
                 return False, f"color {c} contains a cycle"
-            expected.append(eids)
-    if sorted(expected) != sorted(map(sorted, cert.trees)):
-        return False, "tree roles do not match the color components"
+            if lower and size != g.n:
+                return False, f"color {c} is not a spanning tree"
+            found.append(tuple(eids))
+        trees, maps = (tuple(tuple(sorted(ids)) for ids in r) for r in (cert.trees, cert.maps))
+        if lower:
+            ok = (trees, maps) == _roles(d, kind)
+            return ok, "" if ok else "tree/map roles do not match the color classes"
+        if sorted(trees) != sorted(found):
+            return False, "tree roles do not match the color components"
     failure = _overfull_failure(g, params)
     return not failure, failure
 
@@ -468,13 +385,19 @@ def certificate_to_json(cert: Certificate) -> str:
 
     Each edge is formatted straight into its canonical string instead of going
     through a dict, so the writer holds about 0.2 KB per edge beyond its output.
-    Every edge field must be a plain int (not a bool or a float): anything else
-    raises CertificateError, as reading it back would.
+    Every edge field, `n` and every written role id must be a plain int (not a
+    bool or a float): anything else raises CertificateError, as reading it
+    back would.
     """
     _require_int_fields(cert.edges)
     rows = ",".join([_EDGE_JSON % (c, i, t, u, v) for i, u, v, c, t in cert.edges])
-    rest: dict = {"k": cert.params.k, "l": cert.params.l, "n": cert.n, "kind": cert.kind}
+    n = _as_int(cert.n, "n")
+    rest: dict = {"k": cert.params.k, "l": cert.params.l, "n": n, "kind": cert.kind}
     if cert.kind in ("maps-and-trees", "proper-ltk"):
+        for role, ids in (("trees", cert.trees), ("maps", cert.maps)):
+            for i in chain.from_iterable(ids):
+                if type(i) is not int:
+                    _as_int(i, f"{role} edge id")
         rest["roles"] = {"trees": cert.trees, "maps": cert.maps}
     # "edges" sorts before every other key, so it leads the object
     rest_json = json.dumps(rest, sort_keys=True, separators=(",", ":"))

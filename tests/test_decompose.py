@@ -15,13 +15,10 @@ from sparsity_kit import (
     brute_force_sparse,
     certificate_from_json,
     certificate_to_json,
-    certify_coloring,
     count_tree_pieces,
     count_tree_pieces_exact,
     extract_certificate,
     extract_coloring,
-    extract_maps_and_trees,
-    extract_proper_ltk,
     induced_edge_count,
     random_tight_graph,
     result_decomposition,
@@ -113,10 +110,14 @@ def test_tree_piece_ordering_is_stable(k4_decomposition, k4_graph):
     assert keys == sorted(keys)
 
 
+def coloring_certificate(d):
+    return Certificate("coloring", d.params, d.n, d.edges)
+
+
 def test_certify_coloring_k4(k4_decomposition, k4_graph):
-    ok, report = certify_coloring(k4_graph, k4_decomposition, SparsityParams(2, 2))
+    ok, why = validate_certificate(k4_graph, coloring_certificate(k4_decomposition))
     assert ok
-    assert "failure" not in report
+    assert not why
 
 
 def test_certify_coloring_rejects_doubled_cycle():
@@ -132,16 +133,16 @@ def test_certify_coloring_rejects_doubled_cycle():
         ColoredEdge(5, 3, 0, 1, 3),
     ]
     d = Decomposition(SparsityParams(2, 2), 4, tuple(rows))
-    ok, report = certify_coloring(g, d, SparsityParams(2, 2))
+    ok, why = validate_certificate(g, coloring_certificate(d))
     assert not ok
-    assert "two outgoing" in report["failure"]
+    assert "two outgoing" in why
 
 
 def test_certify_coloring_triangle_exhaustive_pieces():
     tri = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
     res = run_canonical_game(tri, SparsityParams(2, 3))
     d = result_decomposition(res)
-    ok, report = certify_coloring(tri, d, SparsityParams(2, 3))
+    ok, _ = validate_certificate(tri, coloring_certificate(d))
     assert ok
     for sub in ({0, 1}, {1, 2}, {0, 2}, {0, 1, 2}):
         assert len(tree_pieces(d, tri, sub)) >= 3
@@ -198,7 +199,7 @@ def test_count_tree_pieces_matches_formula_on_random_tight():
 
 def test_maps_and_trees_k4(k4_graph):
     res = run_canonical_game(k4_graph, SparsityParams(2, 2))
-    cert = extract_maps_and_trees(res)
+    cert = extract_certificate(res, "maps-and-trees")
     assert cert.kind == "maps-and-trees"
     assert len(cert.trees) == 2 and len(cert.maps) == 0
     assert all(len(t) == 3 for t in cert.trees)
@@ -213,7 +214,7 @@ def test_maps_and_trees_with_map_color():
     rep = brute_force_sparse(g, SparsityParams(2, 1))
     assert rep.sparse and rep.tight
     res = run_canonical_game(g, SparsityParams(2, 1))
-    cert = extract_maps_and_trees(res)
+    cert = extract_certificate(res, "maps-and-trees")
     assert len(cert.trees) == 1 and len(cert.maps) == 1
     assert len(cert.trees[0]) == 2 and len(cert.maps[0]) == 3
     ok, why = validate_certificate(g, cert)
@@ -223,7 +224,7 @@ def test_maps_and_trees_with_map_color():
 def test_maps_and_trees_tree_is_its_own_certificate():
     g = Multigraph(4, [(0, 1), (1, 2), (2, 3)])
     res = run_canonical_game(g, SparsityParams(1, 1))
-    cert = extract_maps_and_trees(res)
+    cert = extract_certificate(res, "maps-and-trees")
     assert len(cert.trees) == 1 and not cert.maps
     assert sorted(cert.trees[0]) == [0, 1, 2]
     assert brute_force_partition(g, SparsityParams(1, 1), "maps-and-trees")
@@ -233,20 +234,20 @@ def test_maps_and_trees_refuses_non_tight():
     g = Multigraph(4, [(0, 1), (1, 2)])
     res = run_canonical_game(g, SparsityParams(2, 2))
     with pytest.raises(NotTightError, match="not tight"):
-        extract_maps_and_trees(res)
+        extract_certificate(res, "maps-and-trees")
 
 
 def test_maps_and_trees_refuses_upper_range():
     tri = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
     res = run_canonical_game(tri, SparsityParams(2, 3))
     with pytest.raises(NotTightError):
-        extract_maps_and_trees(res)
+        extract_certificate(res, "maps-and-trees")
 
 
 def test_proper_ltk_triangle():
     tri = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
     res = run_canonical_game(tri, SparsityParams(2, 3))
-    cert = extract_proper_ltk(res)
+    cert = extract_certificate(res, "proper-ltk")
     assert cert.kind == "proper-ltk"
     assert len(cert.trees) == 3
     membership = [0, 0, 0]
@@ -269,7 +270,7 @@ def test_proper_ltk_single_edge_has_single_vertex_trees():
     # pebbles end up isolated in their color
     g = Multigraph(2, [(0, 1)])
     res = run_canonical_game(g, SparsityParams(2, 3))
-    cert = extract_proper_ltk(res)
+    cert = extract_certificate(res, "proper-ltk")
     assert len(cert.trees) == 3
     assert sum(1 for t in cert.trees if not t) == 2
     ok, why = validate_certificate(g, cert)
@@ -281,7 +282,7 @@ def test_proper_ltk_k4_minus_edge():
     rep = brute_force_sparse(g, SparsityParams(2, 3))
     assert rep.sparse and rep.tight
     res = run_canonical_game(g, SparsityParams(2, 3))
-    cert = extract_proper_ltk(res)
+    cert = extract_certificate(res, "proper-ltk")
     assert len(cert.trees) == 3
     assert sum(len(t) for t in cert.trees) == 5
     ok, why = validate_certificate(g, cert)
@@ -294,14 +295,14 @@ def test_proper_ltk_refuses_strict_lower_range():
     g = Multigraph(3, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 2)])  # (2,1)-tight
     res = run_canonical_game(g, SparsityParams(2, 1))
     with pytest.raises(NotTightError):
-        extract_proper_ltk(res)
+        extract_certificate(res, "proper-ltk")
 
 
 def test_boundary_parameters_allow_both_kinds(k4_graph):
     # l == k sits in both ranges: K4 under (2,2) is a 2-arborescence and a 2T2
     res = run_canonical_game(k4_graph, SparsityParams(2, 2))
-    mat = extract_maps_and_trees(res)
-    ltk = extract_proper_ltk(res)
+    mat = extract_certificate(res, "maps-and-trees")
+    ltk = extract_certificate(res, "proper-ltk")
     assert validate_certificate(k4_graph, mat)[0]
     assert validate_certificate(k4_graph, ltk)[0]
 
@@ -378,6 +379,18 @@ def test_certificate_writer_rejects_non_integer_fields(k4_graph, field, value):
         certificate_to_json(bad)
 
 
+@pytest.mark.parametrize("field", ["n", "trees edge id"])
+def test_certificate_writer_rejects_boolean_n_and_role_ids(k4_graph, field):
+    cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)))
+    if field == "n":
+        bad = Certificate(cert.kind, cert.params, True, cert.edges, cert.trees, cert.maps)
+    else:
+        trees = ((True, *cert.trees[0][1:]), *cert.trees[1:])
+        bad = Certificate(cert.kind, cert.params, cert.n, cert.edges, trees, cert.maps)
+    with pytest.raises(CertificateError, match=f"{field} must be an integer, got True"):
+        certificate_to_json(bad)
+
+
 def test_certificate_rejects_malformed_json():
     with pytest.raises(CertificateError):
         certificate_from_json("{not json")
@@ -399,7 +412,7 @@ def test_validator_catches_recolored_edge(k4_graph):
 def test_validator_catches_cycle_in_upper_range():
     tri = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
     res = run_canonical_game(tri, SparsityParams(2, 3))
-    cert = extract_proper_ltk(res)
+    cert = extract_certificate(res, "proper-ltk")
     rows = [ColoredEdge(e.id, e.u, e.v, 0, e.tail) for e in cert.edges]
     # force all edges into color 0 oriented cyclically: a monochromatic cycle
     rows = [
@@ -411,6 +424,111 @@ def test_validator_catches_cycle_in_upper_range():
     ok, why = validate_certificate(tri, bad)
     assert not ok
     assert "cycle" in why or "match" in why
+
+
+def test_extraction_derives_roles_and_validation_checks():
+    # move one edge out of tree color 0 into color 1 at the color-1 root, so
+    # out-degree stays at most one but color 0 no longer spans: extraction
+    # still returns a certificate, and only the validator rejects it
+    params = SparsityParams(2, 2)
+    g = random_tight_graph(20, params, 5)
+    res = run_canonical_game(g, params)
+    colors, tails = res.state.colors, res.state.tails
+    has_color_1_out = {tails[i] for i, c in enumerate(colors) if c == 1}
+    pos = next(i for i, c in enumerate(colors) if c == 0 and tails[i] not in has_color_1_out)
+    colors[pos] = 1
+    cert = extract_certificate(res, "maps-and-trees")
+    assert [len(t) for t in cert.trees] == [g.n - 2, g.n]
+    ok, why = validate_certificate(g, cert)
+    assert not ok
+    assert why == "color 0 is not a spanning tree"
+
+
+def _rederived(cert, edges):
+    """`cert` with `edges` and the roles their coloring defines."""
+    k, l = cert.params.k, cert.params.l
+    classes = [[] for _ in range(k)]
+    for e in edges:
+        classes[e.color].append(e)
+    trees, maps = (), ()
+    if cert.kind == "maps-and-trees":
+        ids = [tuple(sorted(e.id for e in rows)) for rows in classes]
+        trees, maps = tuple(ids[:l]), tuple(ids[l:])
+    elif cert.kind == "proper-ltk":
+        found = sorted(
+            (root, c, tuple(eids))
+            for c, rows in enumerate(classes)
+            for root, eids, _ in _class_components(range(cert.n), rows)
+        )
+        trees = tuple(eids for _, _, eids in found)
+    return Certificate(cert.kind, cert.params, cert.n, tuple(edges), trees, maps)
+
+
+def _mutants(cert, rng):
+    """`cert` and seeded mutants: recolored, reoriented and color-swapped edges
+    (with stale or re-derived roles), and swapped, shuffled and dropped roles."""
+    edges, roles, split = cert.edges, cert.trees + cert.maps, len(cert.trees)
+
+    def with_edges(new):
+        return Certificate(cert.kind, cert.params, cert.n, tuple(new), cert.trees, cert.maps)
+
+    def with_roles(new, split=split):
+        return Certificate(cert.kind, cert.params, cert.n, edges, new[:split], new[split:])
+
+    yield cert
+    for _ in range(3):
+        if cert.params.k > 1:
+            i = rng.randrange(len(edges))
+            new = list(edges)
+            other = [c for c in range(cert.params.k) if c != edges[i].color]
+            new[i] = edges[i]._replace(color=rng.choice(other))
+            yield with_edges(new)
+            yield _rederived(cert, new)
+        i = rng.randrange(len(edges))
+        new = list(edges)
+        new[i] = edges[i]._replace(tail=edges[i].head)
+        yield with_edges(new)
+        yield _rederived(cert, new)
+        i, j = rng.sample(range(len(edges)), 2)
+        new = list(edges)
+        new[i] = edges[i]._replace(color=edges[j].color)
+        new[j] = edges[j]._replace(color=edges[i].color)
+        yield _rederived(cert, new)
+        if len(roles) > 1:
+            i, j = rng.sample(range(len(roles)), 2)
+            new = list(roles)
+            new[i], new[j] = roles[j], roles[i]
+            yield with_roles(tuple(new))
+        if roles:
+            yield with_roles(tuple(tuple(rng.sample(r, len(r))) for r in roles))
+            i = rng.randrange(len(roles))
+            yield with_roles(roles[:i] + roles[i + 1 :], split - (i < split))
+
+
+# One SHA-256 over the validator's verdicts on the certificates of
+# `_mutants`, fixed when extraction still checked structure itself.  Dropping
+# or loosening a check that decides any of these verdicts changes it.
+VALIDATOR_VERDICT_DIGEST = "3518b75c6f3dc6af12b039977c6547bef2f7af3d2948d8bdeecf7ecc4dc29e66"
+
+
+def test_validator_verdicts_are_pinned():
+    rng = random.Random(2026)
+    verdicts = []
+    for k, l in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (3, 5)]:
+        params = SparsityParams(k, l)
+        for n in (5, 9, 14):
+            g = random_tight_graph(n, params, n)
+            res = run_canonical_game(g, params)
+            for kind in CERTIFICATE_KINDS:
+                try:
+                    cert = extract_certificate(res, kind)
+                except NotTightError:  # the kind is outside this range
+                    continue
+                for bad in _mutants(cert, rng):
+                    verdicts.append("1" if validate_certificate(g, bad)[0] else "0")
+    text = "".join(verdicts)
+    assert 300 < text.count("1") < len(text) - 300, text.count("1")
+    assert hashlib.sha256(text.encode()).hexdigest() == VALIDATOR_VERDICT_DIGEST
 
 
 def test_adversarial_proper_coloring_implies_sparse():
@@ -425,11 +543,7 @@ def test_adversarial_proper_coloring_implies_sparse():
                 ColoredEdge(i, g.edges[i][0], g.edges[i][1], colors[i], tails[i])
                 for i in range(6)
             )
-            d = Decomposition(params, 4, rows)
-            try:
-                ok, _ = certify_coloring(g, d, params)
-            except CertificateError:
-                continue
+            ok, _ = validate_certificate(g, Certificate("coloring", params, 4, rows))
             if ok:
                 found = True
                 break
@@ -462,8 +576,6 @@ def test_cover_check_rejects_repeated_edge_id():
     ok, why = validate_certificate(g, cert)
     assert not ok
     assert "edge id 3 listed twice" in why
-    with pytest.raises(CertificateError, match="listed twice"):
-        certify_coloring(g, cert.decomposition, params)
 
 
 def test_piece_counts_reject_out_of_range_vertices(k4_decomposition, k4_graph):
@@ -518,8 +630,8 @@ def test_certify_coloring_rejects_upper_range_loop():
     g = Multigraph(2, [(0, 0)])
     params = SparsityParams(2, 3)
     d = Decomposition(params, 2, (ColoredEdge(0, 0, 0, 0, 0),))
-    ok, report = certify_coloring(g, d, params)
+    ok, why = validate_certificate(g, coloring_certificate(d))
     assert not ok
-    assert _named_subset(report["failure"]) == [0]
+    assert _named_subset(why) == [0]
     assert not brute_force_sparse(g, params).sparse
     assert run_canonical_game(g, params).rejected == [0]

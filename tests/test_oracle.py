@@ -6,13 +6,12 @@ import tracemalloc
 import pytest
 
 from sparsity_kit import (
-    Decomposition,
+    Certificate,
     Multigraph,
     OracleSizeError,
     SparsityParams,
     brute_force_partition,
     brute_force_sparse,
-    certify_coloring,
     enumerate_small_multigraphs,
     enumerate_tight_graphs,
     induced_edge_count,
@@ -20,6 +19,7 @@ from sparsity_kit import (
     random_tight_graph,
     result_decomposition,
     run_canonical_game,
+    validate_certificate,
 )
 
 from conftest import ALL_PARAMS, tight_exists
@@ -242,7 +242,7 @@ def _assert_overfull(g, params, witness):
 def test_overfull_subset_matches_brute_force():
     # random multigraphs with loops and parallel edges, sized around k*n - l so
     # both verdicts are common; a coloring certificate, where one exists, must
-    # get the same verdict from certify_coloring
+    # get the same verdict from validate_certificate
     rng = random.Random(2008)
     verdicts = {True: 0, False: 0}
     certified = 0
@@ -261,8 +261,8 @@ def test_overfull_subset_matches_brute_force():
         res = run_canonical_game(g, SparsityParams(params.k, 0))
         if not res.rejected:
             d = result_decomposition(res)
-            relabelled = Decomposition(params, n, d.edges)
-            assert certify_coloring(g, relabelled, params)[0] == sparse
+            relabelled = Certificate("coloring", params, n, d.edges)
+            assert validate_certificate(g, relabelled)[0] == sparse
             certified += 1
     assert min(verdicts.values()) > 800 and certified > 1_500, (verdicts, certified)
 
