@@ -49,10 +49,11 @@ def canonical_add_edge(state: GameState, v: int, w: int) -> Move:
         if not present:
             raise IllegalMoveError("no pebble available on the loop vertex")
         return add_edge(state, v, v, present[-1])
-    shared = [c for c in range(k) if state.pebbles[v][c] > 0 and state.pebbles[w][c] > 0]
+    sv, sw = state.out_color[v], state.out_color[w]
+    shared = [c for c in range(k) if sv[c] < 0 and sw[c] < 0]
     if shared:
         return add_edge(state, v, w, shared[0])
-    present = [c for c in range(k) if state.pebbles[v][c] > 0 or state.pebbles[w][c] > 0]
+    present = [c for c in range(k) if sv[c] < 0 or sw[c] < 0]
     if not present:
         raise IllegalMoveError("no pebble available on either endpoint")
     return add_edge(state, v, w, present[-1])
@@ -106,12 +107,12 @@ def bring_pebble_dynamic(state: GameState, path: list[int]) -> list[Move]:
     moves: list[Move] = []
     heads = state.heads
     colors = state.colors
-    pebbles = state.pebbles
+    out_color = state.out_color
     while path:
         e = path[-1]
         h = heads[e]
         ce = colors[e]
-        if pebbles[h][ce] > 0:  # the edge's own color only re-roots its tree
+        if out_color[h][ce] < 0:  # the edge's own color only re-roots its tree
             moves.append(pebble_slide(state, e, ce))
             path.pop()
             continue

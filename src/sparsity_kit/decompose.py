@@ -323,9 +323,10 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
     vertex and color.  Role-bearing kinds: the range, m = k*n - l, every
     tree-role class a forest (for maps-and-trees also one spanning component),
     and roles equal to the derived ones: by position for maps-and-trees, as a
-    multiset for proper-lTk, ids in any order.  Map classes then have exactly
-    n edges each.  coloring and proper-lTk: g is (k,l)-sparse, decided exactly
-    by `oracle.overfull_subset`; valid maps-and-trees roles imply sparsity.
+    multiset for proper-lTk, ids in any order, with no map roles.  Map classes
+    then have exactly n edges each.  coloring and proper-lTk: g is
+    (k,l)-sparse, decided exactly by `oracle.overfull_subset`; valid
+    maps-and-trees roles imply sparsity.
     """
     d, params, kind = cert.decomposition, cert.params, cert.kind
     try:
@@ -352,6 +353,8 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
         if lower:
             ok = (trees, maps) == _roles(d, kind)
             return ok, "" if ok else "tree/map roles do not match the color classes"
+        if maps:
+            return False, "a proper-lTk certificate has no map roles"
         if sorted(trees) != sorted(found):
             return False, "tree roles do not match the color components"
     failure = _overfull_failure(g, params)

@@ -71,15 +71,9 @@ class Multigraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def endpoints(self, edge_id: int) -> tuple[int, int]:
-        return self.edges[edge_id]
-
     def is_loop(self, edge_id: int) -> bool:
         u, v = self.edges[edge_id]
         return u == v
-
-    def loop_ids(self) -> list[int]:
-        return [i for i, (u, v) in enumerate(self.edges) if u == v]
 
 
 def vertex_subset(n: int, subset: Iterable[int]) -> frozenset[int]:

@@ -1,17 +1,18 @@
 """The pebble game with colors: state, moves, pebble search, invariants, components.
 
-The state is a directed multigraph H with stable edge ids.  Every vertex starts
-with one pebble of each of the k colors; an edge is added by spending a pebble
-from one endpoint (which becomes the tail), and a pebble-slide reverses an edge
-by covering it with a pebble taken from its head.  Once a state is built, these
+The state is a directed multigraph H with stable edge ids.  Every vertex owns
+one pebble of each of the k colors, and one slot per color records where it
+is: the slot holds either the vertex's single out-edge of that color or, when
+empty, the pebble itself.  An edge is added by spending a pebble from one
+endpoint (which becomes the tail), and a pebble-slide reverses an edge by
+covering it with a pebble taken from its head.  Once a state is built, these
 two moves (`add_edge` and `pebble_slide`) are the only writers of its edges and
-pebbles, and each reports itself to the state's trace and `after_move` hook
+slots, and each reports itself to the state's trace and `after_move` hook
 as an `AddEdgeMove` or `SlideMove`.  These move records are named tuples:
 immutable, cheap to build on the hot path, and equal to the plain tuple of
 their fields.
-Because each vertex holds at most one pebble per color and at most one outgoing
-edge per color, per-vertex adjacency is a k-slot array, which keeps searches
-O(n) on sparse states.
+Because per-vertex adjacency is this k-slot array, searches stay O(n) on
+sparse states.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional
 
 from .graph import SparsityParams
@@ -59,7 +61,12 @@ Move = AddEdgeMove | SlideMove
 
 
 class GameState:
-    """Mutable pebble game configuration; single writer, no interior sharing."""
+    """Mutable pebble game configuration; single writer, no interior sharing.
+
+    `out_color[v][c]` is v's slot of color c: the id of its out-edge of that
+    color, or -1 when the color-c pebble sits on v.  `peb_sum[v]` caches the
+    number of empty slots of v, which the searches read once per vertex.
+    """
 
     __slots__ = (
         "params",
@@ -67,7 +74,6 @@ class GameState:
         "tails",
         "heads",
         "colors",
-        "pebbles",
         "peb_sum",
         "out_color",
         "in_edges",
@@ -86,9 +92,7 @@ class GameState:
         self.tails: list[int] = []
         self.heads: list[int] = []
         self.colors: list[int] = []
-        self.pebbles: list[list[int]] = [[1] * k for _ in range(n)]
         self.peb_sum: list[int] = [k] * n
-        # out_color[v][c] is the id of v's outgoing edge of color c, or -1.
         self.out_color: list[list[int]] = [[-1] * k for _ in range(n)]
         self.in_edges: list[set[int]] = [set() for _ in range(n)]
         self.component_id: list[int] = [0] * n
@@ -104,18 +108,15 @@ class GameState:
         n: int,
         params: SparsityParams,
         edges: Iterable[tuple[int, int, int]],
-        pebbles: Iterable[Iterable[int]],
     ) -> "GameState":
-        """Build a state directly from (tail, head, color) edges and pebble counts.
+        """Build a state directly from (tail, head, color) edges.
 
-        Intended for tests and adversarial configurations; only structural
-        impossibilities (two same-color out-edges at one vertex) are rejected.
+        Each edge fills its tail's slot of its color; every slot left empty
+        holds its pebble, so the pebbles follow from the edges.  Intended for
+        tests and adversarial configurations; only structural impossibilities
+        (two same-color out-edges at one vertex) are rejected.
         """
         state = cls(n, params)
-        state.pebbles = [list(row) for row in pebbles]
-        if len(state.pebbles) != n or any(len(row) != params.k for row in state.pebbles):
-            raise ValueError("pebbles must be an n x k table of counts")
-        state.peb_sum = [sum(row) for row in state.pebbles]
         for t, h, c in edges:
             eid = len(state.tails)
             state.tails.append(t)
@@ -125,6 +126,7 @@ class GameState:
                 raise ValueError(f"vertex {t} would have two outgoing edges of color {c}")
             state.out_color[t][c] = eid
             state.in_edges[h].add(eid)
+            state.peb_sum[t] -= 1
         return state
 
     # -- simple accessors ---------------------------------------------------
@@ -136,17 +138,21 @@ class GameState:
     def edge(self, eid: int) -> tuple[int, int, int]:
         return self.tails[eid], self.heads[eid], self.colors[eid]
 
-    def peb(self, v: int) -> int:
-        return self.peb_sum[v]
-
     def peb_pair(self, v: int, w: int) -> int:
         return self.peb_sum[v] if v == w else self.peb_sum[v] + self.peb_sum[w]
 
     def total_pebbles(self) -> int:
         return sum(self.peb_sum)
 
+    @property
+    def pebbles(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only per-vertex, per-color pebble counts (0 or 1), read off the slots."""
+        flat = [1 if e < 0 else 0 for e in chain.from_iterable(self.out_color)]
+        # rebuilt on every read, so zip groups the rows of k instead of a loop per row
+        return tuple(zip(*[iter(flat)] * self.params.k))
+
     def pebble_colors(self, v: int) -> list[int]:
-        return [c for c in range(self.params.k) if self.pebbles[v][c] > 0]
+        return [c for c, e in enumerate(self.out_color[v]) if e < 0]
 
     def undirected_edges(self) -> list[tuple[int, int]]:
         return [(self.tails[e], self.heads[e]) for e in range(self.m)]
@@ -189,20 +195,19 @@ def add_edge(state: GameState, v: int, w: int, color: int) -> AddEdgeMove:
         raise ColorNotAvailableError(f"color {color} out of range")
     if state.peb_pair(v, w) < params.l + 1:
         raise InsufficientPebblesError()
-    if state.pebbles[v][color] > 0:
+    out_color = state.out_color
+    if out_color[v][color] < 0:
         tail, head = v, w
-    elif state.pebbles[w][color] > 0:
+    elif out_color[w][color] < 0:
         tail, head = w, v
     else:
         raise ColorNotAvailableError()
-    state.pebbles[tail][color] -= 1
     state.peb_sum[tail] -= 1
     eid = len(state.tails)
     state.tails.append(tail)
     state.heads.append(head)
     state.colors.append(color)
-    # the spent pebble guarantees this color slot was empty
-    state.out_color[tail][color] = eid
+    out_color[tail][color] = eid  # the edge takes the spent pebble's slot
     state.in_edges[head].add(eid)
     move = AddEdgeMove(v, w, color)
     state._emit(move)
@@ -220,21 +225,18 @@ def pebble_slide(state: GameState, eid: int, color: int) -> SlideMove:
         raise IllegalMoveError(f"no edge {eid}")
     heads = state.heads
     colors = state.colors
-    pebbles = state.pebbles
+    out_color = state.out_color
     t, h, old = tails[eid], heads[eid], colors[eid]
-    head_pebbles = pebbles[h]
-    if not 0 <= color < state.params.k or head_pebbles[color] <= 0:
+    head_slots = out_color[h]
+    if not 0 <= color < state.params.k or head_slots[color] >= 0:
         raise IllegalMoveError(f"no pebble of color {color} on vertex {h}")
     peb_sum = state.peb_sum
-    out_color = state.out_color
     in_edges = state.in_edges
     out_color[t][old] = -1
-    pebbles[t][old] += 1
     peb_sum[t] += 1
-    head_pebbles[color] -= 1
     peb_sum[h] -= 1
     tails[eid], heads[eid], colors[eid] = h, t, color
-    out_color[h][color] = eid
+    head_slots[color] = eid
     in_edges[h].discard(eid)
     in_edges[t].add(eid)
     move = SlideMove(eid, t, h, color)
@@ -380,11 +382,14 @@ class InvariantReport:
 def check_invariants(state: GameState) -> InvariantReport:
     """Evaluate the engine invariants on a state, exactly at every n.
 
-    Per-vertex and per-color balances and edge-slot agreement are checked.
-    Together they imply the subset balance (span + out + pebbles = k * |subset|)
-    for every vertex subset, so no subset is enumerated; the color slots also
-    make every monochromatic path end at its first pebble or in a cycle.  On
-    failure the report carries a witness.
+    Each vertex has one slot per color holding either its out-edge of that
+    color or the pebble, so "one pebble or one out-edge per color" holds by
+    construction, and every monochromatic path ends at its first pebble or in
+    a cycle.  Checked: the total pebble count, the vertex balance (which
+    guards the `peb_sum` cache) and edge-slot agreement.  Together they imply
+    the subset balance (span + out + pebbles = k * |subset|) for every vertex
+    subset, so no subset is enumerated.  On failure the report carries a
+    witness.
     """
     failures: list[InvariantFailure] = []
     k, l, n = state.params.k, state.params.l, state.n
@@ -404,17 +409,6 @@ def check_invariants(state: GameState) -> InvariantReport:
             failures.append(
                 InvariantFailure("vertex-balance", f"vertex {v}: {got} != k={k}", (v,))
             )
-
-    # per-vertex per-color slot: exactly one of {pebble, outgoing edge}
-    for v in range(n):
-        for c in range(k):
-            slots = (1 if state.out_color[v][c] >= 0 else 0) + state.pebbles[v][c]
-            if slots != 1:
-                failures.append(
-                    InvariantFailure(
-                        "color-slot", f"vertex {v} color {c}: pebbles+out = {slots} != 1", (v,)
-                    )
-                )
 
     # every edge sits in its tail's slot of its color and no slot holds
     # anything else, so summing the vertex balance over any vertex subset

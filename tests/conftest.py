@@ -30,13 +30,7 @@ def k4_two_color_state() -> GameState:
         (2, 0, 0),
         (3, 0, 0),
     ]
-    pebbles = [
-        [0, 1],  # vertex 0: color-1 pebble
-        [1, 0],  # vertex 1: color-0 pebble
-        [0, 0],
-        [0, 0],
-    ]
-    return GameState.from_parts(4, SparsityParams(2, 2), edges, pebbles)
+    return GameState.from_parts(4, SparsityParams(2, 2), edges)
 
 
 def tight_exists(n: int, params: SparsityParams) -> bool:

@@ -58,21 +58,22 @@ def random_reachable_state(rng, n, params, moves):
 
 
 def test_shared_color_takes_lowest_index():
-    s = init_game(2, SparsityParams(2, 1))
-    s.pebbles[1][1] = 0  # vertex 1 holds only color 0; vertex 0 holds both
-    s.peb_sum[1] = 1
+    # vertex 1 spent its color-1 pebble on an edge to vertex 2, so it holds
+    # only color 0; vertex 0 holds both
+    s = GameState.from_parts(3, SparsityParams(2, 1), [(1, 2, 1)])
+    assert s.pebble_colors(0) == [0, 1] and s.pebble_colors(1) == [0]
     canonical_add_edge(s, 0, 1)
-    assert s.colors[0] == 0
-    assert s.tails[0] == 0
+    assert s.colors[1] == 0
+    assert s.tails[1] == 0
 
 
 def test_distinct_colors_take_highest():
     s = GameState.from_parts(
-        2, SparsityParams(2, 1), [], [[1, 0], [0, 1]]
+        4, SparsityParams(2, 1), [(0, 2, 1), (1, 3, 0)]
     )  # v has color 0 only, w has color 1 only: 2 = l+1 pebbles
     canonical_add_edge(s, 0, 1)
-    assert s.colors[0] == 1
-    assert s.tails[0] == 1  # the pebble lives on w
+    assert s.colors[2] == 1
+    assert s.tails[2] == 1  # the pebble lives on w
 
 
 def test_upper_range_always_has_shared_color():
@@ -105,7 +106,6 @@ def test_cycle_detection_on_gray_tree():
         3,
         SparsityParams(2, 2),
         [(0, 1, 0), (0, 1, 1)],
-        [[0, 0], [1, 1], [1, 1]],
     )
     assert creates_monochromatic_cycle(s, 1, 0)
     assert not creates_monochromatic_cycle(s, 1, 1)
@@ -173,9 +173,7 @@ def test_cycle_detection_matches_simulation():
             continue
         c = rng.choice(covers)
         predicted = creates_monochromatic_cycle(s, e, c)
-        clone = GameState.from_parts(
-            s.n, params, [s.edge(i) for i in range(s.m)], [row[:] for row in s.pebbles]
-        )
+        clone = GameState.from_parts(s.n, params, [s.edge(i) for i in range(s.m)])
         before = count_cycles_of_color(clone, c)
         pebble_slide(clone, e, c)
         after = count_cycles_of_color(clone, c)
@@ -195,12 +193,11 @@ def test_route_pebble_fresh_state_needs_no_slides():
 def test_route_pebble_reroutes_along_tree():
     # A color-0 chain 0<-1<-2 rooted at 0 and a color-1 edge 2->3 whose only
     # escape pebble sits past the color-0 tree: routing must not close a
-    # color-0 cycle.
+    # color-0 cycle.  Vertex 0's color-1 pebble is spent on an edge to vertex 3.
     s = GameState.from_parts(
-        3,
+        4,
         SparsityParams(2, 2),
-        [(1, 0, 0), (1, 2, 1), (2, 0, 1)],
-        [[1, 0], [0, 0], [1, 0]],
+        [(1, 0, 0), (1, 2, 1), (2, 0, 1), (0, 3, 1)],
     )
     before = monochromatic_cycle_colors(s)
     assert route_pebble(s, 1, frozenset((1,)))
@@ -299,12 +296,7 @@ def test_collect_on_pendant_edge_is_short():
     res = run_canonical_game(tri, SparsityParams(2, 3))
     # extend with a pendant vertex: the new edge needs at most n slides
     s = res.state
-    s2 = GameState.from_parts(
-        4,
-        s.params,
-        [s.edge(i) for i in range(s.m)],
-        [row[:] for row in s.pebbles] + [[1, 1]],
-    )
+    s2 = GameState.from_parts(4, s.params, [s.edge(i) for i in range(s.m)])
     slides = []
     s2.trace = slides
     assert collect_pebbles_canonically(s2, 3, 0)

@@ -3,8 +3,17 @@ import os
 
 import pytest
 
-from sparsity_kit import Multigraph, write_graph
+from sparsity_kit import (
+    Multigraph,
+    SparsityParams,
+    certificate_to_json,
+    extract_certificate,
+    run_canonical_game,
+    validate_certificate,
+    write_graph,
+)
 from sparsity_kit.cli import main
+from sparsity_kit.decompose import Certificate
 
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n2 0\n"
@@ -147,6 +156,19 @@ def test_certify_detects_upper_range_cycle(triangle_file, tmp_path, capsys):
         row["oriented_from"] = tail
     cert_path.write_text(json.dumps(payload))
     assert main(["certify", triangle_file, str(cert_path)]) == 4
+
+
+def test_certify_rejects_map_roles_on_proper_ltk(triangle_file, tmp_path, capsys):
+    params = SparsityParams(2, 3)
+    res = run_canonical_game(Multigraph(3, [(0, 1), (1, 2), (2, 0)]), params)
+    cert = extract_certificate(res, "proper-ltk")
+    cert = Certificate(cert.kind, params, cert.n, cert.edges, cert.trees, ((0, 1, 2),))
+    ok, why = validate_certificate(res.graph, cert)
+    assert not ok and "map roles" in why
+    cert_path = tmp_path / "tri.cert.json"
+    cert_path.write_text(certificate_to_json(cert))
+    assert main(["certify", triangle_file, str(cert_path)]) == 4
+    assert "map roles" in capsys.readouterr().out
 
 
 def test_certify_mismatched_files_exit_1(triangle_file, k4_file, tmp_path):
