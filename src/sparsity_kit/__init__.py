@@ -27,7 +27,6 @@ from .pebbles import (
     apply_move,
     check_invariants,
     find_pebble,
-    init_game,
     pebble_slide,
     reject_fast,
     replay_trace,

@@ -7,9 +7,9 @@ monochromatic cycle: `route_pebble` finds the nearest pebble with the
 breadth-first `find_pebble` and `bring_pebble_dynamic`, the one path executor,
 brings it along that shortest path, shortcutting along a monochromatic tree
 wherever every available cover would close a cycle.  Every move is made by
-`pebbles.add_edge` or `pebbles.pebble_slide`, so a state's trace and its
-`after_move` hook see each one; `run_canonical_game(after_move=...)` is the way
-to observe a game.
+`pebbles.add_edge` or `pebbles.pebble_slide`, so the state's `after_move` hook
+sees each one; `run_canonical_game(after_move=...)` is the way to observe a
+game, and a hook that collects the moves records its trace.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .pebbles import (
     Move,
     add_edge,
     find_pebble,
-    init_game,
     pebble_slide,
     reject_fast,
     update_components,
@@ -226,16 +225,13 @@ def run_canonical_game(
     g: Multigraph,
     params: SparsityParams,
     *,
-    record_trace: bool = False,
     after_move: Optional[Callable[[GameState, Move], None]] = None,
 ) -> ConstructionResult:
     """Process g's edges in order, keeping a maximum-size sparse subgraph.
 
     Each edge takes one `play_edge` step; rejection is a normal outcome.
     """
-    if g.n < 1:
-        raise ValueError("the game needs at least one vertex")
-    state = init_game(g.n, params, record_trace=record_trace)
+    state = GameState(g.n, params)  # raises ValueError on an empty graph
     state.after_move = after_move
     accepted: list[int] = []
     rejected: list[int] = []

@@ -17,7 +17,7 @@ import sys
 import time
 import tracemalloc
 
-from .canonical import run_canonical_game
+from .canonical import ConstructionResult, run_canonical_game
 from .decompose import (
     Certificate,
     CertificateError,
@@ -30,7 +30,7 @@ from .decompose import (
 )
 from .graph import GraphFormatError, Multigraph, SparsityParams, parse_graph, write_graph
 from .oracle import random_tight_graph
-from .pebbles import SlideMove, TraceError, check_invariants, replay_trace, trace_to_lines
+from .pebbles import Move, SlideMove, TraceError, replay_trace, trace_to_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,31 +84,20 @@ def _load_graph(path: str) -> Multigraph:
     return parse_graph(_read_text(path))
 
 
-def _maybe_write_trace(args, result) -> None:
-    if getattr(args, "trace", None):
-        lines = trace_to_lines(result.state)
-        _write_text(args.trace, "\n".join(lines) + "\n")
+def _play(args, g: Multigraph, params: SparsityParams) -> ConstructionResult:
+    """Play the canonical game on g; with --trace, write its moves to that file."""
+    if not args.trace:
+        return run_canonical_game(g, params)
+    moves: list[Move] = []
+    result = run_canonical_game(g, params, after_move=lambda state, move: moves.append(move))
+    _write_text(args.trace, "\n".join(trace_to_lines(result.state, moves)) + "\n")
+    return result
 
 
 def cmd_recognize(args) -> int:
     params = _params(args)
     g = _load_graph(args.graph)
-    hook = None
-    if args.debug_invariants:
-
-        def hook(state, move):
-            rep = check_invariants(state)
-            if not rep.ok:
-                raise RuntimeError(f"invariant failure after {move}: {rep.failures[0].name}")
-
-    try:
-        result = run_canonical_game(
-            g, params, record_trace=bool(args.trace), after_move=hook
-        )
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    _maybe_write_trace(args, result)
+    result = _play(args, g, params)
     verdict = result.verdict()
     if args.format == "json":
         payload = {
@@ -128,8 +117,7 @@ def cmd_recognize(args) -> int:
 def cmd_decompose(args) -> int:
     params = _params(args)
     g = _load_graph(args.graph)
-    result = run_canonical_game(g, params, record_trace=bool(args.trace))
-    _maybe_write_trace(args, result)
+    result = _play(args, g, params)
     kind = args.kind
     try:
         cert = extract_certificate(result, kind)
@@ -275,7 +263,6 @@ def build_parser() -> _Parser:
     p.add_argument("graph", help="graph file or '-'")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--trace", help="write the construction trace to this file")
-    p.add_argument("--debug-invariants", action="store_true")
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("decompose", help="write a sparsity-certifying certificate")

@@ -470,13 +470,13 @@ def random_tight_graph(n: int, params: SparsityParams, seed: int) -> Multigraph:
     tightness.  Deterministic per seed.
     """
     from .canonical import play_edge
-    from .pebbles import init_game
+    from .pebbles import GameState
 
     target = params.max_edges(n)
     if target < 0:
         raise ValueError(f"k*n - l is negative for n={n}")
     rng = random.Random(seed)
-    state = init_game(n, params)
+    state = GameState(n, params)
     edges: list[tuple[int, int]] = []
     stale = 0
     while len(edges) < target:

@@ -7,10 +7,11 @@ empty, the pebble itself.  An edge is added by spending a pebble from one
 endpoint (which becomes the tail), and a pebble-slide reverses an edge by
 covering it with a pebble taken from its head.  Once a state is built, these
 two moves (`add_edge` and `pebble_slide`) are the only writers of its edges and
-slots, and each reports itself to the state's trace and `after_move` hook
-as an `AddEdgeMove` or `SlideMove`.  These move records are named tuples:
+slots, and each reports itself to the state's `after_move` hook, the one move
+sink, as an `AddEdgeMove` or `SlideMove`.  These move records are named tuples:
 immutable, cheap to build on the hot path, and equal to the plain tuple of
-their fields.
+their fields.  A trace file is a move list collected by such a hook and
+written by `trace_to_lines`; `replay_trace` plays it back move by move.
 Because per-vertex adjacency is this k-slot array, searches stay O(n) on
 sparse states.
 """
@@ -63,9 +64,11 @@ Move = AddEdgeMove | SlideMove
 class GameState:
     """Mutable pebble game configuration; single writer, no interior sharing.
 
-    `out_color[v][c]` is v's slot of color c: the id of its out-edge of that
-    color, or -1 when the color-c pebble sits on v.  `peb_sum[v]` caches the
-    number of empty slots of v, which the searches read once per vertex.
+    A new state has n vertices, no edges and one pebble of each color on
+    every vertex.  `out_color[v][c]` is v's slot of color c: the id of its
+    out-edge of that color, or -1 when the color-c pebble sits on v.
+    `peb_sum[v]` caches the number of empty slots of v, which the searches
+    read once per vertex.
     """
 
     __slots__ = (
@@ -79,11 +82,10 @@ class GameState:
         "in_edges",
         "component_id",
         "_next_component",
-        "trace",
         "after_move",
     )
 
-    def __init__(self, n: int, params: SparsityParams, *, record_trace: bool = False):
+    def __init__(self, n: int, params: SparsityParams):
         if n < 1:
             raise ValueError("the game needs at least one vertex")
         k = params.k
@@ -97,7 +99,6 @@ class GameState:
         self.in_edges: list[set[int]] = [set() for _ in range(n)]
         self.component_id: list[int] = [0] * n
         self._next_component = 1
-        self.trace: list[Move] | None = [] if record_trace else None
         self.after_move: Optional[Callable[["GameState", Move], None]] = None
 
     # -- constructors ------------------------------------------------------
@@ -114,10 +115,13 @@ class GameState:
         Each edge fills its tail's slot of its color; every slot left empty
         holds its pebble, so the pebbles follow from the edges.  Intended for
         tests and adversarial configurations; only structural impossibilities
-        (two same-color out-edges at one vertex) are rejected.
+        (an endpoint or color out of range, two same-color out-edges at one
+        vertex) are rejected.
         """
         state = cls(n, params)
         for t, h, c in edges:
+            if not (0 <= t < n and 0 <= h < n and 0 <= c < params.k):
+                raise ValueError(f"edge {(t, h, c)} is out of range for n={n}, k={params.k}")
             eid = len(state.tails)
             state.tails.append(t)
             state.heads.append(h)
@@ -170,15 +174,8 @@ class GameState:
         return hashlib.sha256(blob).hexdigest()
 
     def _emit(self, move: Move) -> None:
-        if self.trace is not None:
-            self.trace.append(move)
         if self.after_move is not None:
             self.after_move(self, move)
-
-
-def init_game(n: int, params: SparsityParams, *, record_trace: bool = False) -> GameState:
-    """Fresh state: n vertices, no edges, one pebble of each color per vertex."""
-    return GameState(n, params, record_trace=record_trace)
 
 
 # -- moves -------------------------------------------------------------------
@@ -245,8 +242,10 @@ def pebble_slide(state: GameState, eid: int, color: int) -> SlideMove:
 
 
 def apply_move(state: GameState, move: Move) -> Move:
-    """Replay a recorded move, verifying slide orientation against the record."""
+    """Replay a recorded move, verifying its vertices and slide orientation."""
     if isinstance(move, AddEdgeMove):
+        if not (0 <= move.v < state.n and 0 <= move.w < state.n):
+            raise IllegalMoveError(f"vertex out of range in {move}")
         return add_edge(state, move.v, move.w, move.color)
     if state.m <= move.edge or (state.tails[move.edge], state.heads[move.edge]) != (
         move.tail,
@@ -432,79 +431,89 @@ def check_invariants(state: GameState) -> InvariantReport:
 
 # -- trace files -------------------------------------------------------------------
 
+_MOVE_OPS = {"add": AddEdgeMove, "slide": SlideMove}  # a record's fields are its move's
 
-def trace_to_lines(state: GameState) -> list[str]:
-    """Serialize a recorded game as JSON lines with an init header and hash footer."""
-    if state.trace is None:
-        raise ValueError("state was created without trace recording")
-    lines = [
-        json.dumps(
-            {"op": "init", "n": state.n, "k": state.params.k, "l": state.params.l},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for move in state.trace:
-        if isinstance(move, AddEdgeMove):
-            rec = {"op": "add", "v": move.v, "w": move.w, "color": move.color}
-        else:
-            rec = {
-                "op": "slide",
-                "edge": move.edge,
-                "tail": move.tail,
-                "head": move.head,
-                "color": move.color,
-            }
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-    lines.append(
-        json.dumps({"op": "end", "hash": state.state_hash()}, sort_keys=True, separators=(",", ":"))
-    )
+
+def _json_line(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def trace_to_lines(state: GameState, moves: Iterable[Move]) -> list[str]:
+    """Serialize a game as JSON lines: an init header, `moves`, and a hash footer.
+
+    `moves` are the moves that took a fresh state to `state`, as collected by
+    its `after_move` hook; the footer is `state`'s hash.
+    """
+    lines = [_json_line({"op": "init", "n": state.n, "k": state.params.k, "l": state.params.l})]
+    for move in moves:
+        op = "add" if isinstance(move, AddEdgeMove) else "slide"
+        lines.append(_json_line({"op": op, **move._asdict()}))
+    lines.append(_json_line({"op": "end", "hash": state.state_hash()}))
     return lines
 
 
 class TraceError(PebbleGameError):
-    def __init__(self, message: str, index: int | None = None):
-        self.index = index
-        super().__init__(message if index is None else f"move {index}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def _trace_ints(rec: dict, op: str, names: tuple[str, ...], line: int) -> list[int]:
+    values = [rec.get(name) for name in names]
+    for name, value in zip(names, values):
+        if type(value) is not int:  # bool is an int subclass, but true is no vertex or color
+            got = "it is missing" if name not in rec else f"got {value!r}"
+            raise TraceError(f"{op} field {name!r} must be an integer, {got}", line)
+    return values
 
 
 def replay_trace(lines: Iterable[str], *, debug_invariants: bool = False) -> GameState:
-    """Replay a serialized trace; raises TraceError on illegal moves or hash mismatch."""
+    """Replay a serialized trace from a fresh state.
+
+    Raises TraceError naming the line on a malformed record (every field must
+    be a plain int), an illegal move, a broken invariant (with
+    `debug_invariants`), or a final hash that differs from the footer.
+    """
     state: GameState | None = None
     expected_hash: str | None = None
-    move_index = 0
-    for raw in lines:
+    for line, raw in enumerate(lines, 1):
         raw = raw.strip()
         if not raw:
             continue
         try:
             rec = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise TraceError(f"bad JSON: {exc}") from None
+            raise TraceError(f"bad JSON: {exc}", line) from None
+        if not isinstance(rec, dict):
+            raise TraceError("record must be a JSON object", line)
         op = rec.get("op")
         if op == "init":
-            state = init_game(rec["n"], SparsityParams(rec["k"], rec["l"]))
-            continue
-        if state is None:
-            raise TraceError("trace does not start with an init record")
-        if op == "add":
-            move: Move = AddEdgeMove(rec["v"], rec["w"], rec["color"])
-        elif op == "slide":
-            move = SlideMove(rec["edge"], rec["tail"], rec["head"], rec["color"])
+            if state is not None:  # a second game would silently replace the first
+                raise TraceError("second init record", line)
+            n, k, l = _trace_ints(rec, op, ("n", "k", "l"), line)
+            try:
+                state = GameState(n, SparsityParams(k, l))
+            except ValueError as exc:
+                raise TraceError(f"bad init record: {exc}", line) from None
         elif op == "end":
-            expected_hash = rec["hash"]
-            continue
+            expected_hash = rec.get("hash")
+            if not isinstance(expected_hash, str):
+                raise TraceError("end field 'hash' must be a string", line)
+        elif not isinstance(op, str) or op not in _MOVE_OPS:
+            raise TraceError(f"unknown op {op!r}", line)
+        elif state is None:
+            raise TraceError("trace does not start with an init record", line)
         else:
-            raise TraceError(f"unknown op {op!r}", move_index)
-        try:
-            apply_move(state, move)
-        except IllegalMoveError as exc:
-            raise TraceError(str(exc), move_index) from None
-        if debug_invariants:
-            report = check_invariants(state)
-            if not report.ok:
-                raise TraceError(f"invariant violated: {report.failures[0].name}", move_index)
-        move_index += 1
+            kind = _MOVE_OPS[op]
+            move = kind(*_trace_ints(rec, op, kind._fields, line))
+            try:
+                apply_move(state, move)
+            except IllegalMoveError as exc:
+                raise TraceError(str(exc), line) from None
+            if debug_invariants:
+                report = check_invariants(state)
+                if not report.ok:
+                    raise TraceError(f"invariant violated: {report.failures[0].name}", line)
     if state is None:
         raise TraceError("empty trace")
     if expected_hash is not None and state.state_hash() != expected_hash:

@@ -14,7 +14,6 @@ from sparsity_kit import (
     canonical_add_edge,
     collect_pebbles_canonically,
     creates_monochromatic_cycle,
-    init_game,
     monochromatic_cycle_colors,
     random_tight_graph,
     route_pebble,
@@ -28,7 +27,7 @@ from conftest import ALL_PARAMS
 
 def random_reachable_state(rng, n, params, moves):
     """Play random legal canonical-ish moves; returns the resulting state."""
-    s = init_game(n, params)
+    s = GameState(n, params)
     for _ in range(moves):
         if rng.random() < 0.6:
             u, v = rng.randrange(n), rng.randrange(n)
@@ -94,7 +93,7 @@ def test_upper_range_always_has_shared_color():
 
 
 def test_loop_takes_highest_color():
-    s = init_game(1, SparsityParams(2, 1))
+    s = GameState(1, SparsityParams(2, 1))
     canonical_add_edge(s, 0, 0)
     assert s.colors[0] == 1  # the tree color 0 stays acyclic
 
@@ -112,19 +111,19 @@ def test_cycle_detection_on_gray_tree():
 
 
 def test_cycle_detection_isolated_color_is_safe():
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 0)
     assert not creates_monochromatic_cycle(s, 0, 1)
 
 
 def test_cycle_detection_same_color_cover_reroots():
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 0)
     assert not creates_monochromatic_cycle(s, 0, 0)
 
 
 def test_cycle_detection_loop_recolor():
-    s = init_game(1, SparsityParams(2, 0))
+    s = GameState(1, SparsityParams(2, 0))
     add_edge(s, 0, 0, 0)
     assert creates_monochromatic_cycle(s, 0, 1)
     assert not creates_monochromatic_cycle(s, 0, 0)
@@ -183,7 +182,7 @@ def test_cycle_detection_matches_simulation():
 
 
 def test_route_pebble_fresh_state_needs_no_slides():
-    s = init_game(3, SparsityParams(2, 2))
+    s = GameState(3, SparsityParams(2, 2))
     moves = []
     s.after_move = lambda state, move: moves.append(move)
     assert route_pebble(s, 0)
@@ -275,8 +274,7 @@ def test_triangle_two_three_tight():
 
 def test_collect_trivial_on_fresh_state():
     for params in ALL_PARAMS:
-        s = init_game(3, params)
-        moved = s.trace
+        s = GameState(3, params)
         assert collect_pebbles_canonically(s, 0, 1)
         assert s.m == 0  # no edges appear during collection
 
@@ -284,7 +282,7 @@ def test_collect_trivial_on_fresh_state():
 def test_collect_fails_against_saturated_region():
     # second parallel edge under (2,3) is blocked; the reachable set witnesses
     # span saturation by the subset-balance identity
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     assert collect_pebbles_canonically(s, 0, 1)
     canonical_add_edge(s, 0, 1)
     assert not collect_pebbles_canonically(s, 0, 1)
@@ -298,7 +296,7 @@ def test_collect_on_pendant_edge_is_short():
     s = res.state
     s2 = GameState.from_parts(4, s.params, [s.edge(i) for i in range(s.m)])
     slides = []
-    s2.trace = slides
+    s2.after_move = lambda state, move: slides.append(move)
     assert collect_pebbles_canonically(s2, 3, 0)
     assert len(slides) <= 4
 
@@ -380,9 +378,12 @@ def test_seeded_games_play_the_same_moves():
         edges = list(random_tight_graph(n, params, 10 * k + l).edges)
         edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
         rng.shuffle(edges)
-        res = run_canonical_game(Multigraph(n, edges), params, record_trace=True)
+        moves = []
+        res = run_canonical_game(
+            Multigraph(n, edges), params, after_move=lambda state, move: moves.append(move)
+        )
         assert len(res.rejected) == 200
-        for line in trace_to_lines(res.state):
+        for line in trace_to_lines(res.state, moves):
             digest.update(line.encode() + b"\n")
         digest.update(json.dumps([res.accepted, res.rejected, res.state.component_id]).encode())
     assert digest.hexdigest() == SAME_MOVES_DIGEST

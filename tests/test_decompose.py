@@ -64,9 +64,9 @@ def test_extract_coloring_k4_classes(k4_decomposition):
 
 
 def test_extract_coloring_empty_graph():
-    from sparsity_kit import init_game
+    from sparsity_kit import GameState
 
-    d = extract_coloring(init_game(3, SparsityParams(2, 2)))
+    d = extract_coloring(GameState(3, SparsityParams(2, 2)))
     assert d.edges == ()
     assert [len(c) for c in d.color_classes()] == [0, 0]
 

@@ -13,7 +13,6 @@ from sparsity_kit import (
     brute_force_sparse,
     check_invariants,
     find_pebble,
-    init_game,
     pebble_slide,
     random_tight_graph,
     reject_fast,
@@ -30,49 +29,49 @@ def total_pebbles_everywhere(state):
 
 
 def test_init_places_one_pebble_per_color():
-    s = init_game(3, SparsityParams(2, 3))
+    s = GameState(3, SparsityParams(2, 3))
     assert all(s.pebbles[v] == (1, 1) for v in range(3))
     assert s.total_pebbles() == 6
 
 
 def test_init_single_vertex():
-    s = init_game(1, SparsityParams(1, 0))
+    s = GameState(1, SparsityParams(1, 0))
     assert s.pebbles == ((1,),)
 
 
 def test_init_satisfies_invariants():
     for k, l in [(1, 0), (2, 3), (3, 5)]:
         for n in (1, 2, 5):
-            assert check_invariants(init_game(n, SparsityParams(k, l))).ok
+            assert check_invariants(GameState(n, SparsityParams(k, l))).ok
 
 
 def test_init_rejects_zero_vertices():
     with pytest.raises(ValueError):
-        init_game(0, SparsityParams(1, 0))
+        GameState(0, SparsityParams(1, 0))
 
 
 def test_add_edge_takes_pebble_from_first_endpoint():
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 0)
     assert s.edge(0) == (0, 1, 0)
     assert s.peb_sum[0] == 1 and s.peb_sum[1] == 2
 
 
 def test_add_loop_lower_range():
-    s = init_game(1, SparsityParams(2, 1))
+    s = GameState(1, SparsityParams(2, 1))
     add_edge(s, 0, 0, 0)
     assert s.peb_sum[0] == 1
     assert s.edge(0) == (0, 0, 0)
 
 
 def test_add_loop_insufficient_pebbles():
-    s = init_game(1, SparsityParams(2, 2))
+    s = GameState(1, SparsityParams(2, 2))
     with pytest.raises(InsufficientPebblesError):
         add_edge(s, 0, 0, 0)
 
 
 def test_add_edge_color_not_available():
-    s = init_game(2, SparsityParams(2, 1))
+    s = GameState(2, SparsityParams(2, 1))
     add_edge(s, 0, 1, 0)
     add_edge(s, 0, 1, 0)  # takes color 0 from vertex 1
     with pytest.raises(IllegalMoveError, match="color not available"):
@@ -82,7 +81,7 @@ def test_add_edge_color_not_available():
 def test_slide_swaps_orientation_and_colors():
     # one edge 0->1 of color 1; covering with vertex 1's color-0 pebble
     # reverses it, recolors it, and drops the old color-1 pebble on vertex 0
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 1)
     pebble_slide(s, 0, 0)
     assert s.edge(0) == (1, 0, 0)
@@ -91,7 +90,7 @@ def test_slide_swaps_orientation_and_colors():
 
 
 def test_two_slides_restore_orientation():
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 1)
     pebble_slide(s, 0, 0)
     dropped = s.colors[0]
@@ -103,7 +102,7 @@ def test_two_slides_restore_orientation():
 
 def test_slides_preserve_color_slots():
     rng = random.Random(11)
-    s = init_game(5, SparsityParams(2, 2))
+    s = GameState(5, SparsityParams(2, 2))
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]:
         add_edge(s, u, v, rng.randrange(2))
     for _ in range(40):
@@ -113,21 +112,19 @@ def test_slides_preserve_color_slots():
         e = rng.choice(movable)
         color = rng.choice(s.pebble_colors(s.heads[e]))
         pebble_slide(s, e, color)
-        for v in range(5):
-            for c in range(2):
-                assert (1 if s.out_color[v][c] >= 0 else 0) + s.pebbles[v][c] == 1
+        assert check_invariants(s).ok
         assert total_pebbles_everywhere(s) == 2 * 5
 
 
 def test_find_pebble_trivial_on_fresh_state():
-    s = init_game(3, SparsityParams(2, 2))
+    s = GameState(3, SparsityParams(2, 2))
     path, visited = find_pebble(s, 0)
     assert path == []
     assert visited == {0}
 
 
 def test_find_pebble_reports_reachable_set_on_failure():
-    s = init_game(2, SparsityParams(1, 0))
+    s = GameState(2, SparsityParams(1, 0))
     add_edge(s, 0, 1, 0)
     add_edge(s, 1, 1, 0)  # loop eats vertex 1's pebble
     path, visited = find_pebble(s, 0, forbidden={0, 1})
@@ -204,12 +201,12 @@ def test_find_pebble_returns_a_shortest_path_or_the_reachable_set():
 
 
 def test_bring_pebble_empty_path_is_noop():
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     assert bring_pebble_dynamic(s, []) == []
 
 
 def test_bring_pebble_single_edge():
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 0)
     before = s.peb_sum[0]
     moves = bring_pebble_dynamic(s, [0])
@@ -220,7 +217,7 @@ def test_bring_pebble_single_edge():
 def test_bring_pebble_three_edge_path_counts():
     # a directed 3-edge path with the only reachable pebble at its far end:
     # exactly 3 slides, +1 at the start, -1 at the end, 0 elsewhere
-    s = init_game(4, SparsityParams(1, 0))
+    s = GameState(4, SparsityParams(1, 0))
     add_edge(s, 0, 1, 0)
     add_edge(s, 1, 2, 0)
     add_edge(s, 2, 3, 0)
@@ -236,7 +233,7 @@ def test_bring_pebble_three_edge_path_counts():
 
 def test_bring_pebble_never_changes_undirected_edges():
     rng = random.Random(3)
-    s = init_game(5, SparsityParams(2, 2))
+    s = GameState(5, SparsityParams(2, 2))
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
         add_edge(s, u, v, rng.randrange(2))
     undirected = sorted(tuple(sorted(e)) for e in s.undirected_edges())
@@ -291,8 +288,18 @@ def test_from_parts_rebuilds_played_states():
         assert check_invariants(rebuilt).ok
 
 
+@pytest.mark.parametrize(
+    "edge", [(0, 1, -1), (0, 1, 2), (0, 3, 0)], ids=["negative-color", "color-k", "head-n"]
+)
+def test_from_parts_rejects_out_of_range_edges(edge):
+    # a negative color would fill slot k-1 through negative indexing, and a
+    # head past n would fail with a bare IndexError
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}, {edge[2]}\)"):
+        GameState.from_parts(3, SparsityParams(2, 2), [edge])
+
+
 def test_pebbles_view_is_read_only():
-    s = init_game(2, SparsityParams(2, 3))
+    s = GameState(2, SparsityParams(2, 3))
     with pytest.raises(TypeError):
         s.pebbles[0][0] = 0
 
@@ -358,7 +365,7 @@ def test_tagged_block_is_the_set_that_reaches_no_outside_pebble():
         k = rng.choice((1, 2, 3))
         params = SparsityParams(k, rng.randint(1, 2 * k - 1))
         n = rng.randint(2, 20)
-        s = init_game(n, params)
+        s = GameState(n, params)
         for _ in range(3 * n):
             u, v = rng.randrange(n), rng.randrange(n)
             before = list(s.component_id)
@@ -383,7 +390,7 @@ def test_reject_fast_after_k4_two_two(k4):
 
 
 def test_reject_fast_false_on_fresh_state():
-    s = init_game(4, SparsityParams(2, 2))
+    s = GameState(4, SparsityParams(2, 2))
     assert not reject_fast(s, 0, 1)
     assert not reject_fast(s, 2, 2)
 
@@ -396,7 +403,7 @@ def test_reject_fast_false_across_components():
 
 
 def test_update_components_is_safe_to_call_without_block():
-    s = init_game(4, SparsityParams(2, 2))
+    s = GameState(4, SparsityParams(2, 2))
     add_edge(s, 0, 1, 0)
     update_components(s, 0, 1)
     assert s.component_id == [0, 0, 0, 0]
@@ -409,8 +416,9 @@ def test_replay_reproduces_state_exactly():
         l = rng.randrange(2 * k)
         n = rng.randint(2, 6)
         g = Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)])
-        res = run_canonical_game(g, SparsityParams(k, l), record_trace=True)
-        replayed = replay_trace(trace_to_lines(res.state))
+        moves = []
+        res = run_canonical_game(g, SparsityParams(k, l), after_move=lambda s, m: moves.append(m))
+        replayed = replay_trace(trace_to_lines(res.state, moves))
         assert replayed.state_hash() == res.state.state_hash()
         assert replayed.tails == res.state.tails
         assert replayed.colors == res.state.colors
