@@ -70,7 +70,9 @@ def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
     return old != cover and (t == h or _monochromatic_chain_to(state, t, cover, h) is not None)
 
 
-def _monochromatic_chain_to(state: GameState, start: int, color: int, goal: int) -> list[int] | None:
+def _monochromatic_chain_to(
+    state: GameState, start: int, color: int, goal: int
+) -> list[int] | None:
     """Edge ids of start's color-chain up to `goal`, or None if it never arrives."""
     out_color = state.out_color
     heads = state.heads

@@ -117,10 +117,9 @@ def cmd_recognize(args) -> int:
 def cmd_decompose(args) -> int:
     params = _params(args)
     g = _load_graph(args.graph)
-    result = _play(args, g, params)
-    kind = args.kind
     try:
-        cert = extract_certificate(result, kind)
+        # the game state is dropped here, so it is not held while the certificate is written
+        cert = extract_certificate(_play(args, g, params), args.kind)
     except NotTightError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_TIGHT
@@ -169,15 +168,15 @@ def cmd_replay(args) -> int:
 BENCH_REPEATS = 5
 
 
-def _certificate_peak_bytes(result) -> int:
-    """tracemalloc peak of extracting and writing the certificate of `result`."""
+def _peak_bytes(fn) -> int:
+    """tracemalloc peak of calling `fn()`, above the memory traced before the call."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        certificate_to_json(extract_certificate(result))
+        fn()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
@@ -208,7 +207,9 @@ def cmd_bench(args) -> int:
             result = run_canonical_game(g, params, after_move=count_slides)
             times.append(time.perf_counter() - start)
             assert result.all_accepted()
-        cert_peak = _certificate_peak_bytes(result)
+        cert_peak = _peak_bytes(lambda: certificate_to_json(extract_certificate(result)))
+        text = write_graph(g)
+        graph_peak = _peak_bytes(lambda: parse_graph(text))
         median = statistics.median(times)
         q1, _, q3 = statistics.quantiles(times, n=4)
         ratio = None
@@ -223,6 +224,7 @@ def cmd_bench(args) -> int:
                 "ratio": ratio,
                 "slides": slides,
                 "certificate_peak_mb": cert_peak / 1e6,
+                "graph_peak_mb": graph_peak / 1e6,
             }
         )
         prev = (n, median)

@@ -306,8 +306,9 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     """The maximal tight vertex set containing {v, w}, or None if none exists.
 
     First a forward search confirms every pebble reachable from {v, w} already
-    sits on {v, w}, testing each vertex as it is discovered; then the backward closure of all other pebbled vertices is
-    removed, leaving exactly the vertices that cannot reach a free pebble.
+    sits on {v, w}, testing each vertex as it is discovered; then the backward
+    closure of all other pebbled vertices is removed, leaving exactly the
+    vertices that cannot reach a free pebble.
     """
     heads = state.heads
     out_color = state.out_color

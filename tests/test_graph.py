@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from sparsity_kit import graph
 from sparsity_kit import (
     GraphFormatError,
     Multigraph,
@@ -97,3 +99,160 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 2
     with pytest.raises(GraphFormatError):
         parse_graph("")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\r\n0 1\r\n1 2\r\n",
+        "3 2\r0 1\r1 2",
+        "3 2\x0c0 1\x0c1 2\n",
+        "3\t2\n0\t1\n \t1 2 \n",
+        "  # header next\n3 2\n\t# c\n0 1\n   #x y z\n\n1 2\n",
+        b"3 2\n0 1\n1 2\n",
+    ],
+)
+def test_parse_line_endings_whitespace_and_comments(text):
+    assert parse_graph(text) == Multigraph(3, [(0, 1), (1, 2)])
+
+
+def test_parse_header_only_text():
+    assert parse_graph("3 0") == Multigraph(3)
+    assert parse_graph("# none\r\n0 0\r\n") == Multigraph(0)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 2\r\n0 1\r\n1 9\r\n", 3),
+        ("3 2\r0 1\r\r1 9", 4),  # a lone \r ends a line, as in str.splitlines
+        ("3 1\x0c0 x", 2),
+        ("3 1\n# c\n\t0 1 2\n", 3),
+    ],
+)
+def test_parse_error_lines_count_every_line_ending(text, line):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert exc.value.line == line
+
+
+def test_parse_accepts_every_spelling_int_reads():
+    g = parse_graph("3 2\n002 +1\n\u0661 0\n")  # U+0661 is ARABIC-INDIC DIGIT ONE
+    assert g.edges == ((2, 1), (1, 0))
+    assert {type(x) for e in g.edges for x in e} == {int}
+    assert g.edges[0][1] is g.edges[1][0]
+
+
+def _reference_parse(text):
+    """The text format read through one str.splitlines() of the whole text."""
+    n, m, edges = None, None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError("bad line", lineno)
+        if m is None:
+            n, m = int(parts[0]), int(parts[1])
+            continue
+        u, v = int(parts[0]), int(parts[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError("out of range", lineno)
+        edges.append((u, v))
+    return Multigraph(n, edges)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_parse_splits_lines_like_splitlines_across_block_edges(monkeypatch, block):
+    monkeypatch.setattr(graph, "_PARSE_BLOCK", block)
+    rng = random.Random(block)
+    breaks = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"]
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        rows, m = [], 0
+        for _ in range(rng.randint(0, 15)):
+            roll = rng.random()
+            if roll < 0.1:
+                rows.append("# " + str(rng.randrange(99)))
+            elif roll < 0.15:
+                rows.append(" \t")
+            else:
+                rows.append(f"{rng.randrange(n + 1)}\t {rng.randrange(n)}")  # some out of range
+                m += 1
+        text = "".join(row + rng.choice(breaks) for row in [f"{n} {m}", *rows])
+        try:
+            want = _reference_parse(text)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                parse_graph(text)
+            assert got.value.line == exc.line
+        else:
+            assert parse_graph(text) == want
+
+
+def test_parse_error_line_far_past_the_first_block():
+    rows = ["500 6000"] + [f"{i % 500} {(i * 7) % 500}" for i in range(5999)]
+    rows[4999] = "1 x"
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("\r\n".join(rows))
+    assert exc.value.line == 5000
+    rows[4999] = "1 500"
+    with pytest.raises(GraphFormatError, match="out of range") as exc:
+        parse_graph("\r\n".join(rows))
+    assert exc.value.line == 5000
+
+
+def _dense_text(n=500, m=10_000, seed=3):
+    rng = random.Random(seed)
+    return write_graph(Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]))
+
+
+def _parse_peak(text):
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        return g, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_per_edge():
+    # the pair tuple and its slot are 64 B; a list of every line and a second
+    # tuple per edge held 146 B per edge
+    g, peak = _parse_peak(_dense_text())
+    assert peak / g.m < 100
+
+
+def test_parse_shares_one_int_per_vertex():
+    g = parse_graph(_dense_text())
+    assert len({id(x) for e in g.edges for x in e}) <= g.n
+
+
+def test_parse_memory_does_not_follow_the_header_n():
+    g, peak = _parse_peak("1000000000 0")
+    assert g.n == 1_000_000_000 and g.m == 0
+    assert peak < 64 * 1024
+
+
+def test_multigraph_normalises_int_likes_to_plain_ints():
+    g = Multigraph(2, [(True, 0)])
+    assert g.edges == ((1, 0),)
+    assert [type(x) for x in g.edges[0]] == [int, int]
+    g = Multigraph(3, [[0, 1], [2, 2]])
+    assert g.edges == ((0, 1), (2, 2))
+    assert all(type(e) is tuple for e in g.edges)
+
+
+def test_multigraph_keeps_exact_int_tuples_without_a_copy():
+    edges = [(0, 1), (1, 2), (2, 2)]
+    g = Multigraph(3, edges)
+    assert all(kept is given for kept, given in zip(g.edges, edges, strict=True))
+
+
+def test_multigraph_range_checks():
+    with pytest.raises(ValueError, match=r"^edge 1 endpoints \(0, 3\) out of range for n=3$"):
+        Multigraph(3, [(0, 1), (0, 3)])
+    with pytest.raises(ValueError, match=r"^edge 0 endpoints \(-1, 0\) out of range for n=3$"):
+        Multigraph(3, [(-1, 0)])
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Multigraph(-1)
