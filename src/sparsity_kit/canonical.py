@@ -200,16 +200,27 @@ def play_edge(state: GameState, u: int, v: int) -> bool:
 
 @dataclass
 class ConstructionResult:
-    """Outcome of running the canonical game over a multigraph's edge list."""
+    """Outcome of running the canonical game over a multigraph's edge list.
+
+    Only the accepted edge ids are stored, ascending, so the result grows with
+    the kept subgraph and not with the input.  `rejected` is derived from them
+    and costs O(m) per access; the number of rejected edges is
+    `graph.m - len(accepted)`.
+    """
 
     graph: Multigraph
     params: SparsityParams
     state: GameState
     accepted: list[int]
-    rejected: list[int]
+
+    @property
+    def rejected(self) -> list[int]:
+        """The ascending complement of `accepted` in range(graph.m)."""
+        kept = set(self.accepted)
+        return [eid for eid in range(self.graph.m) if eid not in kept]
 
     def all_accepted(self) -> bool:
-        return not self.rejected
+        return len(self.accepted) == self.graph.m
 
     def pebbles_remaining(self) -> int:
         return self.state.total_pebbles()
@@ -218,7 +229,7 @@ class ConstructionResult:
         return self.all_accepted() and self.pebbles_remaining() == self.params.l
 
     def verdict(self) -> str:
-        if self.rejected:
+        if not self.all_accepted():
             return "not-sparse"
         return "tight" if self.is_tight() else "sparse"
 
@@ -231,15 +242,13 @@ def run_canonical_game(
 ) -> ConstructionResult:
     """Process g's edges in order, keeping a maximum-size sparse subgraph.
 
-    Each edge takes one `play_edge` step; rejection is a normal outcome.
+    Each edge takes one `play_edge` step; rejection is a normal outcome and
+    leaves no record.
     """
     state = GameState(g.n, params)  # raises ValueError on an empty graph
     state.after_move = after_move
-    accepted: list[int] = []
-    rejected: list[int] = []
-    for eid, (u, v) in enumerate(g.edges):
-        (accepted if play_edge(state, u, v) else rejected).append(eid)
-    return ConstructionResult(g, params, state, accepted, rejected)
+    accepted = [eid for eid, (u, v) in enumerate(g.edges) if play_edge(state, u, v)]
+    return ConstructionResult(g, params, state, accepted)
 
 
 def monochromatic_cycle_colors(state: GameState) -> list[int]:

@@ -99,18 +99,19 @@ def cmd_recognize(args) -> int:
     g = _load_graph(args.graph)
     result = _play(args, g, params)
     verdict = result.verdict()
+    accepted = len(result.accepted)
     if args.format == "json":
         payload = {
             "verdict": verdict,
-            "accepted": len(result.accepted),
-            "rejected": len(result.rejected),
+            "accepted": accepted,
+            "rejected": g.m - accepted,
             "n": g.n,
             "m": g.m,
         }
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(verdict)
-        print(f"accepted={len(result.accepted)} rejected={len(result.rejected)}")
+        print(f"accepted={accepted} rejected={g.m - accepted}")
     return EXIT_OK if verdict in ("tight", "sparse") else EXIT_NOT_SPARSE
 
 
@@ -207,6 +208,7 @@ def cmd_bench(args) -> int:
             result = run_canonical_game(g, params, after_move=count_slides)
             times.append(time.perf_counter() - start)
             assert result.all_accepted()
+        game_peak = _peak_bytes(lambda: run_canonical_game(g, params))
         cert_peak = _peak_bytes(lambda: certificate_to_json(extract_certificate(result)))
         text = write_graph(g)
         graph_peak = _peak_bytes(lambda: parse_graph(text))
@@ -223,6 +225,7 @@ def cmd_bench(args) -> int:
                 "seconds_iqr": q3 - q1,
                 "ratio": ratio,
                 "slides": slides,
+                "game_peak_mb": game_peak / 1e6,
                 "certificate_peak_mb": cert_peak / 1e6,
                 "graph_peak_mb": graph_peak / 1e6,
             }

@@ -306,7 +306,7 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
         raise NotTightError("maps-and-trees requires the lower range (l <= k)")
     if kind == "proper-ltk" and not params.upper_range:
         raise NotTightError("a proper tree decomposition requires the upper range (l >= k)")
-    if kind != "coloring" and (result.rejected or result.pebbles_remaining() != params.l):
+    if kind != "coloring" and not result.is_tight():
         raise NotTightError("input not tight")
     d = result_decomposition(result)
     trees, maps = _roles(d, kind) if kind != "coloring" else ((), ())

@@ -68,7 +68,8 @@ class GameState:
     every vertex.  `out_color[v][c]` is v's slot of color c: the id of its
     out-edge of that color, or -1 when the color-c pebble sits on v.
     `peb_sum[v]` caches the number of empty slots of v, which the searches
-    read once per vertex.
+    read once per vertex.  `in_edges[v]` lists the ids of v's in-edges in no
+    fixed order, for component detection's backward closure.
     """
 
     __slots__ = (
@@ -96,7 +97,7 @@ class GameState:
         self.colors: list[int] = []
         self.peb_sum: list[int] = [k] * n
         self.out_color: list[list[int]] = [[-1] * k for _ in range(n)]
-        self.in_edges: list[set[int]] = [set() for _ in range(n)]
+        self.in_edges: list[list[int]] = [[] for _ in range(n)]
         self.component_id: list[int] = [0] * n
         self._next_component = 1
         self.after_move: Optional[Callable[["GameState", Move], None]] = None
@@ -129,7 +130,7 @@ class GameState:
             if state.out_color[t][c] != -1:
                 raise ValueError(f"vertex {t} would have two outgoing edges of color {c}")
             state.out_color[t][c] = eid
-            state.in_edges[h].add(eid)
+            state.in_edges[h].append(eid)
             state.peb_sum[t] -= 1
         return state
 
@@ -205,7 +206,7 @@ def add_edge(state: GameState, v: int, w: int, color: int) -> AddEdgeMove:
     state.heads.append(head)
     state.colors.append(color)
     out_color[tail][color] = eid  # the edge takes the spent pebble's slot
-    state.in_edges[head].add(eid)
+    state.in_edges[head].append(eid)
     move = AddEdgeMove(v, w, color)
     state._emit(move)
     return move
@@ -234,8 +235,8 @@ def pebble_slide(state: GameState, eid: int, color: int) -> SlideMove:
     peb_sum[h] -= 1
     tails[eid], heads[eid], colors[eid] = h, t, color
     head_slots[color] = eid
-    in_edges[h].discard(eid)
-    in_edges[t].add(eid)
+    in_edges[h].remove(eid)
+    in_edges[t].append(eid)
     move = SlideMove(eid, t, h, color)
     state._emit(move)
     return move
@@ -388,8 +389,9 @@ def check_invariants(state: GameState) -> InvariantReport:
     a cycle.  Checked: the total pebble count, the vertex balance (which
     guards the `peb_sum` cache) and edge-slot agreement.  Together they imply
     the subset balance (span + out + pebbles = k * |subset|) for every vertex
-    subset, so no subset is enumerated.  On failure the report carries a
-    witness.
+    subset, so no subset is enumerated.  In-edge agreement (each edge id is
+    listed exactly once, at its head) guards the lists that component
+    detection walks.  On failure the report carries a witness.
     """
     failures: list[InvariantFailure] = []
     k, l, n = state.params.k, state.params.l, state.n
@@ -426,6 +428,25 @@ def check_invariants(state: GameState) -> InvariantReport:
         failures.append(
             InvariantFailure("edge-slot", f"{occupied} occupied out-slots for {state.m} edges")
         )
+
+    # every edge id is listed once across in_edges, in its head's list
+    heads = state.heads
+    listed = [False] * state.m
+    for v, ids in enumerate(state.in_edges):
+        for e in ids:
+            if not 0 <= e < state.m or heads[e] != v:
+                detail = f"vertex {v} lists edge {e}, which does not end there"
+            elif listed[e]:
+                detail = f"vertex {v} lists edge {e} twice"
+            else:
+                listed[e] = True
+                continue
+            failures.append(InvariantFailure("in-edges", detail, (v,)))
+    for e, seen in enumerate(listed):
+        if not seen:
+            h = heads[e]
+            detail = f"edge {e} is missing from vertex {h}'s in-edges"
+            failures.append(InvariantFailure("in-edges", detail, (h,)))
 
     return InvariantReport(not failures, failures)
 

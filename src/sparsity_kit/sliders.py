@@ -44,7 +44,7 @@ def graded_tight_check(g: Multigraph) -> bool:
                 raise ValueError(f"vertex {u} carries more than 2 loops")
     plain, loops = _split_loops(g)
     result = run_canonical_game(plain, _PARAMS_23)
-    if result.rejected:
+    if not result.all_accepted():
         return False
     state = result.state
     state.params = _PARAMS_20
@@ -195,7 +195,7 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
             raise ValueError(f"loop color given for non-loop edge {eid}")
 
     result = run_canonical_game(Multigraph(g.n, plain_edges), _PARAMS_23)
-    if result.rejected:
+    if not result.all_accepted():
         return False
     if result.pebbles_remaining() != len(loops):
         return False  # total count cannot reach (2,0)-tight

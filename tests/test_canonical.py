@@ -20,6 +20,7 @@ from sparsity_kit import (
     run_canonical_game,
 )
 from sparsity_kit.canonical import bring_pebble_dynamic
+from sparsity_kit.cli import _peak_bytes
 from sparsity_kit.pebbles import find_pebble, pebble_slide, trace_to_lines
 
 from conftest import ALL_PARAMS
@@ -262,6 +263,28 @@ def test_k4_two_three_rejects_exactly_one(k4):
     res = run_canonical_game(k4, SparsityParams(2, 3))
     assert len(res.accepted) == 5
     assert len(res.rejected) == 1
+    assert res.verdict() == "not-sparse"
+
+
+def test_game_memory_grows_with_accepted_edges_only():
+    # a rejected edge changes nothing in the game, so burying a tight graph in
+    # 3603 random edges may not raise the game's peak by a record per edge
+    # (a stored list of rejected ids cost about 33 B per edge)
+    params = SparsityParams(2, 3)
+    n = 200
+    tight = random_tight_graph(n, params, 5)
+    rng = random.Random(5)
+    edges = list(tight.edges)
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(20 * n - tight.m)]
+    rng.shuffle(edges)
+    dense = Multigraph(n, edges)
+    tight_peak = _peak_bytes(lambda: run_canonical_game(tight, params))
+    dense_peak = _peak_bytes(lambda: run_canonical_game(dense, params))
+    res = run_canonical_game(dense, params)
+    rejected = res.rejected
+    assert len(rejected) == 3603
+    assert (dense_peak - tight_peak) / len(rejected) < 4
+    assert rejected == sorted(set(range(dense.m)) - set(res.accepted))
     assert res.verdict() == "not-sparse"
 
 

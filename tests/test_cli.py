@@ -330,8 +330,9 @@ def test_bench_json(capsys):
     assert small["ratio"] is None and large["ratio"] > 0
     for row in (small, large):
         assert row["seconds"] > 0 and row["seconds_iqr"] >= 0
-    # extracting and writing the larger certificate, or parsing the larger
-    # graph's text, holds more memory
+    # playing the larger game, extracting and writing its certificate, or
+    # parsing its graph's text holds more memory
+    assert 0 < small["game_peak_mb"] < large["game_peak_mb"] < 1
     assert 0 < small["certificate_peak_mb"] < large["certificate_peak_mb"] < 1
     assert 0 < small["graph_peak_mb"] < large["graph_peak_mb"] < 1
     # the other formats report the same slide counts as the JSON

@@ -273,6 +273,27 @@ def test_check_invariants_flags_stale_slot():
     assert [f.name for f in report.failures] == ["edge-slot"]
 
 
+def test_check_invariants_flags_in_edge_disagreement():
+    # component detection walks in_edges; a list, unlike a set, can hold an
+    # id twice, and a slide that skipped its update would leave the id at the
+    # old head
+    s = GameState.from_parts(2, SparsityParams(2, 2), [(0, 1, 0)])
+    pebble_slide(s, 0, 0)  # edge 0 now ends at vertex 0
+    assert check_invariants(s).ok
+    s.in_edges[0].append(0)
+    report = check_invariants(s)
+    assert [(f.name, f.witness) for f in report.failures] == [("in-edges", (0,))]
+    assert "twice" in report.failures[0].detail
+
+    s.in_edges[0].clear()
+    s.in_edges[1].append(0)
+    report = check_invariants(s)
+    assert [(f.name, f.witness) for f in report.failures] == [
+        ("in-edges", (1,)),  # the old head still lists the edge
+        ("in-edges", (0,)),  # and the new head does not
+    ]
+
+
 def test_from_parts_rebuilds_played_states():
     # the pebbles, and with them the hash and the peb_sum cache, follow from the edges
     rng = random.Random(61)
