@@ -1,13 +1,18 @@
-"""Independent ground truth: subset scans, partition search, enumeration, and
+"""Independent ground truth: subset scans, one split search, enumeration, and
 one polynomial sparsity check.
 
 Everything here is deliberately implemented from the definitions (exhaustive
-vertex-subset scans, exhaustive or pruned colorings) or, for
+vertex-subset scans, an exhaustive search for edge splits) or, for
 `overfull_subset`, from the uncolored pebble game, and never calls the pebble
-engine's recognition path, so it can arbitrate the engine's answers.  The one
-exception is the random generator, which plays the canonical game on purpose:
-a game construction is sound by definition, which is exactly what makes its
-output a valid tight sample.
+engine's recognition path, so it can arbitrate the engine's answers.  All
+three decomposition checks (maps-and-trees, proper lTk, axis-parallel
+sliders) run one backtracking search, `_split_exists`, for a split of the
+edges into forests and pseudoforests.  The maps-and-trees and slider checks
+first fix the edge count at the classes' total capacity, so a complete split
+fills every class and no fill check follows it.  The one exception
+is the random generator, which plays the canonical game on purpose: a game
+construction is sound by definition, which is exactly what makes its output a
+valid tight sample.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import Multigraph, SparsityParams
 
@@ -128,10 +133,6 @@ def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | 
 # -- decomposition existence -----------------------------------------------------
 
 
-def _forest_union(n: int) -> tuple[list[int], list[int]]:
-    return list(range(n)), [1] * n
-
-
 def brute_force_partition(
     g: Multigraph, params: SparsityParams, kind: str, *, max_n: int = 6, max_m: int = 12
 ) -> bool:
@@ -150,166 +151,65 @@ def brute_force_partition(
     if kind == "maps-and-trees":
         if not params.lower_range:
             raise ValueError("maps-and-trees lives in the lower range")
-        return _search_maps_and_trees(g, params)
+        # a forest holds at most n-1 edges and a pseudoforest at most n, so
+        # l forests and k-l pseudoforests hold at most k*n - l = m: a split
+        # of all m edges fills every class, which makes each forest a
+        # spanning tree and each pseudoforest a spanning map-graph
+        return _split_exists(n, g.edges, [False] * l + [True] * (k - l))
     if kind == "ltk":
         if not params.upper_range:
             raise ValueError("a proper tree decomposition lives in the upper range")
-        # the piece-count identity makes properness a pure counting condition
-        for mask in range(1, 1 << n):
-            n_sub = mask.bit_count()
-            if n_sub < 2:
-                continue
-            m_sub = sum(
-                1
-                for u, v in g.edges
-                if (mask >> u & 1) and (mask >> v & 1)
-            )
-            if m_sub > k * n_sub - l:
-                return False
-        return _forest_coloring_exists(g, k)
+        # the piece-count identity makes properness (k,l)-sparsity; a loop
+        # fails the singleton count and fits no forest either
+        return brute_force_sparse(g, params, max_n=max_n).sparse and _split_exists(
+            n, g.edges, [False] * k
+        )
     raise ValueError(f"unknown partition kind {kind!r}")
 
 
-def _search_maps_and_trees(g: Multigraph, params: SparsityParams) -> bool:
-    """Backtracking edge-color assignment with per-class feasibility pruning."""
-    n, k, l = g.n, params.k, params.l
-    tree_capacity = n - 1
-    map_capacity = n
-    parent = [list(range(n)) for _ in range(k)]
-    size = [[1] * n for _ in range(k)]
-    edges_in = [[0] * n for _ in range(k)]  # per-root edge counts for map classes
-    counts = [0] * k
-    undo: list[tuple[int, int, int, bool]] = []
+def _split_exists(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    closes: list[bool],
+    cycles: list[list[int]] | None = None,
+) -> bool:
+    """Can the edges be split into len(closes) classes where every component
+    of a class holds at most one cycle?
 
-    def find(c: int, x: int) -> int:
-        p = parent[c]
+    An edge may close a cycle only in a class c with closes[c], so a class
+    without it and without pre-placed cycles is a forest.  cycles[c][v]
+    counts the cycles pre-placed on vertex v in class c.  Exhaustive
+    backtracking over one union-find per class, whose roots count their
+    component's cycles, undone as the search backs out; a branch is cut only
+    when its last edge breaks these rules, which no later edge can repair.
+    """
+    k = len(closes)
+    parent = [list(range(n)) for _ in range(k)]
+    cyc = [list(row) for row in cycles] if cycles else [[0] * n for _ in range(k)]
+    if any(x > 1 for row in cyc for x in row):
+        return False  # a vertex already holds two cycles of one class
+
+    def find(p: list[int], x: int) -> int:
         while p[x] != x:
             x = p[x]
         return x
-
-    def assign(c: int, u: int, v: int) -> bool:
-        if c < l:
-            if counts[c] + 1 > tree_capacity or u == v:
-                return False
-            ra, rb = find(c, u), find(c, v)
-            if ra == rb:
-                return False  # tree classes stay acyclic
-            if size[c][ra] < size[c][rb]:
-                ra, rb = rb, ra
-            undo.append((c, rb, ra, True))
-            parent[c][rb] = ra
-            size[c][ra] += size[c][rb]
-            counts[c] += 1
-            return True
-        if counts[c] + 1 > map_capacity:
-            return False
-        ra, rb = find(c, u), find(c, v)
-        if ra == rb:
-            if edges_in[c][ra] + 1 > size[c][ra]:
-                return False  # each map component holds at most one cycle
-            undo.append((c, ra, ra, False))
-            edges_in[c][ra] += 1
-            counts[c] += 1
-            return True
-        if size[c][ra] < size[c][rb]:
-            ra, rb = rb, ra
-        if edges_in[c][ra] + edges_in[c][rb] + 1 > size[c][ra] + size[c][rb]:
-            return False
-        undo.append((c, rb, ra, True))
-        parent[c][rb] = ra
-        size[c][ra] += size[c][rb]
-        edges_in[c][ra] += edges_in[c][rb] + 1
-        counts[c] += 1
-        return True
-
-    def unwind(mark: int) -> None:
-        while len(undo) > mark:
-            c, rb, ra, merged = undo.pop()
-            counts[c] -= 1
-            if merged:
-                parent[c][rb] = rb
-                size[c][ra] -= size[c][rb]
-                if c >= l:
-                    edges_in[c][ra] -= edges_in[c][rb] + 1
-            else:
-                edges_in[c][ra] -= 1
-
-    def final_ok() -> bool:
-        for c in range(l):
-            if counts[c] != n - 1:
-                return False
-            if size[c][find(c, 0)] != n:
-                return False
-        for c in range(l, k):
-            if counts[c] != n:
-                return False
-            for v in range(n):
-                r = find(c, v)
-                if edges_in[c][r] != size[c][r]:
-                    return False
-        return True
-
-    edges = list(g.edges)
-
-    def rec(i: int) -> bool:
-        if i == len(edges):
-            return final_ok()
-        u, v = edges[i]
-        for c in range(k):
-            mark = len(undo)
-            if assign(c, u, v):
-                if rec(i + 1):
-                    return True
-            unwind(mark)
-        return False
-
-    return rec(0)
-
-
-def _forest_coloring_exists(g: Multigraph, k: int) -> bool:
-    """Can the edges be split into k forests? (loops never fit in a forest)"""
-    n = g.n
-    parent = [list(range(n)) for _ in range(k)]
-    size = [[1] * n for _ in range(k)]
-    undo: list[tuple[int, int, int]] = []
-
-    def find(c: int, x: int) -> int:
-        p = parent[c]
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def union(c: int, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        ra, rb = find(c, u), find(c, v)
-        if ra == rb:
-            return False
-        if size[c][ra] < size[c][rb]:
-            ra, rb = rb, ra
-        undo.append((c, rb, ra))
-        parent[c][rb] = ra
-        size[c][ra] += size[c][rb]
-        return True
-
-    def unwind(mark: int) -> None:
-        while len(undo) > mark:
-            c, rb, ra = undo.pop()
-            parent[c][rb] = rb
-            size[c][ra] -= size[c][rb]
-
-    edges = list(g.edges)
 
     def rec(i: int) -> bool:
         if i == len(edges):
             return True
         u, v = edges[i]
         for c in range(k):
-            mark = len(undo)
-            if union(c, u, v):
-                if rec(i + 1):
-                    return True
-            unwind(mark)
+            p, cy = parent[c], cyc[c]
+            ra, rb = find(p, u), find(p, v)
+            added = 1 if ra == rb else cy[rb]  # a closing edge adds one cycle
+            if (ra == rb and not closes[c]) or cy[ra] + added > 1:
+                continue
+            p[rb] = ra
+            cy[ra] += added
+            if rec(i + 1):
+                return True
+            p[rb] = rb
+            cy[ra] -= added
         return False
 
     return rec(0)
@@ -327,50 +227,34 @@ def brute_force_graded_tight(g: Multigraph, *, max_n: int = 8) -> bool:
 def brute_force_axis_parallel(
     g: Multigraph, loop_colors: dict[int, int], *, max_m: int = 16
 ) -> bool:
-    """Definition check: loopless part (2,3)-sparse, plus an exhaustive scan of
-    edge 2-colorings for the forest/loop-tree matching condition."""
-    plain = [(u, v) for u, v in g.edges if u != v]
-    loops = [(u, loop_colors[eid]) for eid, (u, v) in enumerate(g.edges) if u == v]
-    if len(plain) > max_m:
-        raise OracleSizeError(f"coloring scan refused for m={len(plain)} > {max_m}")
-    if not brute_force_sparse(Multigraph(g.n, plain), SparsityParams(2, 3)).sparse:
-        return False
+    """Definition check: loopless part (2,3)-sparse, plus an exhaustive search
+    for a split of the loopless edges into two forests whose trees each span
+    exactly one loop of their color.
+
+    `loop_colors` maps each loop edge id to 0 (x) or 1 (y).  The loops are
+    pre-placed as cycles of their color in `_split_exists`, which keeps every
+    tree to at most one.  Color c then has at least as many trees as loops,
+    so its forest holds at most n minus its loops in edges; with exactly
+    2n - loops loopless edges a full split meets both bounds, and every tree
+    spans exactly one loop.
+    """
     n = g.n
-    for assignment in range(1 << len(plain)):
-        ok = True
-        for c in range(2):
-            parent = list(range(n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            acyclic = True
-            for i, (u, v) in enumerate(plain):
-                if (assignment >> i & 1) != c:
-                    continue
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    acyclic = False
-                    break
-                parent[ru] = rv
-            if not acyclic:
-                ok = False
-                break
-            per_root: dict[int, int] = {}
-            for v, lc in loops:
-                if lc == c:
-                    r = find(v)
-                    per_root[r] = per_root.get(r, 0) + 1
-            roots = {find(v) for v in range(n)}
-            if any(per_root.get(r, 0) != 1 for r in roots):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    plain = [(u, v) for u, v in g.edges if u != v]
+    cycles = [[0] * n for _ in range(2)]
+    for eid, (u, v) in enumerate(g.edges):
+        if u == v:
+            if eid not in loop_colors:
+                raise ValueError(f"loop edge {eid} has no color")
+            if loop_colors[eid] not in (0, 1):
+                raise ValueError(f"loop edge {eid} color must be 0 (x) or 1 (y)")
+            cycles[loop_colors[eid]][u] += 1
+    if len(plain) > max_m:
+        raise OracleSizeError(f"split search refused for m={len(plain)} > {max_m}")
+    if not brute_force_sparse(Multigraph(n, plain), SparsityParams(2, 3)).sparse:
+        return False
+    if len(plain) != 2 * n - (g.m - len(plain)):
+        return False
+    return _split_exists(n, plain, [False, False], cycles)
 
 
 # -- enumeration and generation ----------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import random
@@ -10,6 +11,7 @@ from sparsity_kit import (
     Multigraph,
     OracleSizeError,
     SparsityParams,
+    brute_force_axis_parallel,
     brute_force_partition,
     brute_force_sparse,
     enumerate_small_multigraphs,
@@ -21,6 +23,7 @@ from sparsity_kit import (
     run_canonical_game,
     validate_certificate,
 )
+from sparsity_kit import oracle
 
 from conftest import ALL_PARAMS, tight_exists
 
@@ -119,6 +122,103 @@ def test_partition_rejects_non_sparse_tight_count():
     # pair violates the (2,2) subset bound, so no certificate exists
     g = Multigraph(3, [(0, 1), (0, 1), (0, 1), (1, 2)])
     assert not brute_force_partition(g, SparsityParams(2, 2), "maps-and-trees")
+
+
+ORACLE_VERDICTS_DIGEST = "80e93b365138a8f6ac7026f0cdf4cc7f8ec9a777248ad9b344d7c112403e79fb"
+
+
+def _partition_verdicts():
+    # every multigraph with n <= 4 and m = k*n - l <= 6, under each kind the
+    # range of (k, l) allows
+    for params in ALL_PARAMS:
+        kinds = [
+            kind
+            for kind, ok in (("maps-and-trees", params.lower_range), ("ltk", params.upper_range))
+            if ok
+        ]
+        for n in range(1, 5):
+            m = params.max_edges(n)
+            if not 0 <= m <= 6:
+                continue
+            for g in enumerate_small_multigraphs(n, m):
+                if g.m == m:
+                    for kind in kinds:
+                        yield brute_force_partition(g, params, kind)
+
+
+def _axis_verdicts():
+    # every loopless base with n <= 3 and m <= 6, under every set of x/y loops
+    # with at most one loop of each color per vertex
+    for n in range(1, 4):
+        for base in enumerate_small_multigraphs(n, 6):
+            if any(u == v for u, v in base.edges):
+                continue
+            for mask in range(4**n):
+                loops = [(v, c) for v in range(n) for c in (0, 1) if mask >> (2 * v + c) & 1]
+                g = Multigraph(n, list(base.edges) + [(v, v) for v, _ in loops])
+                colors = {base.m + i: c for i, (_, c) in enumerate(loops)}
+                yield brute_force_axis_parallel(g, colors)
+
+
+def test_oracle_verdicts_are_pinned():
+    # the decomposition searches are ground truth for the engine, so a rewrite
+    # of them must return every verdict unchanged
+    partition = "".join("1" if v else "0" for v in _partition_verdicts())
+    axis = "".join("1" if v else "0" for v in _axis_verdicts())
+    assert (len(partition), partition.count("1")) == (15_746, 855)
+    assert (len(axis), axis.count("1")) == (5_492, 76)
+    digest = hashlib.sha256((partition + "|" + axis).encode()).hexdigest()
+    assert digest == ORACLE_VERDICTS_DIGEST
+
+
+ENGINE_MODULES = {"pebbles", "canonical", "decompose", "sliders"}
+
+
+def _engine_imports(source: str) -> dict[str | None, set[str]]:
+    """Engine modules imported in source, keyed by the enclosing top-level
+    function's name, or None for imports outside any function."""
+    found: dict[str | None, set[str]] = {}
+
+    def visit(node: ast.AST, scope: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope or child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                base = child.module or ""
+                names = [base] + [f"{base}.{a.name}" for a in child.names]
+            else:
+                names = []
+            hits = {part for name in names for part in name.split(".")} & ENGINE_MODULES
+            if hits:
+                found.setdefault(scope, set()).update(hits)
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_oracle_imports_no_engine_module_outside_the_generator():
+    # the oracle arbitrates the engine, so only the random generator, which
+    # plays the game on purpose, may import it
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        found = _engine_imports(fh.read())
+    assert set(found) <= {"random_tight_graph"}, found
+    # the scan sees every import spelling at module level and in nested scopes
+    source = (
+        "from .graph import Multigraph\n"
+        "from . import sliders\n"
+        "if True:\n    import sparsity_kit.decompose\n"
+        "def f():\n    def g():\n        from .pebbles import GameState\n"
+        "class C:\n    def method(self):\n        from .canonical import play_edge\n"
+    )
+    assert _engine_imports(source) == {
+        None: {"sliders", "decompose"},
+        "f": {"pebbles"},
+        "method": {"canonical"},
+    }
 
 
 def test_enumerate_single_vertex():

@@ -86,9 +86,13 @@ def test_axis_rejects_two_same_color_loops_on_one_vertex():
 
 
 def test_axis_rejects_uncolored_loop():
+    # the oracle refuses a malformed loop color as the engine does
     g = Multigraph(1, [(0, 0)])
-    with pytest.raises(ValueError, match="no color"):
-        axis_parallel_slider_check(g, {})
+    for check in (axis_parallel_slider_check, brute_force_axis_parallel):
+        with pytest.raises(ValueError, match="loop edge 0 has no color"):
+            check(g, {})
+        with pytest.raises(ValueError, match=r"loop edge 0 color must be 0 \(x\) or 1 \(y\)"):
+            check(g, {0: 2})
 
 
 def test_axis_planted_positive_with_a_thousand_edges():
