@@ -13,6 +13,11 @@ fills every class and no fill check follows it.  The one exception
 is the random generator, which plays the canonical game on purpose: a game
 construction is sound by definition, which is exactly what makes its output a
 valid tight sample.
+
+`overfull_subset` is also the engine's exact sparsity decision where no
+coloring is needed: certificate validation (`decompose.validate_certificate`)
+and the axis-parallel slider check (`sliders.axis_parallel_slider_check`)
+call it.
 """
 
 from __future__ import annotations
@@ -142,6 +147,14 @@ def brute_force_partition(
     kind "ltk": l edge-disjoint trees with every vertex in exactly k of them
     and at least l tree-pieces in every subgraph on >= 2 vertices.
     """
+    if kind == "maps-and-trees":
+        if not params.lower_range:
+            raise ValueError("maps-and-trees lives in the lower range")
+    elif kind == "ltk":
+        if not params.upper_range:
+            raise ValueError("a proper tree decomposition lives in the upper range")
+    else:
+        raise ValueError(f"unknown partition kind {kind!r}")
     n, m = g.n, g.m
     if n > max_n or m > max_m:
         raise OracleSizeError(f"partition search refused for n={n}, m={m}")
@@ -149,22 +162,16 @@ def brute_force_partition(
     if m != params.max_edges(n):
         return False
     if kind == "maps-and-trees":
-        if not params.lower_range:
-            raise ValueError("maps-and-trees lives in the lower range")
         # a forest holds at most n-1 edges and a pseudoforest at most n, so
         # l forests and k-l pseudoforests hold at most k*n - l = m: a split
         # of all m edges fills every class, which makes each forest a
         # spanning tree and each pseudoforest a spanning map-graph
         return _split_exists(n, g.edges, [False] * l + [True] * (k - l))
-    if kind == "ltk":
-        if not params.upper_range:
-            raise ValueError("a proper tree decomposition lives in the upper range")
-        # the piece-count identity makes properness (k,l)-sparsity; a loop
-        # fails the singleton count and fits no forest either
-        return brute_force_sparse(g, params, max_n=max_n).sparse and _split_exists(
-            n, g.edges, [False] * k
-        )
-    raise ValueError(f"unknown partition kind {kind!r}")
+    # ltk: the piece-count identity makes properness (k,l)-sparsity; a loop
+    # fails the singleton count and fits no forest either
+    return brute_force_sparse(g, params, max_n=max_n).sparse and _split_exists(
+        n, g.edges, [False] * k
+    )
 
 
 def _split_exists(
@@ -177,8 +184,8 @@ def _split_exists(
     of a class holds at most one cycle?
 
     An edge may close a cycle only in a class c with closes[c], so a class
-    without it and without pre-placed cycles is a forest.  cycles[c][v]
-    counts the cycles pre-placed on vertex v in class c.  Exhaustive
+    without it and without pre-placed cycles is a forest.  cycles[c][v] is 1
+    where one cycle is pre-placed on vertex v in class c, else 0.  Exhaustive
     backtracking over one union-find per class, whose roots count their
     component's cycles, undone as the search backs out; a branch is cut only
     when its last edge breaks these rules, which no later edge can repair.
@@ -186,8 +193,6 @@ def _split_exists(
     k = len(closes)
     parent = [list(range(n)) for _ in range(k)]
     cyc = [list(row) for row in cycles] if cycles else [[0] * n for _ in range(k)]
-    if any(x > 1 for row in cyc for x in row):
-        return False  # a vertex already holds two cycles of one class
 
     def find(p: list[int], x: int) -> int:
         while p[x] != x:
@@ -231,12 +236,14 @@ def brute_force_axis_parallel(
     for a split of the loopless edges into two forests whose trees each span
     exactly one loop of their color.
 
-    `loop_colors` maps each loop edge id to 0 (x) or 1 (y).  The loops are
-    pre-placed as cycles of their color in `_split_exists`, which keeps every
-    tree to at most one.  Color c then has at least as many trees as loops,
-    so its forest holds at most n minus its loops in edges; with exactly
-    2n - loops loopless edges a full split meets both bounds, and every tree
-    spans exactly one loop.
+    `loop_colors` maps each loop edge id to 0 (x) or 1 (y), at most one loop
+    of each color per vertex; a malformed map raises the `ValueError` that
+    `sliders.axis_parallel_slider_check` raises.  The loops are pre-placed
+    as cycles of their color in `_split_exists`, which keeps every tree to at
+    most one.  Color c then has at least as many trees as loops, so its
+    forest holds at most n minus its loops in edges; with exactly 2n - loops
+    loopless edges a full split meets both bounds, and every tree spans
+    exactly one loop.
     """
     n = g.n
     plain = [(u, v) for u, v in g.edges if u != v]
@@ -245,9 +252,15 @@ def brute_force_axis_parallel(
         if u == v:
             if eid not in loop_colors:
                 raise ValueError(f"loop edge {eid} has no color")
-            if loop_colors[eid] not in (0, 1):
+            c = loop_colors[eid]
+            if c not in (0, 1):
                 raise ValueError(f"loop edge {eid} color must be 0 (x) or 1 (y)")
-            cycles[loop_colors[eid]][u] += 1
+            if cycles[c][u]:
+                raise ValueError(f"vertex {u} carries two loops of color {c}")
+            cycles[c][u] = 1
+    for eid in loop_colors:
+        if not (0 <= eid < g.m) or not g.is_loop(eid):
+            raise ValueError(f"loop color given for non-loop edge {eid}")
     if len(plain) > max_m:
         raise OracleSizeError(f"split search refused for m={len(plain)} > {max_m}")
     if not brute_force_sparse(Multigraph(n, plain), SparsityParams(2, 3)).sparse:

@@ -5,12 +5,18 @@ vertices (at most two per vertex).  It is minimally pinned when the loopless
 part is (2,3)-sparse and the whole graph, loops included, is (2,0)-tight.  In
 the axis-parallel variant loops carry a color (0 = x, 1 = y) and the edges must
 split into two forests, each tree spanning exactly one loop of its color.
+
+The graded check plays the colored game, because it places the loops as moves
+on the game's state.  The axis-parallel check needs only a yes/no on
+sparsity, so it uses the uncolored orientation test `oracle.overfull_subset`
+and builds no game state.
 """
 
 from __future__ import annotations
 
 from .canonical import route_pebble, run_canonical_game
 from .graph import Multigraph, SparsityParams
+from .oracle import overfull_subset
 from .pebbles import add_edge
 
 _PARAMS_23 = SparsityParams(2, 3)
@@ -135,7 +141,8 @@ def _tree_pair_exists(n: int, edges: list[tuple[int, int]], loops: list[tuple[in
     the color-c forest into a spanning tree of the contracted graph, so this is
     Edmonds' matroid partition into two graphic matroids.  Edges go greedily
     into the first forest that takes them; each leftover is then inserted by
-    `_augment`.  Polynomial and iterative.
+    `_augment`.  Polynomial and iterative.  The caller has checked that there
+    are exactly 2n - len(loops) edges.
     """
     node = [list(range(n)) for _ in range(2)]
     for v, c in loops:
@@ -156,12 +163,15 @@ def _tree_pair_exists(n: int, edges: list[tuple[int, int]], loops: list[tuple[in
                 parent[c][ra] = rb
                 owner[e] = c
                 break
+    # Forest c holds at most n - loops_c edges (a spanning tree of the
+    # contracted graph), or n - 1 when no loop has color c.  With m = 2n -
+    # loops a complete placement therefore fills both forests exactly, so
+    # every tree spans one loop of its color; a color without a loop leaves
+    # room for fewer than m edges, and `_augment` fails on some edge.
     for e in range(len(edges)):
         if owner[e] < 0 and not _augment(n, edges, node, owner, e):
             return False
-    return all(
-        owner.count(c) == n - sum(1 for _, lc in loops if lc == c) for c in range(2)
-    )
+    return True
 
 
 def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bool:
@@ -170,9 +180,11 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
     `loop_colors` maps each loop edge id of g to 0 (x) or 1 (y); at most one
     loop of each color per vertex.  True iff the loopless part is (2,3)-sparse
     and the edges admit a 2-coloring into forests with each tree spanning
-    exactly one loop of its color.  The (2,3) game and the pebble count settle
-    sparsity and the edge total; an iterative matroid partition (Edmonds 1965)
-    then decides the forest split exactly in polynomial time.
+    exactly one loop of its color.  The edge total must be 2n minus the
+    loops, and the uncolored orientation test `overfull_subset` decides
+    (2,3)-sparsity of the loopless part without a colored game; an iterative
+    matroid partition (Edmonds 1965) then decides the forest split exactly in
+    polynomial time.
     """
     loops: list[tuple[int, int]] = []  # (vertex, color)
     seen_per_vertex: set[tuple[int, int]] = set()
@@ -194,10 +206,10 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
         if not (0 <= eid < g.m) or not g.is_loop(eid):
             raise ValueError(f"loop color given for non-loop edge {eid}")
 
-    result = run_canonical_game(Multigraph(g.n, plain_edges), _PARAMS_23)
-    if not result.all_accepted():
+    if g.n < 1:
+        raise ValueError("the game needs at least one vertex")  # as in graded_tight_check
+    if len(plain_edges) != 2 * g.n - len(loops):
+        return False  # the whole graph cannot be (2,0)-tight
+    if overfull_subset(Multigraph(g.n, plain_edges), _PARAMS_23) is not None:
         return False
-    if result.pebbles_remaining() != len(loops):
-        return False  # total count cannot reach (2,0)-tight
-    del result  # free the game state so its peak does not add to the partition's
     return _tree_pair_exists(g.n, plain_edges, loops)

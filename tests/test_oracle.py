@@ -117,6 +117,16 @@ def test_partition_rejects_wrong_edge_count():
     assert not brute_force_partition(g, SparsityParams(2, 2), "maps-and-trees")
 
 
+def test_partition_checks_the_kind_before_the_edge_count():
+    g = Multigraph(3, [(0, 1)])
+    with pytest.raises(ValueError, match="unknown partition kind 'bogus'"):
+        brute_force_partition(g, SparsityParams(2, 3), "bogus")
+    with pytest.raises(ValueError, match="lower range"):
+        brute_force_partition(g, SparsityParams(2, 3), "maps-and-trees")
+    with pytest.raises(ValueError, match="upper range"):
+        brute_force_partition(g, SparsityParams(2, 1), "ltk")
+
+
 def test_partition_rejects_non_sparse_tight_count():
     # 4 edges on 3 vertices with a doubled pair: right count for (2,2) but the
     # pair violates the (2,2) subset bound, so no certificate exists

@@ -14,6 +14,7 @@ from sparsity_kit import (
     random_tight_graph,
     run_canonical_game,
 )
+from sparsity_kit.sliders import _tree_pair_exists
 
 
 def test_graded_triangle_with_three_loops():
@@ -81,8 +82,50 @@ def test_axis_triangle_two_x_one_y():
 
 def test_axis_rejects_two_same_color_loops_on_one_vertex():
     g = Multigraph(2, [(0, 1), (0, 0), (0, 0)])
-    with pytest.raises(ValueError, match="two loops of color"):
-        axis_parallel_slider_check(g, {1: 0, 2: 0})
+    for check in (axis_parallel_slider_check, brute_force_axis_parallel):
+        with pytest.raises(ValueError, match="vertex 0 carries two loops of color 0"):
+            check(g, {1: 0, 2: 0})
+
+
+def test_axis_rejects_a_color_on_a_non_loop_edge():
+    g = Multigraph(2, [(0, 1), (0, 0), (1, 1)])
+    for check in (axis_parallel_slider_check, brute_force_axis_parallel):
+        with pytest.raises(ValueError, match="loop color given for non-loop edge 0"):
+            check(g, {0: 0, 1: 0, 2: 1})
+        with pytest.raises(ValueError, match="loop color given for non-loop edge 3"):
+            check(g, {1: 0, 2: 1, 3: 0})
+
+
+def test_both_checks_refuse_an_empty_vertex_set():
+    for check in (graded_tight_check, lambda g: axis_parallel_slider_check(g, {})):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            check(Multigraph(0, []))
+
+
+def test_axis_rejects_a_non_sparse_loopless_part_with_a_tree_pair():
+    # 2n - 2 loopless edges plus an x and a y loop meet the edge count, and
+    # the edges split into two spanning trees with one loop each, so only the
+    # (2,3)-sparsity check can reject them
+    pins = [(0, 0), (1, 1)]  # (vertex, color): an x-loop at 0, a y-loop at 1
+    loop_edges = [(v, v) for v, _ in pins]
+    g = random_tight_graph(500, SparsityParams(2, 2), 3)
+    assert _tree_pair_exists(g.n, list(g.edges), pins)
+    colors = {g.m: 0, g.m + 1: 1}
+    assert not axis_parallel_slider_check(Multigraph(g.n, list(g.edges) + loop_edges), colors)
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert _tree_pair_exists(4, k4, pins)
+    small = Multigraph(4, k4 + loop_edges)
+    assert not axis_parallel_slider_check(small, {6: 0, 7: 1})
+    assert not brute_force_axis_parallel(small, {6: 0, 7: 1})
+
+
+def test_axis_check_plays_no_colored_game(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the axis check built a GameState")
+
+    monkeypatch.setattr(GameState, "__init__", refuse)
+    g = Multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)])
+    assert axis_parallel_slider_check(g, {3: 0, 4: 0, 5: 1})
 
 
 def test_axis_rejects_uncolored_loop():
