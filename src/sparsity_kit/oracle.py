@@ -16,8 +16,8 @@ valid tight sample.
 
 `overfull_subset` is also the engine's exact sparsity decision where no
 coloring is needed: certificate validation (`decompose.validate_certificate`)
-and the axis-parallel slider check (`sliders.axis_parallel_slider_check`)
-call it.
+and both slider checks (`sliders.graded_tight_check` and
+`sliders.axis_parallel_slider_check`) call it.
 """
 
 from __future__ import annotations
@@ -221,7 +221,16 @@ def _split_exists(
 
 
 def brute_force_graded_tight(g: Multigraph, *, max_n: int = 8) -> bool:
-    """Graded tightness straight from the definition, by two subset scans."""
+    """Graded tightness straight from the definition, by two subset scans; it
+    refuses input with the `ValueError`s of `sliders.graded_tight_check`."""
+    loop_count = [0] * g.n
+    for u, v in g.edges:
+        if u == v:
+            loop_count[u] += 1
+            if loop_count[u] > 2:
+                raise ValueError(f"vertex {u} carries more than 2 loops")
+    if g.n < 1:
+        raise ValueError("the game needs at least one vertex")
     loopless = Multigraph(g.n, [(u, v) for u, v in g.edges if u != v])
     if not brute_force_sparse(loopless, SparsityParams(2, 3), max_n=max_n).sparse:
         return False
@@ -237,13 +246,13 @@ def brute_force_axis_parallel(
     exactly one loop of their color.
 
     `loop_colors` maps each loop edge id to 0 (x) or 1 (y), at most one loop
-    of each color per vertex; a malformed map raises the `ValueError` that
-    `sliders.axis_parallel_slider_check` raises.  The loops are pre-placed
-    as cycles of their color in `_split_exists`, which keeps every tree to at
-    most one.  Color c then has at least as many trees as loops, so its
-    forest holds at most n minus its loops in edges; with exactly 2n - loops
-    loopless edges a full split meets both bounds, and every tree spans
-    exactly one loop.
+    of each color per vertex; a malformed map or an empty vertex set raises
+    the `ValueError` that `sliders.axis_parallel_slider_check` raises.  The
+    loops are pre-placed as cycles of their color in `_split_exists`, which
+    keeps every tree to at most one.  Color c then has at least as many trees
+    as loops, so its forest holds at most n minus its loops in edges; with
+    exactly 2n - loops loopless edges a full split meets both bounds, and
+    every tree spans exactly one loop.
     """
     n = g.n
     plain = [(u, v) for u, v in g.edges if u != v]
@@ -261,6 +270,8 @@ def brute_force_axis_parallel(
     for eid in loop_colors:
         if not (0 <= eid < g.m) or not g.is_loop(eid):
             raise ValueError(f"loop color given for non-loop edge {eid}")
+    if n < 1:
+        raise ValueError("the game needs at least one vertex")
     if len(plain) > max_m:
         raise OracleSizeError(f"split search refused for m={len(plain)} > {max_m}")
     if not brute_force_sparse(Multigraph(n, plain), SparsityParams(2, 3)).sparse:

@@ -6,18 +6,15 @@ part is (2,3)-sparse and the whole graph, loops included, is (2,0)-tight.  In
 the axis-parallel variant loops carry a color (0 = x, 1 = y) and the edges must
 split into two forests, each tree spanning exactly one loop of its color.
 
-The graded check plays the colored game, because it places the loops as moves
-on the game's state.  The axis-parallel check needs only a yes/no on
-sparsity, so it uses the uncolored orientation test `oracle.overfull_subset`
-and builds no game state.
+Neither check plays a game or builds a game state.  Each decides its
+sparsity counts with the uncolored orientation test `oracle.overfull_subset`;
+the axis-parallel check then finds the forest split by matroid partition.
 """
 
 from __future__ import annotations
 
-from .canonical import route_pebble, run_canonical_game
 from .graph import Multigraph, SparsityParams
 from .oracle import overfull_subset
-from .pebbles import add_edge
 
 _PARAMS_23 = SparsityParams(2, 3)
 _PARAMS_20 = SparsityParams(2, 0)
@@ -26,21 +23,13 @@ X_LOOP = 0
 Y_LOOP = 1
 
 
-def _split_loops(g: Multigraph) -> tuple[Multigraph, list[int]]:
-    plain = [(u, v) for u, v in g.edges if u != v]
-    loops = [u for u, v in g.edges if u == v]
-    return Multigraph(g.n, plain), loops
-
-
 def graded_tight_check(g: Multigraph) -> bool:
     """Is g (2,0,3)-graded-tight (loopless part (2,3)-sparse, whole (2,0)-tight)?
 
-    The loopless edges are played under (2,3); the state then switches to the
-    l = 0 grade, where one pebble pays for a loop, and each loop is added with
-    `add_edge` on a pebble routed to its vertex if needed, an ordinary move of
-    the game.  A failed routing exposes a saturated region that the pending
-    loop would overfill, so greedy placement is exact.  The graph is
-    graded-tight iff everything is placed and no pebble remains.
+    Straight from the definition: the whole graph has exactly 2n edges, and
+    the uncolored orientation test `overfull_subset` finds no overfull set in
+    the loopless part under (2,3) nor in the whole graph under (2,0), where
+    one pebble pays for a loop.
     """
     loop_count = [0] * g.n
     for u, v in g.edges:
@@ -48,17 +37,14 @@ def graded_tight_check(g: Multigraph) -> bool:
             loop_count[u] += 1
             if loop_count[u] > 2:
                 raise ValueError(f"vertex {u} carries more than 2 loops")
-    plain, loops = _split_loops(g)
-    result = run_canonical_game(plain, _PARAMS_23)
-    if not result.all_accepted():
-        return False
-    state = result.state
-    state.params = _PARAMS_20
-    for v in loops:
-        if not route_pebble(state, v):
-            return False
-        add_edge(state, v, v, state.pebble_colors(v)[0])
-    return state.total_pebbles() == 0
+    if g.n < 1:
+        raise ValueError("the game needs at least one vertex")
+    loopless = Multigraph(g.n, [(u, v) for u, v in g.edges if u != v])
+    return (
+        g.m == 2 * g.n
+        and overfull_subset(loopless, _PARAMS_23) is None
+        and overfull_subset(g, _PARAMS_20) is None
+    )
 
 
 def _rooted_forest(
@@ -207,7 +193,7 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
             raise ValueError(f"loop color given for non-loop edge {eid}")
 
     if g.n < 1:
-        raise ValueError("the game needs at least one vertex")  # as in graded_tight_check
+        raise ValueError("the game needs at least one vertex")
     if len(plain_edges) != 2 * g.n - len(loops):
         return False  # the whole graph cannot be (2,0)-tight
     if overfull_subset(Multigraph(g.n, plain_edges), _PARAMS_23) is not None:
