@@ -21,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional
 
 from .graph import SparsityParams
@@ -307,15 +308,20 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     """The maximal tight vertex set containing {v, w}, or None if none exists.
 
     First a forward search confirms every pebble reachable from {v, w} already
-    sits on {v, w}, testing each vertex as it is discovered; then the backward
-    closure of all other pebbled vertices is removed, leaving exactly the
-    vertices that cannot reach a free pebble.
+    sits on {v, w}, testing each vertex as it is discovered.  Once it passes,
+    every pebbled vertex outside {v, w} is outside the block by definition, so
+    only the bare vertices (all k slots holding out-edges) are left to decide:
+    a bare vertex is outside iff it reaches a pebbled vertex outside {v, w}.
+    One flat mark list, built from `peb_sum` at C level, records the answer;
+    the backward closure starts at the in-edges of the pebbled vertices
+    outside {v, w} and walks only through bare tails.  Each in-edge is read
+    at most once and the list is built and read back in a few C-level passes
+    over the n vertices, so a call stays linear in n + m.
     """
     heads = state.heads
     out_color = state.out_color
     peb_sum = state.peb_sum
-    pair = {v, w}
-    seen = set(pair)
+    seen = {v, w}
     stack = [v, w] if v != w else [v]
     while stack:
         for e in out_color[stack.pop()]:
@@ -326,25 +332,31 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
                         return None
                     seen.add(y)
                     stack.append(y)
-    bad = {x for x in range(state.n) if peb_sum[x] > 0 and x not in pair}
-    stack = list(bad)
+    outside = peb_sum.copy()  # the pebbled vertices outside {v, w}: bad
+    outside[v] = outside[w] = 0
+    good = list(map(not_, outside))  # the bare vertices and {v, w}, until shown bad
+    vertices = range(state.n)
+    stack = list(compress(vertices, outside))
     tails = state.tails
+    in_edges = state.in_edges
     while stack:
-        y = stack.pop()
-        for e in state.in_edges[y]:
+        for e in in_edges[stack.pop()]:
             x = tails[e]
-            if x not in bad:
-                bad.add(x)
+            if good[x]:  # a bare tail; {v, w} reach no bad vertex, by the pre-test
+                good[x] = False
                 stack.append(x)
-    return [x for x in range(state.n) if x not in bad]
+    return list(compress(vertices, good))
 
 
 def update_components(state: GameState, v: int, w: int) -> None:
     """Detect and tag the block containing {v, w} after an accepted edge.
 
+    Also called after a failed collection, which leaves {v, w} saturated too.
     Triggered when exactly l pebbles remain on {v, w} and no further pebble is
     reachable: the saturated set is tight and all its vertices get a fresh
-    shared component id.
+    shared component id.  A call past the pebble count runs one
+    `_saturated_block`: a forward pre-test that may stop early, then a
+    closure linear in n + m, which over a game is its quadratic term.
     """
     if state.peb_pair(v, w) != state.params.l:
         return

@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -368,40 +368,120 @@ def test_first_edge_forms_two_vertex_block_in_upper_range():
 
 
 def _reaches_no_outside_pebble(state, pair):
-    """Vertices from which no pebbled vertex outside `pair` is reachable."""
-    return {
-        x
-        for x in range(state.n)
-        if not any(state.peb_sum[y] > 0 and y not in pair for y in _distances(state, x))
-    }
+    """Vertices from which no pebbled vertex outside `pair` is reachable.
+
+    One forward search per vertex over an adjacency read from tails/heads
+    alone, so it shares nothing with the engine's backward closure.
+    """
+    adj = [[] for _ in range(state.n)]
+    for t, h in zip(state.tails, state.heads):
+        adj[t].append(h)
+
+    def clean(x):
+        seen = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if state.peb_sum[y] > 0 and y not in pair:
+                return False
+            for z in adj[y]:
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        return True
+
+    return {x for x in range(state.n) if clean(x)}
+
+
+def _play_detected(state, u, v):
+    """Play uv; return (accepted, ids before) if the play ran a detection, else (accepted, None).
+
+    A detection runs after every play that passes the loop rule and the
+    component screen (an accepted edge or a failed collection) and leaves
+    exactly l pebbles on {u, v}.  A play that runs none changes no id.
+    """
+    params = state.params
+    screened = (u == v and params.l >= params.k) or reject_fast(state, u, v)
+    before = list(state.component_id)
+    accepted = play_edge(state, u, v)
+    if screened or state.peb_pair(u, v) != params.l:
+        assert state.component_id == before
+        return accepted, None
+    return accepted, before
+
+
+def _assert_block_is_definitional(state, u, v, before):
+    """The detection on {u, v} tagged a fresh id iff u and v reach no other
+    pebble, and then exactly on the vertices that reach no pebble outside
+    {u, v}.  Returns whether it tagged."""
+    free = _reaches_no_outside_pebble(state, {u, v})
+    if u in free and v in free:
+        cid = state.component_id[u]
+        assert cid != 0 and cid not in before
+        assert {x for x in range(state.n) if state.component_id[x] == cid} == free
+        return True
+    assert state.component_id == before
+    return False
 
 
 def test_tagged_block_is_the_set_that_reaches_no_outside_pebble():
-    # after an accepted edge leaving exactly l pebbles on {u, v}, the block is
-    # tagged with a fresh id iff u and v reach no other pebble, and then it is
-    # exactly the set of vertices that reach no pebble outside {u, v}
+    # after an accepted edge or a failed collection leaving exactly l pebbles
+    # on {u, v}; l = 0 covers detections where both pair vertices are bare
     rng = random.Random(31)
-    tagged = untagged = 0
+    counts = Counter()
     for trial in range(40):
         k = rng.choice((1, 2, 3))
-        params = SparsityParams(k, rng.randint(1, 2 * k - 1))
+        params = SparsityParams(k, rng.randint(0, 2 * k - 1))
         n = rng.randint(2, 20)
         s = GameState(n, params)
         for _ in range(3 * n):
             u, v = rng.randrange(n), rng.randrange(n)
-            before = list(s.component_id)
-            if not play_edge(s, u, v) or s.peb_pair(u, v) != params.l:
+            accepted, before = _play_detected(s, u, v)
+            if before is not None:
+                tagged = _assert_block_is_definitional(s, u, v, before)
+                counts[tagged, accepted, params.l == 0] += 1
+    tagged = sum(c for (t, _, _), c in counts.items() if t)
+    assert tagged > 100 and sum(counts.values()) - tagged > 10
+    assert sum(c for (t, a, _), c in counts.items() if t and not a) > 0  # after a failed collection
+    assert sum(c for (t, _, bare), c in counts.items() if t and bare) > 0  # under l = 0
+
+
+def test_sampled_blocks_are_definitional_at_n_150():
+    # tight inputs and inputs buried under random edges up to m = 5n, played
+    # in shuffled order; every 20th detection is compared with the definition
+    n, step = 150, 20
+    rng = random.Random(16)
+    counts = Counter()
+    for (k, l), buried in [
+        ((2, 3), False),
+        ((3, 5), False),
+        ((3, 3), False),
+        ((2, 0), False),
+        ((2, 3), True),
+        ((3, 5), True),
+        ((3, 3), True),
+        ((2, 0), True),  # loops among the burying edges, since l < k
+        ((2, 1), True),
+    ]:
+        params = SparsityParams(k, l)
+        edges = list(random_tight_graph(n, params, rng.randrange(10**6)).edges)
+        while buried and len(edges) < 5 * n:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v or l < k:
+                edges.append((u, v))
+        rng.shuffle(edges)
+        s = GameState(n, params)
+        detections = 0
+        for u, v in edges:
+            _, before = _play_detected(s, u, v)
+            if before is None:
                 continue
-            free = _reaches_no_outside_pebble(s, {u, v})
-            if u in free and v in free:
-                cid = s.component_id[u]
-                assert cid != 0 and cid not in before
-                assert {x for x in range(n) if s.component_id[x] == cid} == free
-                tagged += 1
-            else:
-                assert s.component_id == before
-                untagged += 1
-    assert tagged > 100 and untagged > 10
+            detections += 1
+            if detections % step == 0:
+                counts[buried, _assert_block_is_definitional(s, u, v, before)] += 1
+        assert detections >= step, ((k, l), buried)
+    assert counts[False, True] + counts[True, True] > 50
+    assert counts[True, False] > 0  # untagged, on buried inputs
 
 
 def test_reject_fast_after_k4_two_two(k4):
