@@ -6,10 +6,14 @@ the highest color present otherwise.  Canonical slides never close a
 monochromatic cycle: `route_pebble` finds the nearest pebble with the
 breadth-first `find_pebble` and `bring_pebble_dynamic`, the one path executor,
 brings it along that shortest path, shortcutting along a monochromatic tree
-wherever every available cover would close a cycle.  Every move is made by
-`pebbles.add_edge` or `pebbles.pebble_slide`, so the state's `after_move` hook
-sees each one; `run_canonical_game(after_move=...)` is the way to observe a
-game, and a hook that collects the moves records its trace.
+wherever every available cover would close a cycle.  The cycle check
+`creates_monochromatic_cycle` walks one color-chain and keeps no record of
+where it has been: a chain is a walk with one out-edge per step, so within n
+steps it reaches a pebble, the head, or a cycle, and a cycle is caught when
+the walk comes back to a vertex it remembered (Brent's method).  Every move
+is made by `pebbles.add_edge` or `pebbles.pebble_slide`, so the state's
+`after_move` hook sees each one; `run_canonical_game(after_move=...)` is the
+way to observe a game, and a hook that collects the moves records its trace.
 """
 
 from __future__ import annotations
@@ -42,20 +46,18 @@ def canonical_add_edge(state: GameState, v: int, w: int) -> Move:
     closes a cycle in its own color, so it takes the highest color, keeping the
     low (tree) colors acyclic.
     """
-    k = state.params.k
-    if v == w:
-        present = state.pebble_colors(v)
-        if not present:
-            raise IllegalMoveError("no pebble available on the loop vertex")
-        return add_edge(state, v, v, present[-1])
-    sv, sw = state.out_color[v], state.out_color[w]
-    shared = [c for c in range(k) if sv[c] < 0 and sw[c] < 0]
-    if shared:
-        return add_edge(state, v, w, shared[0])
-    present = [c for c in range(k) if sv[c] < 0 or sw[c] < 0]
-    if not present:
+    sw = state.out_color[w]
+    pick = -1
+    for c, f in enumerate(state.out_color[v]):  # one pass: the first shared color wins
+        if f < 0:
+            if sw[c] < 0 and v != w:
+                return add_edge(state, v, w, c)
+            pick = c
+        elif sw[c] < 0:
+            pick = c
+    if pick < 0:
         raise IllegalMoveError("no pebble available on either endpoint")
-    return add_edge(state, v, w, present[-1])
+    return add_edge(state, v, w, pick)
 
 
 def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
@@ -64,10 +66,35 @@ def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
     Covering with the edge's own color only re-roots its tree.  Otherwise the
     reversed edge closes a cycle exactly when the old tail's cover-colored
     out-chain already leads to the old head; a loop recolored this way is a
-    fresh one-edge cycle.
+    fresh one-edge cycle.  Each vertex has at most one out-edge per color, so
+    the chain ends at its first pebble or, within n steps, runs into a cycle
+    that it then goes round for good.  The walk keeps no record of the
+    vertices it has seen: it remembers one vertex at the start of each leg,
+    and doubles the leg each time (Brent's cycle detection).  Once a leg
+    starts on the cycle and is at least as long, the walk comes back to the
+    remembered vertex without having met the head, and stops with False, so
+    it takes O(n) steps and, in a small cycle, far fewer than n.
     """
-    t, h, old = state.edge(eid)
-    return old != cover and (t == h or _monochromatic_chain_to(state, t, cover, h) is not None)
+    if state.colors[eid] == cover:
+        return False
+    h = state.heads[eid]
+    x = state.tails[eid]
+    if x == h:
+        return True
+    out_color = state.out_color
+    heads = state.heads
+    mark, leg = x, 32  # canonical chains are mostly shorter than one leg
+    while True:
+        for _ in range(leg):
+            f = out_color[x][cover]
+            if f < 0:
+                return False
+            x = heads[f]
+            if x == h:
+                return True
+            if x == mark:  # round a cycle that does not hold the head
+                return False
+        mark, leg = x, 2 * leg
 
 
 def _monochromatic_chain_to(
@@ -102,45 +129,43 @@ def bring_pebble_dynamic(state: GameState, path: list[int]) -> list[Move]:
     would close a cycle, the path suffix is replaced by the covering color's
     tree path from its first touch, whose slides are all same-colored and
     safe.  Each replacement strictly shortens the unprocessed prefix, so this
-    always terminates.
+    always terminates.  The caller's list is read, never changed.
     """
-    path = list(path)
     moves: list[Move] = []
     heads = state.heads
     colors = state.colors
     out_color = state.out_color
-    while path:
-        e = path[-1]
+    i = len(path)  # path[:i] is the unprocessed prefix
+    while i:
+        i -= 1
+        e = path[i]
         h = heads[e]
+        head_slots = out_color[h]
         ce = colors[e]
-        if out_color[h][ce] < 0:  # the edge's own color only re-roots its tree
+        if head_slots[ce] < 0:  # the edge's own color only re-roots its tree
             moves.append(pebble_slide(state, e, ce))
-            path.pop()
             continue
-        avail = state.pebble_colors(h)
-        if not avail:
-            raise IllegalMoveError("dynamic path lost its pebble")
-        pick = -1
-        for c in avail:
-            if not creates_monochromatic_cycle(state, e, c):
-                pick = c
-                break
-        if pick >= 0:
-            moves.append(pebble_slide(state, e, pick))
-            path.pop()
-            continue
-        # every cover closes a cycle in its color; shortcut along the lowest one
-        q = avail[0]
-        replaced = False
-        for idx in range(len(path)):
-            z = state.tails[path[idx]]
-            chain = _monochromatic_chain_to(state, z, q, h)
-            if chain is not None:
-                path = path[:idx] + chain
-                replaced = True
-                break
-        if not replaced:
-            raise CanonicalError("shortcut target vanished; state corrupted")
+        q = -1  # the lowest available color: the shortcut's, if every cover closes a cycle
+        for c, f in enumerate(head_slots):
+            if f < 0:
+                if not creates_monochromatic_cycle(state, e, c):
+                    moves.append(pebble_slide(state, e, c))
+                    break
+                if q < 0:
+                    q = c
+        else:
+            if q < 0:
+                raise IllegalMoveError("dynamic path lost its pebble")
+            # every cover closes a cycle in its color; shortcut along the lowest one
+            tails = state.tails
+            for idx in range(i + 1):
+                chain = _monochromatic_chain_to(state, tails[path[idx]], q, h)
+                if chain is not None:
+                    path = path[:idx] + chain
+                    i = len(path)
+                    break
+            else:
+                raise CanonicalError("shortcut target vanished; state corrupted")
     return moves
 
 
@@ -169,8 +194,8 @@ def collect_pebbles_canonically(state: GameState, v: int, w: int) -> bool:
     """
     k, l = state.params.k, state.params.l
     peb_sum = state.peb_sum
-    forbidden = frozenset((v, w))
-    while state.peb_pair(v, w) <= l:
+    forbidden = {v, w}
+    while (peb_sum[v] if v == w else peb_sum[v] + peb_sum[w]) <= l:
         if peb_sum[v] < k and route_pebble(state, v, forbidden):
             continue
         if v != w and peb_sum[w] < k and route_pebble(state, w, forbidden):

@@ -96,19 +96,20 @@ def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | 
     with the colored engine, so it can arbitrate it at any n.
     """
     k, l = params.k, params.l
+    edges = g.edges
     free = [k] * g.n
     out: list[list[int]] = [[] for _ in range(g.n)]  # edge ids oriented away from v
-    for e, (u, v) in enumerate(g.edges):
+    head: list[int] = []  # head[f]: the endpoint placed edge f points to
+    for e, (u, v) in enumerate(edges):
         if u == v and l >= k:
             return (u,)
         while (free[u] if u == v else free[u] + free[v]) <= l:
-            parent = dict.fromkeys((u, v), -1)
-            queue = list(parent)
+            parent = {u: -1, v: -1}  # literals: most searches are short, so setup counts
+            queue = [u, v] if u != v else [u]
             found = -1
             for x in queue:  # breadth-first; the list grows as it is walked
                 for f in out[x]:
-                    a, b = g.edges[f]
-                    y = b if a == x else a
+                    y = head[f]
                     if y not in parent:
                         parent[y] = f
                         if free[y]:
@@ -123,15 +124,17 @@ def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | 
             y = found
             while parent[y] >= 0:
                 f = parent[y]
-                a, b = g.edges[f]
+                a, b = edges[f]
                 x = a if b == y else b
                 out[x].remove(f)
                 out[y].append(f)
+                head[f] = x
                 y = x
             free[y] += 1
         payer = u if free[u] else v
         free[payer] -= 1
         out[payer].append(e)
+        head.append(v if payer == u else u)  # every earlier edge is placed, so this is head[e]
     return None
 
 

@@ -61,6 +61,10 @@ class SlideMove(NamedTuple):
 
 Move = AddEdgeMove | SlideMove
 
+# builds a move record from its field tuple at C level, skipping the named
+# tuple's Python-level __new__; the record is the same type and value
+_record = tuple.__new__
+
 
 class GameState:
     """Mutable pebble game configuration; single writer, no interior sharing.
@@ -175,10 +179,6 @@ class GameState:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def _emit(self, move: Move) -> None:
-        if self.after_move is not None:
-            self.after_move(self, move)
-
 
 # -- moves -------------------------------------------------------------------
 
@@ -192,7 +192,8 @@ def add_edge(state: GameState, v: int, w: int, color: int) -> AddEdgeMove:
     params = state.params
     if not 0 <= color < params.k:
         raise ColorNotAvailableError(f"color {color} out of range")
-    if state.peb_pair(v, w) < params.l + 1:
+    peb_sum = state.peb_sum
+    if (peb_sum[v] if v == w else peb_sum[v] + peb_sum[w]) <= params.l:
         raise InsufficientPebblesError()
     out_color = state.out_color
     if out_color[v][color] < 0:
@@ -201,15 +202,18 @@ def add_edge(state: GameState, v: int, w: int, color: int) -> AddEdgeMove:
         tail, head = w, v
     else:
         raise ColorNotAvailableError()
-    state.peb_sum[tail] -= 1
-    eid = len(state.tails)
-    state.tails.append(tail)
+    peb_sum[tail] -= 1
+    tails = state.tails
+    eid = len(tails)
+    tails.append(tail)
     state.heads.append(head)
     state.colors.append(color)
     out_color[tail][color] = eid  # the edge takes the spent pebble's slot
     state.in_edges[head].append(eid)
-    move = AddEdgeMove(v, w, color)
-    state._emit(move)
+    move = _record(AddEdgeMove, (v, w, color))
+    hook = state.after_move
+    if hook is not None:
+        hook(state, move)
     return move
 
 
@@ -225,21 +229,23 @@ def pebble_slide(state: GameState, eid: int, color: int) -> SlideMove:
     heads = state.heads
     colors = state.colors
     out_color = state.out_color
-    t, h, old = tails[eid], heads[eid], colors[eid]
+    t, h = tails[eid], heads[eid]
     head_slots = out_color[h]
     if not 0 <= color < state.params.k or head_slots[color] >= 0:
         raise IllegalMoveError(f"no pebble of color {color} on vertex {h}")
     peb_sum = state.peb_sum
     in_edges = state.in_edges
-    out_color[t][old] = -1
+    out_color[t][colors[eid]] = -1
     peb_sum[t] += 1
     peb_sum[h] -= 1
     tails[eid], heads[eid], colors[eid] = h, t, color
     head_slots[color] = eid
     in_edges[h].remove(eid)
     in_edges[t].append(eid)
-    move = SlideMove(eid, t, h, color)
-    state._emit(move)
+    move = _record(SlideMove, (eid, t, h, color))
+    hook = state.after_move
+    if hook is not None:
+        hook(state, move)
     return move
 
 
@@ -358,7 +364,8 @@ def update_components(state: GameState, v: int, w: int) -> None:
     `_saturated_block`: a forward pre-test that may stop early, then a
     closure linear in n + m, which over a game is its quadratic term.
     """
-    if state.peb_pair(v, w) != state.params.l:
+    peb_sum = state.peb_sum
+    if (peb_sum[v] if v == w else peb_sum[v] + peb_sum[w]) != state.params.l:
         return
     block = _saturated_block(state, v, w)
     if block is None:

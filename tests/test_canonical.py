@@ -19,9 +19,9 @@ from sparsity_kit import (
     route_pebble,
     run_canonical_game,
 )
-from sparsity_kit.canonical import bring_pebble_dynamic
+from sparsity_kit.canonical import _monochromatic_chain_to, bring_pebble_dynamic
 from sparsity_kit.cli import _peak_bytes
-from sparsity_kit.pebbles import find_pebble, pebble_slide, trace_to_lines
+from sparsity_kit.pebbles import find_pebble, pebble_slide, replay_trace, trace_to_lines
 
 from conftest import ALL_PARAMS
 
@@ -180,6 +180,119 @@ def test_cycle_detection_matches_simulation():
         assert predicted == (after == before + 1), (s.edge(e), c, predicted, before, after)
         trials += 1
     assert trials > 500
+
+
+def _chain_answer(state, eid, cover):
+    """The cycle check's answer from the chain walk that records what it saw."""
+    t, h, old = state.edge(eid)
+    return old != cover and (t == h or _monochromatic_chain_to(state, t, cover, h) is not None)
+
+
+def _color_zero_walk(steps):
+    """Color-0 edges along the vertex list `steps`, plus a color-1 edge 0->1 (id 0)."""
+    return [(0, 1, 1)] + [(a, b, 0) for a, b in zip(steps, steps[1:])]
+
+
+@pytest.mark.parametrize(
+    "n, walk, expected",
+    [
+        # a chain that runs into a cycle without the head
+        (5, [0, 2, 3, 4, 3], False),
+        # a chain whose cycle holds the head
+        (4, [0, 2, 1, 3, 2], True),
+        # a loop on the chain, short of the head
+        (3, [0, 2, 2], False),
+        # a long tail into a long cycle: the walk needs several legs to stop
+        (200, [0] + list(range(2, 120)) + list(range(120, 190)) + [120], False),
+        # the head on a long tail before a long cycle, and on that cycle
+        (200, [0] + list(range(2, 120)) + [1] + list(range(120, 190)) + [120], True),
+        (200, [0] + list(range(2, 120)) + list(range(120, 190)) + [1, 120], True),
+        # a long chain that ends at a pebble, and one that ends at the head
+        (200, [0] + list(range(2, 200)), False),
+        (200, [0] + list(range(2, 200)) + [1], True),
+    ],
+)
+def test_bounded_cycle_walk_on_built_cycles(n, walk, expected):
+    s = GameState.from_parts(n, SparsityParams(2, 0), _color_zero_walk(walk))
+    assert creates_monochromatic_cycle(s, 0, 0) is expected
+    assert _chain_answer(s, 0, 0) is expected
+    assert not creates_monochromatic_cycle(s, 0, 1)  # the edge's own color re-roots
+
+
+def test_bounded_cycle_walk_matches_the_recorded_chain_in_random_games():
+    # lower-range games close cycles in their map-graph colors and add loops,
+    # so chains run into cycles; every slide candidate of every state reached
+    # is checked against the chain walk that keeps a seen set
+    rng = random.Random(41)
+    checked = cyclic = 0
+    for k, l in [(2, 0), (1, 0), (2, 1)] * 4:
+        n = rng.randint(6, 40)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+
+        def check(state, move):
+            nonlocal checked, cyclic
+            cyclic += bool(monochromatic_cycle_colors(state))
+            for e in range(state.m):
+                for c in state.pebble_colors(state.heads[e]):
+                    assert creates_monochromatic_cycle(state, e, c) == _chain_answer(state, e, c)
+                    checked += 1
+
+        run_canonical_game(Multigraph(n, edges), SparsityParams(k, l), after_move=check)
+    assert checked > 10000 and cyclic > 500
+
+
+def test_hook_receives_exactly_the_returned_records():
+    def play(params, seed, hooked):
+        rng = random.Random(seed)
+        n = 30
+        s = GameState(n, params)
+        seen = []
+        if hooked:
+            s.after_move = lambda state, move: seen.append(move)
+        returned = []
+        for _ in range(4 * n):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v and params.l >= params.k:
+                continue
+            forbidden = {u, v}
+            while s.peb_sum[u] + (s.peb_sum[v] if u != v else 0) <= params.l:
+                path, _ = find_pebble(s, u, forbidden)
+                if path is None:
+                    path, _ = find_pebble(s, v, forbidden)
+                if not path:
+                    break
+                returned += bring_pebble_dynamic(s, path)
+            else:
+                returned.append(canonical_add_edge(s, u, v))
+            for e in rng.sample(range(s.m), min(3, s.m)):  # a few plain slides too
+                covers = s.pebble_colors(s.heads[e])
+                if covers:
+                    returned.append(pebble_slide(s, e, rng.choice(covers)))
+        return returned, seen
+
+    for params in (SparsityParams(3, 3), SparsityParams(2, 0), SparsityParams(2, 3)):
+        returned, seen = play(params, 43, hooked=True)
+        assert len(returned) > 100
+        assert len(seen) == len(returned)
+        assert all(a is b for a, b in zip(seen, returned))
+        plain, nothing = play(params, 43, hooked=False)
+        assert nothing == [] and plain == returned
+        assert [type(m) for m in plain] == [type(m) for m in returned]
+
+
+@pytest.mark.parametrize("k, l", [(3, 3), (2, 0)])
+def test_recorded_trace_replays_with_invariant_checks(k, l):
+    params = SparsityParams(k, l)
+    n = 200
+    rng = random.Random(47)
+    edges = list(random_tight_graph(n, params, 47).edges)
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]  # loops too
+    rng.shuffle(edges)
+    moves = []
+    res = run_canonical_game(Multigraph(n, edges), params, after_move=lambda s, m: moves.append(m))
+    assert len(res.rejected) == n // 2
+    replayed = replay_trace(trace_to_lines(res.state, moves), debug_invariants=True)
+    assert replayed.state_hash() == res.state.state_hash()
 
 
 def test_route_pebble_fresh_state_needs_no_slides():
