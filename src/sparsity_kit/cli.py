@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: recognize | decompose | certify | generate | replay | bench.
-'-' means stdin/stdout for graph and certificate paths.  Exit codes: 0 success
-(sparse/tight/valid), 1 usage, I/O, or parse errors, 2 not-sparse (recognize),
-3 not tight (decompose), 4 invalid certificate or trace.
+'-' means stdin/stdout for graph, certificate, output and trace paths; giving
+it to two paths that would share one stream is a usage error.  Exit codes:
+0 success (sparse/tight/valid), 1 usage, I/O, or parse errors, 2 not-sparse
+(recognize), 3 not tight (decompose), 4 invalid certificate or trace.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def _play(args, g: Multigraph, params: SparsityParams) -> ConstructionResult:
 
 
 def cmd_recognize(args) -> int:
+    if args.trace == "-":  # the report always goes to stdout
+        raise UsageError("--trace - would mix the trace into the report on stdout")
     params = _params(args)
     g = _load_graph(args.graph)
     result = _play(args, g, params)
@@ -116,6 +119,8 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.trace == "-" == args.output:
+        raise UsageError("--trace - would mix the trace into the output on stdout")
     params = _params(args)
     g = _load_graph(args.graph)
     try:
@@ -132,6 +137,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.graph == "-" == args.certificate:
+        raise UsageError("graph and certificate cannot both be read from stdin")
     g = _load_graph(args.graph)
     cert = certificate_from_json(_read_text(args.certificate))
     if cert.n != g.n or len(cert.edges) != g.m:

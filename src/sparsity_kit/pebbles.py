@@ -21,8 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import not_
+from itertools import chain, compress, filterfalse
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional
 
 from .graph import SparsityParams
@@ -318,11 +317,14 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     every pebbled vertex outside {v, w} is outside the block by definition, so
     only the bare vertices (all k slots holding out-edges) are left to decide:
     a bare vertex is outside iff it reaches a pebbled vertex outside {v, w}.
-    One flat mark list, built from `peb_sum` at C level, records the answer;
-    the backward closure starts at the in-edges of the pebbled vertices
-    outside {v, w} and walks only through bare tails.  Each in-edge is read
-    at most once and the list is built and read back in a few C-level passes
-    over the n vertices, so a call stays linear in n + m.
+    One flat mark list, copied from `peb_sum`, records the answer: nonzero
+    means outside.  The backward closure is seeded by one C-level stream of
+    the tails of the in-edges of the pebbled vertices outside {v, w}; each
+    bare tail it marks is then walked back through bare tails only.  The
+    stream reads the list it marks, so a bare tail marked before the stream
+    reaches its index has its in-edges read a second time: still at most
+    twice per in-edge.  With one copy and one read-back pass over the n
+    vertices, a call stays linear in n + m.
     """
     heads = state.heads
     out_color = state.out_color
@@ -338,20 +340,21 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
                         return None
                     seen.add(y)
                     stack.append(y)
-    outside = peb_sum.copy()  # the pebbled vertices outside {v, w}: bad
-    outside[v] = outside[w] = 0
-    good = list(map(not_, outside))  # the bare vertices and {v, w}, until shown bad
-    vertices = range(state.n)
-    stack = list(compress(vertices, outside))
+    bad = peb_sum.copy()  # the pebbled vertices outside {v, w}, then each bare tail shown bad
+    bad[v] = bad[w] = 0
     tails = state.tails
     in_edges = state.in_edges
+    for x in map(tails.__getitem__, chain.from_iterable(compress(in_edges, bad))):
+        if not bad[x]:  # a bare tail; {v, w} reach no bad vertex, by the pre-test
+            bad[x] = 1
+            stack.append(x)
     while stack:
         for e in in_edges[stack.pop()]:
             x = tails[e]
-            if good[x]:  # a bare tail; {v, w} reach no bad vertex, by the pre-test
-                good[x] = False
+            if not bad[x]:
+                bad[x] = 1
                 stack.append(x)
-    return list(compress(vertices, good))
+    return list(filterfalse(bad.__getitem__, range(state.n)))
 
 
 def update_components(state: GameState, v: int, w: int) -> None:

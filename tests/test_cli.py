@@ -350,6 +350,49 @@ def test_stdin_stdout_streaming(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out.splitlines()[0] == "tight"
 
 
+def test_certify_refuses_reading_both_files_from_stdin(monkeypatch, capsys):
+    import io
+    import sys
+
+    stdin = io.StringIO(TRIANGLE_TEXT)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["certify", "-", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: graph and certificate")
+    assert stdin.read() == TRIANGLE_TEXT  # refused before reading anything
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recognize", "--trace", "-"],
+        ["recognize", "--format", "json", "--trace", "-"],
+        ["decompose", "--trace", "-"],
+        ["decompose", "--trace", "-", "-o", "-"],
+    ],
+    ids=["recognize", "recognize-json", "decompose", "decompose-explicit-output"],
+)
+def test_trace_to_stdout_is_refused_where_stdout_carries_the_result(k4_file, capsys, argv):
+    assert main([*argv, "--k", "2", "--l", "2", k4_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --trace -")
+
+
+def test_decompose_writes_the_trace_to_stdout_when_the_certificate_goes_to_a_file(
+    k4_file, tmp_path, capsys
+):
+    cert_path = tmp_path / "c.json"
+    kl = ["--k", "2", "--l", "2"]
+    assert main(["decompose", *kl, k4_file, "-o", str(cert_path), "--trace", "-"]) == 0
+    trace = capsys.readouterr().out
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["recognize", *kl, k4_file, "--trace", str(trace_path)]) == 0
+    assert trace == trace_path.read_text()
+    assert main(["certify", k4_file, str(cert_path)]) == 0
+
+
 def test_outputs_are_byte_identical_across_runs(k4_file, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -22,6 +22,7 @@ from sparsity_kit import (
     update_components,
 )
 from sparsity_kit.canonical import bring_pebble_dynamic, play_edge
+from sparsity_kit.pebbles import _saturated_block
 
 
 def total_pebbles_everywhere(state):
@@ -482,6 +483,81 @@ def test_sampled_blocks_are_definitional_at_n_150():
         assert detections >= step, ((k, l), buried)
     assert counts[False, True] + counts[True, True] > 50
     assert counts[True, False] > 0  # untagged, on buried inputs
+
+
+def _definitional_block(state, v, w):
+    """`_saturated_block`'s answer read off the definition: the sorted set of
+    vertices that reach no pebble outside {v, w}, or None if v or w reaches one."""
+    free = _reaches_no_outside_pebble(state, {v, w})
+    return sorted(free) if v in free and w in free else None
+
+
+@pytest.mark.parametrize(
+    "n, kl, edges, pair, block",
+    [
+        # seeds 1 and 6 are pebbled; bare 7 and 8 are marked before the seed
+        # stream reaches their ids, bare 2 and 3 after it has passed theirs,
+        # and 5 and 0 hang off 3 further up the chain
+        (
+            12,
+            (1, 1),
+            [(9, 4, 0), (7, 1, 0), (2, 7, 0), (8, 6, 0), (3, 8, 0), (5, 3, 0), (0, 5, 0),
+             (10, 9, 0), (11, 10, 0)],
+            (4, 9),
+            [4, 9, 10, 11],
+        ),
+        # both slots of bare 2 point at pebbled 3: parallel in-edges from one tail
+        (
+            6,
+            (2, 3),
+            [(0, 1, 0), (2, 3, 0), (2, 3, 1), (5, 0, 0), (5, 1, 1), (4, 5, 0), (4, 2, 1)],
+            (0, 1),
+            [0, 1, 5],
+        ),
+        # l = 0: both pair vertices are bare, and pebbled 2 points into the pair
+        (
+            5,
+            (2, 0),
+            [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (2, 0, 0), (3, 0, 0), (3, 1, 1),
+             (4, 2, 0), (4, 3, 1)],
+            (0, 1),
+            [0, 1, 3],
+        ),
+        # every other vertex reaches an outside pebble, so the block is the pair
+        (5, (1, 1), [(4, 2, 0), (0, 1, 0), (3, 0, 0)], (2, 4), [2, 4]),
+        # a loop pair whose pre-test fails at once
+        (3, (1, 0), [(0, 1, 0)], (0, 0), None),
+    ],
+    ids=["chains-around-seeds", "parallel-tails", "l0-bare-pair", "pair-only", "no-block"],
+)
+def test_saturated_block_on_built_states(n, kl, edges, pair, block):
+    s = GameState.from_parts(n, SparsityParams(*kl), edges)
+    assert _definitional_block(s, *pair) == block  # the case is built as described
+    assert _saturated_block(s, *pair) == block
+
+
+def test_saturated_block_matches_the_definition_on_random_slot_fillings():
+    # states no game need reach: every slot is filled with a random head
+    # (loops and parallel edges included) or left holding its pebble
+    rng = random.Random(18)
+    tagged = 0
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        params = SparsityParams(k, rng.randrange(2 * k))
+        n = rng.randint(1, 14)
+        fill = rng.random()  # the share of slots that hold an out-edge
+        edges = [
+            (t, rng.randrange(n), c)
+            for t in range(n)
+            for c in range(k)
+            if rng.random() < fill
+        ]
+        s = GameState.from_parts(n, params, edges)
+        v, w = rng.randrange(n), rng.randrange(n)
+        block = _saturated_block(s, v, w)
+        assert block == _definitional_block(s, v, w), (n, params, edges, v, w)
+        tagged += block is not None
+    assert tagged > 100
 
 
 def test_reject_fast_after_k4_two_two(k4):
