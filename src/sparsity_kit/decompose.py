@@ -12,14 +12,17 @@ k*n' - m' pieces, so the "at least l pieces everywhere" condition of coloring
 and proper lTk certificates is (k,l)-sparsity itself, decided exactly by
 `oracle.overfull_subset`.
 
-Edge records are `ColoredEdge` named tuples, and certificates are written as
+Edge records are `ColoredEdge` named tuples.  Certificates are written as
 canonical JSON one formatted string per edge, so serialization holds about
-0.2 KB per edge beyond its output.
+0.2 KB per edge beyond its output, and read with each edge record turned into
+its `ColoredEdge` inside the JSON decoder, so reading holds about 0.2 KB per
+edge (a dict per edge record held about 0.4 KB).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -119,36 +122,45 @@ def result_decomposition(result: ConstructionResult) -> Decomposition:
 
 
 def _check_cover(g: Multigraph, d: Decomposition) -> None:
+    """Each edge id 0..m-1 once, on the graph's endpoints and oriented from one
+    of them; `_out_slots` checks the colors."""
     if d.n != g.n:
         raise CertificateError("vertex counts differ")
     if len(d.edges) != g.m:
         raise CertificateError("decomposition does not cover the graph's edges")
-    seen: set[int] = set()
-    k = d.params.k
-    for eid, a, b, color, tail in d.edges:
+    seen = bytearray(g.m)
+    for eid, a, b, _, tail in d.edges:
         if not 0 <= eid < g.m:
             raise CertificateError(f"edge id {eid} out of range")
-        if eid in seen:
+        if seen[eid]:
             raise CertificateError(f"edge id {eid} listed twice")
-        seen.add(eid)
+        seen[eid] = 1
         u, v = g.edges[eid]
         if not (a == u and b == v or a == v and b == u):
             raise CertificateError(f"edge {eid} endpoints disagree with the graph")
         if tail != a and tail != b:
             raise CertificateError(f"edge {eid} oriented from a non-endpoint")
+
+
+def _out_slots(d: Decomposition) -> dict[int, ColoredEdge]:
+    """Map slot `vertex * k + color` -> its outgoing edge.
+
+    Raises CertificateError if any slot is doubled, or if a tail or color is
+    out of range, where its key would name another vertex's slot.  The map
+    holds one entry per edge, whatever k the certificate declares, and an int
+    key costs less than a (vertex, color) tuple.
+    """
+    n, k = d.n, d.params.k
+    slots: dict[int, ColoredEdge] = {}
+    for e in d.edges:
+        eid, _, _, color, tail = e
         if not 0 <= color < k:
             raise CertificateError(f"edge {eid} color {color} out of range")
-
-
-def _out_slots(d: Decomposition) -> dict[tuple[int, int], ColoredEdge]:
-    """Map (vertex, color) -> its outgoing edge; raises if any slot is doubled."""
-    slots: dict[tuple[int, int], ColoredEdge] = {}
-    for e in d.edges:
-        key = (e.tail, e.color)
+        if not 0 <= tail < n:
+            raise CertificateError(f"edge {eid} oriented from vertex {tail}, out of range")
+        key = tail * k + color
         if key in slots:
-            raise CertificateError(
-                f"vertex {e.tail} has two outgoing edges of color {e.color}"
-            )
+            raise CertificateError(f"vertex {tail} has two outgoing edges of color {color}")
         slots[key] = e
     return slots
 
@@ -166,15 +178,14 @@ def tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) -> list[
     s = vertex_subset(d.n, subset)
     _check_cover(g, d)
     slots = _out_slots(d)
+    k = d.params.k
     pieces: list[TreePiece] = []
-    for color in range(d.params.k):
-        inside = [
-            e for v in s if (e := slots.get((v, color))) is not None and e.head in s
-        ]
+    for color in range(k):
+        inside = [e for v in s if (e := slots.get(v * k + color)) is not None and e.head in s]
         for root, eids, comp in _class_components(s, inside):
             if len(eids) >= len(comp):
                 continue  # contains a cycle inside the subgraph: a map piece
-            kind = "pebble" if (root, color) not in slots else "out-edge"
+            kind = "pebble" if root * k + color not in slots else "out-edge"
             pieces.append(TreePiece(color, frozenset(comp), tuple(eids), root, kind))
     pieces.sort(key=lambda p: (p.root, 0 if p.root_kind == "pebble" else 1, p.color))
     return pieces
@@ -190,10 +201,11 @@ def count_tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) ->
     """
     s = vertex_subset(d.n, subset)
     slots = _out_slots(d)
+    k = d.params.k
     total = 0
     for v in s:
-        for c in range(d.params.k):
-            e = slots.get((v, c))
+        for c in range(k):
+            e = slots.get(v * k + c)
             if e is None or e.head not in s:
                 total += 1
     return total
@@ -264,29 +276,34 @@ def _class_components(
     return comps
 
 
-def _tree_components(d: Decomposition, kind: str):
+def _tree_components(d: Decomposition, kind: str, classes: list[list[ColoredEdge]]):
     """(root, color, edge ids, vertex count) of each component of a tree-role class.
 
     Tree-role classes are the first l colors of maps-and-trees and every color
     of proper-lTk; they are walked one class at a time, in color order.
+    `classes` is `d.color_classes()`, built once by the caller.
     """
-    classes = d.color_classes()
     for c in range(d.params.l if kind == "maps-and-trees" else d.params.k):
         for root, eids, comp in _class_components(range(d.n), classes[c]):
             yield root, c, eids, len(comp)
 
 
-def _roles(d: Decomposition, kind: str) -> tuple[_Roles, _Roles]:
+def _roles(
+    d: Decomposition, kind: str, classes: list[list[ColoredEdge]]
+) -> tuple[_Roles, _Roles]:
     """The (trees, maps) roles the coloring of `d` defines, unchecked.
 
     maps-and-trees: each color class's edge ids, sorted; colors below l are
     the trees, the rest the maps.  proper-lTk: every component of every color
-    class, ordered by (root, color), and no maps.
+    class, ordered by (root, color), and no maps.  `classes` is
+    `d.color_classes()`.
     """
     if kind == "maps-and-trees":
-        ids = [tuple(sorted(e.id for e in rows)) for rows in d.color_classes()]
+        ids = [tuple(sorted(e.id for e in rows)) for rows in classes]
         return tuple(ids[: d.params.l]), tuple(ids[d.params.l :])
-    found = sorted((root, c, tuple(eids)) for root, c, eids, _ in _tree_components(d, kind))
+    found = sorted(
+        (root, c, tuple(eids)) for root, c, eids, _ in _tree_components(d, kind, classes)
+    )
     return tuple(eids for _, _, eids in found), ()
 
 
@@ -309,7 +326,7 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
     if kind != "coloring" and not result.is_tight():
         raise NotTightError("input not tight")
     d = result_decomposition(result)
-    trees, maps = _roles(d, kind) if kind != "coloring" else ((), ())
+    trees, maps = _roles(d, kind, d.color_classes()) if kind != "coloring" else ((), ())
     return Certificate(kind, params, d.n, d.edges, trees, maps)
 
 
@@ -342,8 +359,9 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
             return False, f"{kind} certificate outside the {'lower' if lower else 'upper'} range"
         if g.m != params.max_edges(g.n):
             return False, "edge count is not k*n - l"
+        classes = d.color_classes()
         found = []  # the edge ids of every checked component: the proper-lTk trees
-        for _, c, eids, size in _tree_components(d, kind):
+        for _, c, eids, size in _tree_components(d, kind, classes):
             if len(eids) != size - 1:
                 return False, f"color {c} contains a cycle"
             if lower and size != g.n:
@@ -351,7 +369,7 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
             found.append(tuple(eids))
         trees, maps = (tuple(tuple(sorted(ids)) for ids in r) for r in (cert.trees, cert.maps))
         if lower:
-            ok = (trees, maps) == _roles(d, kind)
+            ok = (trees, maps) == _roles(d, kind, classes)
             return ok, "" if ok else "tree/map roles do not match the color classes"
         if maps:
             return False, "a proper-lTk certificate has no map roles"
@@ -366,6 +384,12 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
 
 # Edge fields in record order, under their certificate names.
 _EDGE_FIELDS = ("id", "u", "v", "color", "oriented_from")
+# Fetches an edge record's fields from its object at C level, raising as
+# record["id"], record["u"], ... would.
+_edge_fields = operator.itemgetter(*_EDGE_FIELDS)
+# Builds a ColoredEdge from its field tuple at C level, skipping the named
+# tuple's Python-level __new__; the record is the same type and value.
+_new_edge = tuple.__new__
 # One edge in canonical (sorted-key) order, filled from (color, id, tail, u, v).
 _EDGE_JSON = '{"color":%d,"id":%d,"oriented_from":%d,"u":%d,"v":%d}'
 
@@ -383,6 +407,14 @@ def _require_int_fields(edges: tuple[ColoredEdge, ...]) -> None:
             _as_int(value, what)
 
 
+def _require_int_ids(ids: _Roles, role: str) -> None:
+    """Raise CertificateError naming the first role edge id that is not a plain
+    int, after one pass over the types of them all."""
+    if not set(map(type, chain.from_iterable(ids))) <= {int}:
+        for i in chain.from_iterable(ids):
+            _as_int(i, f"{role} edge id")
+
+
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical JSON serialization; parse -> write is byte-identical.
 
@@ -398,9 +430,7 @@ def certificate_to_json(cert: Certificate) -> str:
     rest: dict = {"k": cert.params.k, "l": cert.params.l, "n": n, "kind": cert.kind}
     if cert.kind in ("maps-and-trees", "proper-ltk"):
         for role, ids in (("trees", cert.trees), ("maps", cert.maps)):
-            for i in chain.from_iterable(ids):
-                if type(i) is not int:
-                    _as_int(i, f"{role} edge id")
+            _require_int_ids(ids, role)
         rest["roles"] = {"trees": cert.trees, "maps": cert.maps}
     # "edges" sorts before every other key, so it leads the object
     rest_json = json.dumps(rest, sort_keys=True, separators=(",", ":"))
@@ -413,16 +443,52 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def _edge_record(obj: dict):
+    """The certificate decoder's object hook: an object with exactly the five
+    edge fields becomes its ColoredEdge as soon as it is parsed, so no edge
+    record keeps its dict; any other object stays a dict."""
+    if len(obj) == 5:
+        try:
+            return _new_edge(ColoredEdge, _edge_fields(obj))
+        except KeyError:  # five keys, but not the edge fields
+            pass
+    return obj
+
+
+def _as_object(value):
+    """`value`, or a ColoredEdge that the decoder made from an edge-shaped
+    object outside the edge list back as that object (keys in field order).
+
+    Used where the reader takes an object or iterates one: the payload, the
+    edge list, the roles and each role row, so such an object is read there as
+    it would be without the hook.
+    """
+    return dict(zip(_EDGE_FIELDS, value)) if type(value) is ColoredEdge else value
+
+
+def _role_ids(rows, role: str) -> _Roles:
+    """One role list read from JSON, as a tuple of id tuples."""
+    ids = tuple(tuple(_as_object(row)) for row in _as_object(rows))
+    _require_int_ids(ids, role)
+    return ids
+
+
 def certificate_from_json(text: str | bytes) -> Certificate:
     """Parse a certificate file; raises CertificateError if it is malformed.
 
-    The five fields of every edge record are type-checked in one pass over
-    all records; only when that finds a non-int is the bad field named.
+    The JSON decoder turns every edge record into its `ColoredEdge` as it
+    parses it, so a read of a (3,3) n = 500 certificate peaks at about 210 B
+    per edge, against 384 B when every record stayed a dict until all the
+    edges were built (tracemalloc, Python 3.11).  A record with other keys
+    than the five edge fields stays an object and is converted afterwards,
+    with the same errors.  The five fields of every edge are type-checked in
+    one pass over all records; only when that finds a non-int is the bad
+    field named.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        payload = json.loads(text)
+        payload = _as_object(json.loads(text, object_hook=_edge_record))
     except json.JSONDecodeError as exc:
         raise CertificateError(f"bad certificate JSON: {exc}") from None
     try:
@@ -430,20 +496,19 @@ def certificate_from_json(text: str | bytes) -> Certificate:
         kind = payload["kind"]
         if kind not in CERTIFICATE_KINDS:
             raise CertificateError(f"unknown kind {kind!r}")
-        edges = tuple(
-            ColoredEdge(e["id"], e["u"], e["v"], e["color"], e["oriented_from"])
-            for e in payload["edges"]
-        )
+        edges = tuple(_as_object(payload["edges"]))
+        if not set(map(type, edges)) <= {ColoredEdge}:  # records the decoder kept as objects
+            edges = tuple(
+                e if type(e) is ColoredEdge else _new_edge(ColoredEdge, _edge_fields(e))
+                for e in edges
+            )
         _require_int_fields(edges)
-        roles = payload.get("roles", {})
+        roles = _as_object(payload.get("roles", {}))
         if not isinstance(roles, dict):
             raise CertificateError(
                 f"malformed certificate: roles must be an object, got {roles!r}"
             )
-        trees, maps = (
-            tuple(tuple(_as_int(i, f"{role} edge id") for i in ids) for ids in roles.get(role, []))
-            for role in ("trees", "maps")
-        )
+        trees, maps = (_role_ids(roles.get(role, []), role) for role in ("trees", "maps"))
         return Certificate(kind, params, _as_int(payload["n"], "n"), edges, trees, maps)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CertificateError):

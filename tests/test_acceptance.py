@@ -7,6 +7,7 @@ seeded random sampling elsewhere).
 """
 
 import random
+import statistics
 import sys
 import time
 
@@ -333,20 +334,24 @@ def test_criterion_6_invariant_suite():
 
 def test_criterion_7_quadratic_scaling():
     """Construction time on random (2,3)-tight graphs at n = 250..2000: each
-    doubling lands in [3.0, 5.5] and n = 2000 finishes under 60 s."""
+    doubling lands in [3.0, 5.5] and n = 2000 finishes under 60 s.
+
+    Each size is timed as the median of 3 games on its graph, played in 3
+    rounds over all sizes, so neither one slow game nor a slow spell of the
+    machine decides a ratio."""
     params = SparsityParams(2, 3)
     seed = 0
-    times = {}
-    ratios = []
-    for n in (250, 500, 1000, 2000):
-        g = random_tight_graph(n, params, seed * 1_000_003 + n)
-        start = time.perf_counter()
-        res = run_canonical_game(g, params)
-        elapsed = time.perf_counter() - start
-        assert res.is_tight()
-        times[n] = elapsed
-        if n // 2 in times:
-            ratios.append(times[n] / times[n // 2])
+    sizes = (250, 500, 1000, 2000)
+    graphs = {n: random_tight_graph(n, params, seed * 1_000_003 + n) for n in sizes}
+    elapsed = {n: [] for n in sizes}
+    for _ in range(3):
+        for n in sizes:
+            start = time.perf_counter()
+            res = run_canonical_game(graphs[n], params)
+            elapsed[n].append(time.perf_counter() - start)
+            assert res.is_tight()
+    times = {n: statistics.median(elapsed[n]) for n in sizes}
+    ratios = [times[n] / times[n // 2] for n in sizes[1:]]
     ok = all(3.0 <= r <= 5.5 for r in ratios) and times[2000] < 60.0
     report(
         7,

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -370,6 +371,23 @@ def test_certificate_writer_memory_per_edge():
     assert peak / len(cert.edges) < 300
 
 
+def test_certificate_reader_memory_per_edge():
+    # between a dict per edge record held until every edge is built (384 B per
+    # edge under Python 3.11, 429 B under 3.10) and records turned into edges
+    # inside the decoder (209 B under both)
+    params = SparsityParams(3, 3)
+    res = run_canonical_game(random_tight_graph(500, params, 12345), params)
+    text = certificate_to_json(extract_certificate(res, "maps-and-trees"))
+    certificate_from_json(text)  # first-call allocations are not per edge
+    tracemalloc.start()
+    try:
+        cert = certificate_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(cert.edges) < 300
+
+
 @pytest.mark.parametrize("field, value", [("color", True), ("id", 1.0)])
 def test_certificate_writer_rejects_non_integer_fields(k4_graph, field, value):
     cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)))
@@ -389,6 +407,129 @@ def test_certificate_writer_rejects_boolean_n_and_role_ids(k4_graph, field):
         bad = Certificate(cert.kind, cert.params, cert.n, cert.edges, trees, cert.maps)
     with pytest.raises(CertificateError, match=f"{field} must be an integer, got True"):
         certificate_to_json(bad)
+
+
+def test_reader_reads_back_every_built_certificate():
+    # the certificates of both pinned digests' families, mutants included:
+    # each reads back to an equal Certificate of ColoredEdge records, and
+    # parse -> write is byte-identical
+    rng = random.Random(19)
+    for k, l in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (3, 5)]:
+        params = SparsityParams(k, l)
+        for n in (5, 9, 40):
+            res = run_canonical_game(random_tight_graph(n, params, n), params)
+            for kind in CERTIFICATE_KINDS:
+                try:
+                    cert = extract_certificate(res, kind)
+                except NotTightError:  # the kind is outside this range
+                    continue
+                for built in _mutants(cert, rng):
+                    text = certificate_to_json(built)
+                    again = certificate_from_json(text)
+                    assert again == built
+                    assert {type(e) for e in again.edges} <= {ColoredEdge}
+                    assert certificate_to_json(again) == text
+
+
+def test_reader_accepts_reformatted_records_and_extra_keys(k4_graph):
+    # indented, keys in any order, and one edge record with a sixth key: that
+    # record stays an object in the decoder and is converted afterwards
+    cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)))
+    payload = json.loads(certificate_to_json(cert))
+    payload["edges"] = [dict(reversed(row.items())) for row in payload["edges"]]
+    payload["edges"][2]["note"] = "hand-edited"
+    again = certificate_from_json(json.dumps(dict(reversed(payload.items())), indent=2))
+    assert again == cert
+    assert {type(e) for e in again.edges} == {ColoredEdge}
+
+
+# One edge record and certificates built around it; EDGE also stands in as an
+# edge-shaped object where no edge record belongs.  Its keys are in field order,
+# the order in which the reader rebuilds such an object where it iterates one.
+EDGE = '{"id":0,"u":0,"v":1,"color":0,"oriented_from":0}'
+
+
+def _cert_text(edges=EDGE, n="2", kind='"maps-and-trees"', roles='{"trees":[[0]],"maps":[]}'):
+    return '{"edges":[%s],"k":1,"l":1,"n":%s,"kind":%s,"roles":%s}' % (edges, n, kind, roles)
+
+
+def _str_index_error() -> str:
+    try:
+        str.__getitem__("id", "id")
+    except TypeError as exc:  # its wording differs between Python versions
+        return str(exc)
+
+
+# Messages as the reader that kept every record a dict gave them.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            _cert_text(edges='{"id":0,"u":0,"v":1,"color":0}'),
+            "malformed certificate: 'oriented_from'",
+        ),
+        (
+            _cert_text(edges='{"id":0,"u":0,"v":1,"color":0,"tail":0}'),
+            "malformed certificate: 'oriented_from'",
+        ),
+        (
+            _cert_text(edges='{"id":"0","u":0,"v":1,"color":0,"oriented_from":0}'),
+            "malformed certificate: id must be an integer, got '0'",
+        ),
+        (
+            _cert_text(edges='{"id":0,"u":0.0,"v":1,"color":0,"oriented_from":0}'),
+            "malformed certificate: u must be an integer, got 0.0",
+        ),
+        (
+            _cert_text(edges='{"id":0,"u":0,"v":1,"color":true,"oriented_from":0}'),
+            "malformed certificate: color must be an integer, got True",
+        ),
+        (
+            _cert_text(roles='{"trees":[[true]],"maps":[]}'),
+            "malformed certificate: trees edge id must be an integer, got True",
+        ),
+        (_cert_text(kind='"bogus"'), "unknown kind 'bogus'"),
+        (_cert_text(roles="null"), "malformed certificate: roles must be an object, got None"),
+        (_cert_text(roles="[]"), "malformed certificate: roles must be an object, got []"),
+        ('{"edges": [', "bad certificate JSON: Expecting value: line 1 column 12 (char 11)"),
+        (
+            "\ufeff" + _cert_text(),
+            "bad certificate JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)",
+        ),
+        (
+            _cert_text(edges="[0,0,1,0,0]"),
+            "malformed certificate: list indices must be integers or slices, not str",
+        ),
+        # edge-shaped objects where the reader takes or iterates an object:
+        # the decoder builds a ColoredEdge from each, and the reader must
+        # still see the object
+        (EDGE, "malformed certificate: 'k'"),
+        (
+            _cert_text(roles='{"trees":[%s],"maps":[]}' % EDGE),
+            "malformed certificate: trees edge id must be an integer, got 'id'",
+        ),
+        (
+            _cert_text(roles='{"trees":%s,"maps":[]}' % EDGE),
+            "malformed certificate: trees edge id must be an integer, got 'i'",
+        ),
+        (
+            '{"edges":%s,"k":1,"l":1,"n":2,"kind":"coloring"}' % EDGE,
+            "malformed certificate: " + _str_index_error(),
+        ),
+    ],
+)
+def test_reader_messages_are_unchanged(text, message):
+    with pytest.raises(CertificateError) as info:
+        certificate_from_json(text)
+    assert str(info.value) == message
+
+
+def test_reader_keeps_an_edge_shaped_roles_object():
+    # an object of roles with no trees or maps key declares no roles
+    cert = certificate_from_json(_cert_text(roles=EDGE))
+    assert (cert.trees, cert.maps) == ((), ())
+    assert cert.edges == (ColoredEdge(0, 0, 1, 0, 0),)
 
 
 def test_certificate_rejects_malformed_json():
@@ -584,6 +725,21 @@ def test_piece_counts_reject_out_of_range_vertices(k4_decomposition, k4_graph):
             count_tree_pieces(k4_decomposition, k4_graph, {bad, 0})
         with pytest.raises(ValueError, match="out of range"):
             tree_pieces(k4_decomposition, k4_graph, {bad, 0})
+
+
+@pytest.mark.parametrize("field, value", [("tail", -1), ("tail", 4), ("color", 2), ("color", -1)])
+def test_piece_counts_reject_out_of_range_tails_and_colors(
+    k4_decomposition, k4_graph, field, value
+):
+    # the root-rule counter runs no cover check, and used to count a
+    # decomposition with such an edge without a word
+    rows = list(k4_decomposition.edges)
+    rows[0] = rows[0]._replace(**{field: value})
+    d = Decomposition(SparsityParams(2, 2), 4, tuple(rows))
+    with pytest.raises(CertificateError, match="out of range"):
+        count_tree_pieces(d, k4_graph, range(4))
+    with pytest.raises(CertificateError, match="out of range|non-endpoint"):
+        tree_pieces(d, k4_graph, range(4))
 
 
 def _named_subset(why: str) -> list[int]:
