@@ -7,11 +7,13 @@ coloring into maps-and-trees (lower range) or proper tree decompositions
 """
 
 from .graph import (
+    EdgeStream,
     GraphFormatError,
     Multigraph,
     SparsityParams,
     induced_edge_count,
     parse_graph,
+    read_graph,
     write_graph,
 )
 from .pebbles import (

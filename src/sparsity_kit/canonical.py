@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import Multigraph, SparsityParams
+from .graph import EdgeStream, Multigraph, SparsityParams
 from .pebbles import (
     GameState,
     IllegalMoveError,
@@ -225,15 +225,18 @@ def play_edge(state: GameState, u: int, v: int) -> bool:
 
 @dataclass
 class ConstructionResult:
-    """Outcome of running the canonical game over a multigraph's edge list.
+    """Outcome of running the canonical game over a graph's edges.
 
     Only the accepted edge ids are stored, ascending, so the result grows with
     the kept subgraph and not with the input.  `rejected` is derived from them
     and costs O(m) per access; the number of rejected edges is
-    `graph.m - len(accepted)`.
+    `graph.m - len(accepted)`.  A game played from an `EdgeStream` keeps that
+    stream as `graph`: its n and m are all the verdict reads, and its edges
+    are spent, so a certificate, which needs each edge's endpoints, is
+    extracted only from a game played on a `Multigraph`.
     """
 
-    graph: Multigraph
+    graph: Multigraph | EdgeStream
     params: SparsityParams
     state: GameState
     accepted: list[int]
@@ -260,7 +263,7 @@ class ConstructionResult:
 
 
 def run_canonical_game(
-    g: Multigraph,
+    g: Multigraph | EdgeStream,
     params: SparsityParams,
     *,
     after_move: Optional[Callable[[GameState, Move], None]] = None,
@@ -268,7 +271,8 @@ def run_canonical_game(
     """Process g's edges in order, keeping a maximum-size sparse subgraph.
 
     Each edge takes one `play_edge` step; rejection is a normal outcome and
-    leaves no record.
+    leaves no record.  An `EdgeStream` is played as it is read, and its read
+    errors propagate from the game.
     """
     state = GameState(g.n, params)  # raises ValueError on an empty graph
     state.after_move = after_move

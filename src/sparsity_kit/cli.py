@@ -2,7 +2,11 @@
 
 Subcommands: recognize | decompose | certify | generate | replay | bench.
 '-' means stdin/stdout for graph, certificate, output and trace paths; giving
-it to two paths that would share one stream is a usage error.  Exit codes:
+it to two paths that would share one stream is a usage error.  Graph files
+are read and decoded a block at a time: recognize plays each edge as its line
+is read and never holds the input graph, while decompose and certify build
+the Multigraph their certificates refer to.  A malformed graph file fails
+with the message a whole read of it gives.  Exit codes:
 0 success (sparse/tight/valid), 1 usage, I/O, or parse errors, 2 not-sparse
 (recognize), 3 not tight (decompose), 4 invalid certificate or trace.
 """
@@ -10,6 +14,8 @@ it to two paths that would share one stream is a usage error.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import codecs
+import contextlib
 import json
 import os
 import platform
@@ -29,7 +35,16 @@ from .decompose import (
     to_dot,
     validate_certificate,
 )
-from .graph import GraphFormatError, Multigraph, SparsityParams, parse_graph, write_graph
+from . import graph
+from .graph import (
+    EdgeStream,
+    GraphFormatError,
+    Multigraph,
+    SparsityParams,
+    parse_graph,
+    read_graph,
+    write_graph,
+)
 from .oracle import random_tight_graph
 from .pebbles import Move, SlideMove, TraceError, replay_trace, trace_to_lines
 
@@ -81,11 +96,72 @@ def _params(args) -> SparsityParams:
         raise UsageError(str(exc)) from None
 
 
+def _decode_error_at(exc: UnicodeDecodeError, base: int) -> ValueError:
+    """`exc` as decoding the whole input reports it, its object starting at
+    byte `base` of the input."""
+    start, end = base + exc.start, base + exc.end
+    if end == start + 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+
+
+def _decoded_blocks(fh, encoding: str, errors: str):
+    """The text of binary stream `fh`, decoded _PARSE_BLOCK bytes at a time."""
+    decode = codecs.getincrementaldecoder(encoding)(errors).decode
+    offset = 0
+    while True:
+        data = fh.read(graph._PARSE_BLOCK)
+        offset += len(data)
+        try:
+            text = decode(data, not data)
+        except UnicodeDecodeError as exc:
+            # the decoder's object is the bytes it held back plus `data`
+            raise _decode_error_at(exc, offset - len(exc.object)) from None
+        if text:
+            yield text
+        if not data:
+            return
+
+
+def _graph_chunks(path: str):
+    """The text of a graph file, UTF-8, or of stdin in its own encoding, a block
+    at a time."""
+    if path != "-":
+        with open(path, "rb") as fh:
+            yield from _decoded_blocks(fh, "utf-8", "strict")
+    elif hasattr(sys.stdin, "buffer"):
+        yield from _decoded_blocks(sys.stdin.buffer, sys.stdin.encoding, sys.stdin.errors)
+    else:  # a text stream with no bytes beneath it
+        yield from iter(lambda: sys.stdin.read(graph._PARSE_BLOCK), "")
+
+
+@contextlib.contextmanager
+def _graph_text(path: str):
+    """The chunks of a graph file's text, for one reader.
+
+    A format error met while reading gives way to a decode or I/O error later
+    in the input, as when the whole input was read before it was parsed, so
+    the rest of the input is read before the format error is raised.
+    """
+    chunks = _graph_chunks(path)
+    try:
+        yield chunks
+    except GraphFormatError:
+        for _ in chunks:
+            pass
+        raise
+    finally:
+        chunks.close()
+
+
 def _load_graph(path: str) -> Multigraph:
-    return parse_graph(_read_text(path))
+    with _graph_text(path) as chunks:
+        return parse_graph(chunks)
 
 
-def _play(args, g: Multigraph, params: SparsityParams) -> ConstructionResult:
+def _play(args, g: Multigraph | EdgeStream, params: SparsityParams) -> ConstructionResult:
     """Play the canonical game on g; with --trace, write its moves to that file."""
     if not args.trace:
         return run_canonical_game(g, params)
@@ -99,8 +175,9 @@ def cmd_recognize(args) -> int:
     if args.trace == "-":  # the report always goes to stdout
         raise UsageError("--trace - would mix the trace into the report on stdout")
     params = _params(args)
-    g = _load_graph(args.graph)
-    result = _play(args, g, params)
+    with _graph_text(args.graph) as chunks:
+        g = read_graph(chunks)  # the game plays each edge as it is read
+        result = _play(args, g, params)
     verdict = result.verdict()
     accepted = len(result.accepted)
     if args.format == "json":

@@ -276,18 +276,6 @@ def _class_components(
     return comps
 
 
-def _tree_components(d: Decomposition, kind: str, classes: list[list[ColoredEdge]]):
-    """(root, color, edge ids, vertex count) of each component of a tree-role class.
-
-    Tree-role classes are the first l colors of maps-and-trees and every color
-    of proper-lTk; they are walked one class at a time, in color order.
-    `classes` is `d.color_classes()`, built once by the caller.
-    """
-    for c in range(d.params.l if kind == "maps-and-trees" else d.params.k):
-        for root, eids, comp in _class_components(range(d.n), classes[c]):
-            yield root, c, eids, len(comp)
-
-
 def _roles(
     d: Decomposition, kind: str, classes: list[list[ColoredEdge]]
 ) -> tuple[_Roles, _Roles]:
@@ -302,7 +290,9 @@ def _roles(
         ids = [tuple(sorted(e.id for e in rows)) for rows in classes]
         return tuple(ids[: d.params.l]), tuple(ids[d.params.l :])
     found = sorted(
-        (root, c, tuple(eids)) for root, c, eids, _ in _tree_components(d, kind, classes)
+        (root, c, tuple(eids))
+        for c, rows in enumerate(classes)
+        for root, eids, _ in _class_components(range(d.n), rows)
     )
     return tuple(eids for _, _, eids in found), ()
 
@@ -359,24 +349,63 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
             return False, f"{kind} certificate outside the {'lower' if lower else 'upper'} range"
         if g.m != params.max_edges(g.n):
             return False, "edge count is not k*n - l"
-        classes = d.color_classes()
-        found = []  # the edge ids of every checked component: the proper-lTk trees
-        for _, c, eids, size in _tree_components(d, kind, classes):
-            if len(eids) != size - 1:
-                return False, f"color {c} contains a cycle"
-            if lower and size != g.n:
-                return False, f"color {c} is not a spanning tree"
-            found.append(tuple(eids))
-        trees, maps = (tuple(tuple(sorted(ids)) for ids in r) for r in (cert.trees, cert.maps))
-        if lower:
-            ok = (trees, maps) == _roles(d, kind, classes)
-            return ok, "" if ok else "tree/map roles do not match the color classes"
-        if maps:
-            return False, "a proper-lTk certificate has no map roles"
-        if sorted(trees) != sorted(found):
-            return False, "tree roles do not match the color components"
+        failure = _role_failure(g, cert, lower)
+        if failure or lower:  # valid maps-and-trees roles imply sparsity
+            return not failure, failure
     failure = _overfull_failure(g, params)
     return not failure, failure
+
+
+def _role_failure(g: Multigraph, cert: Certificate, lower: bool) -> str:
+    """The first failing role check of a role-bearing certificate whose edges
+    passed the cover and slot checks and number k*n - l; empty if none fails.
+
+    Tree-role colors (the first l of maps-and-trees, every color of
+    proper-lTk) are checked in color order, but only the colors that occur
+    are walked, so the work is O(m + roles listed) whatever k the certificate
+    declares.  An empty color class is n single-vertex trees: a spanning tree
+    only when n <= 1, and in proper-lTk part of the empty roles.  Forest
+    classes have k*n - m = l components in all, so l minus the components
+    that hold an edge is the number of empty roles expected.
+    """
+    params, n = cert.params, g.n
+    classes: dict[int, list[ColoredEdge]] = {}
+    for e in cert.edges:
+        classes.setdefault(e.color, []).append(e)
+    tree_colors = params.l if lower else params.k
+    empty = 0  # the lowest color without an edge
+    while empty in classes:
+        empty += 1
+    found = []  # the edge ids of every component with an edge
+    for c in sorted(classes):
+        if c >= tree_colors:
+            break
+        if lower and n > 1 and empty < c:
+            break
+        for _, eids, comp in _class_components(range(n), classes[c]):
+            if len(eids) != len(comp) - 1:
+                return f"color {c} contains a cycle"
+            if lower and len(comp) != n:
+                return f"color {c} is not a spanning tree"
+            if eids:
+                found.append(tuple(eids))
+    if lower and n > 1 and empty < tree_colors:
+        return f"color {empty} is not a spanning tree"
+    trees, maps = (tuple(tuple(sorted(ids)) for ids in r) for r in (cert.trees, cert.maps))
+    if lower:
+        ids = {c: tuple(sorted(e.id for e in rows)) for c, rows in classes.items()}
+        ok = (
+            len(trees) == params.l
+            and len(maps) == params.k - params.l
+            and all(r == ids.get(c, ()) for c, r in enumerate(trees + maps))
+        )
+        return "" if ok else "tree/map roles do not match the color classes"
+    if maps:
+        return "a proper-lTk certificate has no map roles"
+    listed = sorted(t for t in trees if t)
+    if listed != sorted(found) or len(trees) - len(listed) != params.l - len(found):
+        return "tree roles do not match the color components"
+    return ""
 
 
 # -- certificate files ---------------------------------------------------------

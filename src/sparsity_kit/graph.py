@@ -8,16 +8,21 @@ edge given as an exact (int, int) tuple as it is and rebuilds any other with
 int() on both endpoints.
 
 The text format is a header line "n m", then m lines "u v"; lines whose first
-token starts with '#' are comments.  `parse_graph` holds its input once: it
-splits the text into lines a bounded block at a time, builds each edge tuple
-once, and makes every distinct vertex id one shared int object.  A parsed
-graph holds about 64 bytes per edge (the pair tuple and its slot).
+token starts with '#' are comments.  One reader serves every caller:
+`read_graph` takes the text as consecutive chunks, reads the header, and
+returns an `EdgeStream` whose edges are checked and yielded as their lines are
+read, a bounded block of lines at a time, with every distinct vertex id one
+shared int object.  `parse_graph` materialises that stream into a
+`Multigraph`, which holds about 64 bytes per edge (the pair tuple and its
+slot); the canonical game plays the stream itself, so recognition never holds
+the input's edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -109,53 +114,52 @@ def induced_edge_count(g: Multigraph, subset: Iterable[int]) -> int:
     return sum(1 for u, v in g.edges if u in s and v in s)
 
 
-# Characters of text split into lines at a time; a longer line grows the block.
+# Characters of text split into lines at a time, and bytes of a graph file read
+# at a time by the command line; a longer line grows the split.
 _PARSE_BLOCK = 1 << 11
 
 
-def _line_blocks(text: str):
-    """The lines of `text.splitlines(keepends=True)`, one bounded list at a time.
+def _line_blocks(chunks: Iterable[str]):
+    """The lines of the text `chunks` make up, as str.splitlines(keepends=True)
+    splits it, one bounded list at a time.
 
-    The last line of a block is carried into the next one, so a line (or a
-    "\\r\\n" pair) cut at a block edge is split exactly as splitlines splits
-    the whole text.  A carried line at least a block long sets the next read's
-    size, so a very long line is copied O(1) amortised times per character.
+    The last line of each split is carried into the next one, so a line (or a
+    "\\r\\n" pair) cut at a chunk edge is split exactly as splitlines splits
+    the whole text.  While the carried line is longer than the chunks read
+    after it, they are joined to it before the next split, so a very long line
+    is copied O(1) amortised times per character.
     """
-    pos, end, carry = 0, len(text), ""
-    while pos < end:
-        size = max(_PARSE_BLOCK, len(carry))
-        lines = (carry + text[pos : pos + size]).splitlines(True)
-        pos += size
-        carry = lines.pop() if pos < end else ""
-        yield lines
+    carry, pending, size = "", [], 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= len(carry):
+            lines = (carry + "".join(pending)).splitlines(True)
+            carry = lines.pop() if lines else ""
+            pending, size = [], 0
+            yield lines
+            del lines  # so two blocks of lines are never held at once
+    yield (carry + "".join(pending)).splitlines(True)
 
 
-def parse_graph(text: str | bytes) -> Multigraph:
-    """Parse the text format: header line "n m", then m lines "u v".
+def _edge_blocks(chunks: Iterable[str]):
+    """Yield the header's (n, m), then each block of lines' edges (u, v) as a list.
 
-    Lines starting with '#' are comments.  Vertex ids are 0-based, and any
-    spelling int() reads is accepted.  Lines end as in str.splitlines.
+    Every line is checked as it is read, so a malformed line raises
+    GraphFormatError with its line number once the blocks before it have been
+    yielded; a missing header or an edge count other than m raises after the
+    last line.  `ids` maps each in-range token already seen to its vertex, so
+    a repeated token costs one lookup, and `vertices` maps a vertex to its one
+    int object, so "2" and "002" share it.  Neither table is sized from the
+    header.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    # the line blocks and id tables are freed before the edges are checked again
-    return Multigraph(*_read_edges(text))
-
-
-def _read_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """(n, edges) of the text format, read a block of lines at a time.
-
-    `ids` maps each in-range token already seen to its vertex, so a repeated
-    token costs one lookup, and `vertices` maps a vertex to its one int object,
-    so "2" and "002" share it.  Neither table is sized from the header.
-    """
-    n = m = None
-    edges: list[tuple[int, int]] = []
-    append = edges.append
+    m = None
     ids: dict[str, int] = {}
     vertices: dict[int, int] = {}
-    lineno = 0
-    for lines in _line_blocks(text):
+    lineno = found = 0
+    for lines in _line_blocks(chunks):
+        edges: list[tuple[int, int]] = []
+        append = edges.append
         for line in lines:
             lineno += 1
             parts = line.split()
@@ -178,6 +182,7 @@ def _read_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
                     raise GraphFormatError("non-integer token in header", lineno) from None
                 if n < 0 or m < 0:
                     raise GraphFormatError("negative count in header", lineno)
+                yield n, m
                 continue
             try:
                 u, v = int(a), int(b)
@@ -188,11 +193,59 @@ def _read_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
             u = ids[a] = vertices.setdefault(u, u)
             v = ids[b] = vertices.setdefault(v, v)
             append((u, v))
+        del lines  # before the next block is split
+        if edges:  # always empty before the header
+            found += len(edges)
+            yield edges
     if m is None:
         raise GraphFormatError("missing header line 'n m'")
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    return n, edges
+    if found != m:
+        raise GraphFormatError(f"header declares {m} edges, found {found}")
+
+
+class EdgeStream(NamedTuple):
+    """A graph in the text format as it is read: the header's n and m, and the edges.
+
+    `edges` can be iterated once.  It yields each (u, v) in file order as its
+    line is read and checked, and raises GraphFormatError at the first
+    malformed line, or after the last one if the text holds other than m
+    edges.  Only the current block of lines and the id tables are held.
+    """
+
+    n: int
+    m: int
+    edges: Iterator[tuple[int, int]]
+
+
+def read_graph(chunks: Iterable[str]) -> EdgeStream:
+    """Read the header from consecutive chunks of a graph's text; the edges follow
+    as the returned stream is iterated."""
+    blocks = _edge_blocks(chunks)
+    n, m = next(blocks)
+    edges = chain.from_iterable(blocks)
+    if n == 0:
+        # no edge line is in range, so the whole text is read now: a malformed
+        # line fails here, before a game refuses the empty vertex set
+        edges = iter(tuple(edges))
+    return EdgeStream(n, m, edges)
+
+
+def parse_graph(text: str | bytes | Iterable[str]) -> Multigraph:
+    """Parse the text format: header line "n m", then m lines "u v".
+
+    Lines starting with '#' are comments.  Vertex ids are 0-based, and any
+    spelling int() reads is accepted.  Lines end as in str.splitlines.  The
+    text may also be given as an iterable of its consecutive chunks; a str is
+    read in _PARSE_BLOCK slices, so either way one edge reader builds the
+    graph.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    chunks = text
+    if isinstance(text, str):
+        chunks = (text[i : i + _PARSE_BLOCK] for i in range(0, len(text), _PARSE_BLOCK))
+    g = read_graph(chunks)
+    return Multigraph(g.n, g.edges)
 
 
 def write_graph(g: Multigraph) -> str:

@@ -16,8 +16,10 @@ from sparsity_kit import (
     creates_monochromatic_cycle,
     monochromatic_cycle_colors,
     random_tight_graph,
+    read_graph,
     route_pebble,
     run_canonical_game,
+    write_graph,
 )
 from sparsity_kit.canonical import _monochromatic_chain_to, bring_pebble_dynamic
 from sparsity_kit.cli import _peak_bytes
@@ -523,3 +525,24 @@ def test_seeded_games_play_the_same_moves():
             digest.update(line.encode() + b"\n")
         digest.update(json.dumps([res.accepted, res.rejected, res.state.component_id]).encode())
     assert digest.hexdigest() == SAME_MOVES_DIGEST
+
+
+@pytest.mark.parametrize("k, l", [(1, 0), (2, 0), (2, 3), (3, 3), (3, 5)])
+def test_a_streamed_game_plays_the_moves_of_the_parsed_graph(k, l):
+    # the game plays an EdgeStream as it is read, with the moves, verdict and
+    # accepted ids of the same edges held in a Multigraph
+    params = SparsityParams(k, l)
+    n = 60
+    rng = random.Random(k * 10 + l)
+    edges = list(random_tight_graph(n, params, k * 10 + l).edges)
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(5 * n)]
+    rng.shuffle(edges)
+    g = Multigraph(n, edges)
+    text = write_graph(g)
+    games = []
+    for source in (g, read_graph(text[i : i + 100] for i in range(0, len(text), 100))):
+        moves = []
+        res = run_canonical_game(source, params, after_move=lambda state, move: moves.append(move))
+        games.append((trace_to_lines(res.state, moves), res.accepted, res.rejected, res.verdict()))
+    assert games[0] == games[1]
+    assert games[0][3] == "not-sparse"

@@ -1,6 +1,10 @@
+import io
 import json
 import os
+import random
 import re
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -17,6 +21,7 @@ from sparsity_kit import (
 )
 from sparsity_kit.cli import main
 from sparsity_kit.decompose import Certificate, ColoredEdge
+from sparsity_kit.graph import _PARSE_BLOCK
 
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n2 0\n"
@@ -66,6 +71,137 @@ def test_recognize_parse_error_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("2 1\n0 5\n")
     assert main(["recognize", "--k", "2", "--l", "2", str(p)]) == 1
+
+
+def _edge_rows(n=500, m=6000):
+    # a triangle over and over: its first copy is a tight block, and the
+    # component screen rejects every later edge at once
+    return [f"{n} {m}"] + [f"{i % 3} {(i + 1) % 3}" for i in range(m)]
+
+
+def _with_line(rows, line, text):
+    """A copy of the rows with the given 1-based line replaced by `text`."""
+    rows = list(rows)
+    rows[line - 1] = text
+    return rows
+
+
+def _data(rows):
+    return "\n".join(rows).encode()
+
+
+def _late_byte(rows, line, byte):
+    """The rows as bytes with `byte` put in front of the given 1-based line, and
+    its byte position."""
+    at = len(_data(rows[: line - 1])) + 1
+    data = _data(rows)
+    return data[:at] + byte + data[at:], at
+
+
+def _malformed_inputs():
+    rows = _edge_rows()
+    yield "late token", _data(_with_line(rows, 5000, "1 x")), (
+        "line 5000: non-integer token in edge line"
+    )
+    yield "late range", _data(_with_line(rows, 5000, "1 500")), (
+        "line 5000: vertex id out of range (n=500)"
+    )
+    yield "late arity", _data(_with_line(rows, 5000, "1 2 3")), (
+        "line 5000: edge line must be 'u v'"
+    )
+    yield "too few", _data(rows[:-2]), "header declares 6000 edges, found 5998"
+    yield "too many", _data(rows + ["0 1"]), "header declares 6000 edges, found 6001"
+    yield "no header", b"# only a comment\r\n\n", "missing header line 'n m'"
+    yield "bad header", b"x 1\n0 1\n", "line 1: non-integer token in header"
+    data, at = _late_byte(rows, 5001, b"\xff")
+    yield "late decode", data, (
+        f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    )
+    # a whole read decodes everything before it parses anything
+    data, at = _late_byte(_with_line(rows, 2, "0 x"), 5001, b"\xff")
+    yield "decode after a parse error", data, (
+        f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    )
+    cut = 2 * _PARSE_BLOCK - 1  # a three-byte character across a read-block edge, cut short
+    data = _data(rows)
+    data = data[:cut] + b"\xe2\x82A" + data[cut:]
+    yield "split sequence", data, (
+        f"'utf-8' codec can't decode bytes in position {cut}-{cut + 1}: invalid continuation byte"
+    )
+    data = _data(rows) + b"\n\xe2\x82"
+    yield "truncated end", data, (
+        f"'utf-8' codec can't decode bytes in position {len(data) - 2}-{len(data) - 1}: "
+        "unexpected end of data"
+    )
+    yield "no vertices, an edge", b"0 1\n0 0\n", "line 2: vertex id out of range (n=0)"
+    yield "no vertices", b"0 0\n", "the game needs at least one vertex"
+
+
+MALFORMED = list(_malformed_inputs())
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "data, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+)
+def test_recognize_reports_malformed_input_as_a_whole_read_does(
+    tmp_path, monkeypatch, capsys, data, message, source
+):
+    # recognize reads and plays its input a block at a time, yet fails with the
+    # message and exit code of reading the whole input, then parsing it, then
+    # playing: a decode error anywhere wins over a format error, and a byte
+    # position counts from the start of the input
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    trace = tmp_path / "t.jsonl"
+    argv = ["recognize", "--k", "2", "--l", "3", "--trace", str(trace)]
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+        argv.append("-")
+    else:
+        argv.append(str(path))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not trace.exists()  # a malformed input writes no trace
+    if source == "file":  # decompose reads graph files through the same reader
+        assert main(["decompose", "--k", "2", "--l", "3", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _peak_of(argv, code) -> int:
+    """tracemalloc peak of the second of two runs of `argv`, which exit with `code`."""
+    assert main(argv) == code  # first-call allocations are not per edge
+    tracemalloc.start()
+    try:
+        assert main(argv) == code
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recognize_memory_does_not_follow_rejected_edges(tmp_path, capsys):
+    # recognize plays each edge as it is read and keeps only the accepted ones,
+    # so burying a (2,3)-tight n = 200 graph in 3603 random edges adds about
+    # 4-5 B per rejected edge (larger accepted ids and the longer game); with
+    # the whole input graph parsed first it added about 40 B
+    g = random_tight_graph(200, SparsityParams(2, 3), 7)
+    rng = random.Random(7)
+    edges = list(g.edges)
+    while len(edges) < 20 * g.n:
+        u, v = rng.randrange(g.n), rng.randrange(g.n)
+        if u != v:
+            edges.append((u, v))
+    rng.shuffle(edges)
+    peaks = []
+    for graph, code in ((g, 0), (Multigraph(g.n, edges), 2)):
+        path = tmp_path / "g.txt"
+        path.write_text(write_graph(graph))
+        argv = ["recognize", "--k", "2", "--l", "3", "--format", "json", str(path)]
+        peaks.append(_peak_of(argv, code))
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["accepted"] for r in reports] == [397] * 4
+    rejected = len(edges) - 397
+    assert (peaks[1] - peaks[0]) / rejected < 8, peaks
 
 
 def test_recognize_bad_params_exit_1(k4_file):
@@ -214,6 +350,36 @@ def test_certify_memory_does_not_follow_the_declared_k(tmp_path, capsys, k):
     finally:
         tracemalloc.stop()
     assert capsys.readouterr().out == "valid\nvalid\n"
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize(
+    "n, kind, l, edges, trees, failure",
+    [
+        # one edge on two vertices at l = 2k - 1: 2k - 2 empty trees unlisted
+        (2, "proper-ltk", 2 * 10**9 - 1, [(0, 0, 1, 0, 0)], ((0,),),
+         "tree roles do not match the color components"),
+        # no edge on one vertex at l = k: k empty trees unlisted
+        (1, "maps-and-trees", 10**9, [], (), "tree/map roles do not match the color classes"),
+    ],
+    ids=["proper-ltk", "maps-and-trees"],
+)
+def test_certify_roles_work_does_not_follow_the_declared_k(
+    tmp_path, capsys, n, kind, l, edges, trees, failure
+):
+    # the validator walks only the colors that occur and counts the empty
+    # ones, so a role certificate declaring k = 10^9 is checked in the time and
+    # memory of its own size (with a class walked per declared color, k = 10^5
+    # took 8 s and 9.8 MB)
+    graph, cert_path = tmp_path / "g.txt", tmp_path / "g.cert.json"
+    graph.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for _, u, v, _, _ in edges))
+    rows = tuple(ColoredEdge(*e) for e in edges)
+    cert = Certificate(kind, SparsityParams(10**9, l), n, rows, trees)
+    cert_path.write_text(certificate_to_json(cert))
+    start = time.perf_counter()
+    peak = _peak_of(["certify", str(graph), str(cert_path)], 4)
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == f"invalid: {failure}\n" * 2
     assert peak < 100_000
 
 

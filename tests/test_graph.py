@@ -1,4 +1,7 @@
+import io
+import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -10,8 +13,11 @@ from sparsity_kit import (
     SparsityParams,
     induced_edge_count,
     parse_graph,
+    read_graph,
+    run_canonical_game,
     write_graph,
 )
+from sparsity_kit.cli import main
 
 
 def test_params_accept_valid_range():
@@ -188,6 +194,96 @@ def test_parse_splits_lines_like_splitlines_across_block_edges(monkeypatch, bloc
             assert got.value.line == exc.line
         else:
             assert parse_graph(text) == want
+
+
+def _random_graph_text(rng):
+    """A short graph text with mixed line breaks, comments, blank lines and some
+    out-of-range ids, as `_reference_parse` reads it."""
+    breaks = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"]
+    n = rng.randint(1, 12)
+    rows, m = [], 0
+    for _ in range(rng.randint(0, 15)):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append("# " + str(rng.randrange(99)))
+        elif roll < 0.15:
+            rows.append(" \t")
+        else:
+            rows.append(f"{rng.randrange(n + 1)}\t {rng.randrange(n)}")
+            m += 1
+    return "".join(row + rng.choice(breaks) for row in [f"{n} {m}", *rows])
+
+
+def _recognize(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_recognize_streams_like_the_reference_parse(monkeypatch, capsys, tmp_path, block):
+    # recognize reads its file or stdin `block` bytes (or characters) at a time
+    # and plays each edge as it is read; its verdict, or the line of its parse
+    # error, is that of one splitlines() over the whole text, then the game.
+    # Blocks of 1 and 2 cut "\r\n" pairs and the multi-byte "\x85" and
+    # "\u2028" breaks at a block edge.
+    monkeypatch.setattr(graph, "_PARSE_BLOCK", block)
+    rng = random.Random(1000 + block)
+    path = tmp_path / "g.txt"
+    texts = ["2 1\r\n0 1\r\n", "3 2\r\n0 1\r\n1 3\r\n"]
+    texts += [_random_graph_text(rng) for _ in range(40)]
+    for i, text in enumerate(texts):
+        k, l = (1, 1) if i % 2 else (2, 3)
+        try:
+            g = _reference_parse(text)
+        except GraphFormatError as exc:
+            want = 1, "", f"error: line {exc.line}: "
+        else:
+            result = run_canonical_game(g, SparsityParams(k, l))
+            accepted = len(result.accepted)
+            report = {"accepted": accepted, "m": g.m, "n": g.n, "rejected": g.m - accepted}
+            report["verdict"] = result.verdict()
+            code = 2 if report["verdict"] == "not-sparse" else 0
+            want = code, json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", ""
+        argv = ["recognize", "--k", str(k), "--l", str(l), "--format", "json"]
+        path.write_bytes(text.encode("utf-8"))
+        stdins = [io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), "utf-8")]
+        got = [_recognize([*argv, str(path)], capsys)]
+        for stdin in stdins:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            got.append(_recognize([*argv, "-"], capsys))
+        for code, out, err in got:
+            assert (code, out) == want[:2], text
+            assert err.startswith(want[2]) and (err == "") == (want[2] == ""), (text, err)
+
+
+def test_read_graph_reads_the_header_then_each_edge_as_it_comes():
+    read = []
+
+    def chunks():
+        for chunk in ["# c\n3 2\n0 1\n0 2\n", "1 x\n", "2 2\n"]:
+            read.append(chunk)
+            yield chunk
+
+    g = read_graph(chunks())
+    assert (g.n, g.m, len(read)) == (3, 2, 1)
+    assert next(g.edges) == (0, 1)
+    # the last line of a split waits for the next chunk, which may continue it
+    assert (next(g.edges), len(read)) == ((0, 2), 2)
+    with pytest.raises(GraphFormatError, match="non-integer token in edge line") as exc:
+        next(g.edges)
+    assert exc.value.line == 5 and len(read) == 3
+
+
+def test_read_graph_with_no_vertices_reads_to_the_end():
+    # no edge line is in range, so its error comes before any game is set up
+    with pytest.raises(GraphFormatError, match=r"vertex id out of range \(n=0\)") as exc:
+        read_graph(["0 1\n0 0\n"])
+    assert exc.value.line == 2
+    with pytest.raises(GraphFormatError, match="header declares 1 edges, found 0"):
+        read_graph(["0 1\n"])
+    g = read_graph(["0 0\n"])
+    assert (g.n, g.m, list(g.edges)) == (0, 0, [])
 
 
 def test_parse_error_line_far_past_the_first_block():
