@@ -312,23 +312,32 @@ def find_pebble(
 def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     """The maximal tight vertex set containing {v, w}, or None if none exists.
 
-    First a forward search confirms every pebble reachable from {v, w} already
-    sits on {v, w}, testing each vertex as it is discovered.  Once it passes,
-    every pebbled vertex outside {v, w} is outside the block by definition, so
-    only the bare vertices (all k slots holding out-edges) are left to decide:
-    a bare vertex is outside iff it reaches a pebbled vertex outside {v, w}.
-    One flat mark list, copied from `peb_sum`, records the answer: nonzero
-    means outside.  The backward closure is seeded by one C-level stream of
-    the tails of the in-edges of the pebbled vertices outside {v, w}; each
-    bare tail it marks is then walked back through bare tails only.  The
-    stream reads the list it marks, so a bare tail marked before the stream
-    reaches its index has its in-edges read a second time: still at most
-    twice per in-edge.  With one copy and one read-back pass over the n
-    vertices, a call stays linear in n + m.
+    First a forward search from {v, w} stops early at the first pebbled vertex
+    outside {v, w} it discovers.  It tests every discovered vertex, but does
+    not expand one that carries v's or w's nonzero component id: a tight set
+    meeting the block lies inside it, so a passing search would only re-walk
+    the endpoints' components, and in a lower-range game that is the giant
+    block.  Every pebbled vertex outside {v, w} is outside the block by
+    definition, so only the bare vertices (all k slots holding out-edges) are
+    left to decide: a bare vertex is outside iff it reaches a pebbled vertex
+    outside {v, w}.  One flat mark list, copied from `peb_sum`, records the
+    answer: nonzero means outside.  The backward closure is seeded by one
+    C-level stream of the tails of the in-edges of the pebbled vertices
+    outside {v, w}; each bare tail it marks is then walked back.  If v or w
+    ends up marked, it reaches an outside pebble through a vertex the search
+    skipped, and there is no block.  So the answer depends on the state
+    alone; the component map only bounds the early-exit search.  The stream
+    reads the list it marks, so a bare tail marked before the stream reaches
+    its index has its in-edges read a second time: still at most twice per
+    in-edge.  With one copy and one read-back pass over the n vertices, a
+    call stays linear in n + m.
     """
     heads = state.heads
     out_color = state.out_color
     peb_sum = state.peb_sum
+    component_id = state.component_id
+    cv, cw = component_id[v], component_id[w]
+    skipped = False
     seen = {v, w}
     stack = [v, w] if v != w else [v]
     while stack:
@@ -339,13 +348,17 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
                     if peb_sum[y] > 0:  # y is outside {v, w}, which start in `seen`
                         return None
                     seen.add(y)
-                    stack.append(y)
-    bad = peb_sum.copy()  # the pebbled vertices outside {v, w}, then each bare tail shown bad
+                    c = component_id[y]
+                    if c and (c == cv or c == cw):
+                        skipped = True
+                    else:
+                        stack.append(y)
+    bad = peb_sum.copy()  # the pebbled vertices outside {v, w}, then each tail shown bad
     bad[v] = bad[w] = 0
     tails = state.tails
     in_edges = state.in_edges
     for x in map(tails.__getitem__, chain.from_iterable(compress(in_edges, bad))):
-        if not bad[x]:  # a bare tail; {v, w} reach no bad vertex, by the pre-test
+        if not bad[x]:  # a bare tail, or v or w when a skipped vertex hid the pebble
             bad[x] = 1
             stack.append(x)
     while stack:
@@ -354,6 +367,8 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
             if not bad[x]:
                 bad[x] = 1
                 stack.append(x)
+    if skipped and (bad[v] or bad[w]):
+        return None
     return list(filterfalse(bad.__getitem__, range(state.n)))
 
 
@@ -364,8 +379,10 @@ def update_components(state: GameState, v: int, w: int) -> None:
     Triggered when exactly l pebbles remain on {v, w} and no further pebble is
     reachable: the saturated set is tight and all its vertices get a fresh
     shared component id.  A call past the pebble count runs one
-    `_saturated_block`: a forward pre-test that may stop early, then a
-    closure linear in n + m, which over a game is its quadratic term.
+    `_saturated_block`: a forward pre-test that may stop early and does not
+    enter the endpoints' own components, then a closure linear in n + m,
+    which over a game is its quadratic term.  The ids it reads only bound
+    that pre-test, so the block does not depend on them.
     """
     peb_sum = state.peb_sum
     if (peb_sum[v] if v == w else peb_sum[v] + peb_sum[w]) != state.params.l:

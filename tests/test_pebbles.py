@@ -11,7 +11,9 @@ from sparsity_kit import (
     SparsityParams,
     add_edge,
     brute_force_sparse,
+    canonical_add_edge,
     check_invariants,
+    collect_pebbles_canonically,
     find_pebble,
     pebble_slide,
     random_tight_graph,
@@ -23,6 +25,8 @@ from sparsity_kit import (
 )
 from sparsity_kit.canonical import bring_pebble_dynamic, play_edge
 from sparsity_kit.pebbles import _saturated_block
+
+from conftest import ALL_PARAMS
 
 
 def total_pebbles_everywhere(state):
@@ -492,6 +496,41 @@ def _definitional_block(state, v, w):
     return sorted(free) if v in free and w in free else None
 
 
+def _bare_reach(state, v):
+    """v and the bare vertices it reaches through bare vertices: the set a
+    game would have tagged as v's component if it were tight."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        for e in state.out_color[stack.pop()]:
+            if e >= 0:
+                y = state.heads[e]
+                if y not in seen and state.peb_sum[y] == 0:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
+
+
+def _skip_walk_finds_pebble(state, v, w):
+    """Whether a search from {v, w} that does not expand the vertices of v's or
+    w's nonzero component discovers a pebbled vertex outside {v, w}."""
+    cid = state.component_id
+    skip = {cid[v], cid[w]} - {0}
+    seen = {v, w}
+    stack = [v, w]
+    while stack:
+        for e in state.out_color[stack.pop()]:
+            if e < 0 or state.heads[e] in seen:
+                continue
+            y = state.heads[e]
+            if state.peb_sum[y] > 0:
+                return True
+            seen.add(y)
+            if cid[y] not in skip:
+                stack.append(y)
+    return False
+
+
 @pytest.mark.parametrize(
     "n, kl, edges, pair, block",
     [
@@ -527,20 +566,42 @@ def _definitional_block(state, v, w):
         (5, (1, 1), [(4, 2, 0), (0, 1, 0), (3, 0, 0)], (2, 4), [2, 4]),
         # a loop pair whose pre-test fails at once
         (3, (1, 0), [(0, 1, 0)], (0, 0), None),
+        # with 0's component tagged: the only outside pebble, on 4, lies behind
+        # it, so the pre-test skips the route and the closure finds it
+        (5, (1, 1), [(0, 2, 0), (2, 3, 0), (3, 4, 0), (1, 0, 0)], (0, 1), None),
+        # with 0's component tagged: the block is that component plus 1, and
+        # 11 reaches the outside pebble on 10
+        (
+            12,
+            (1, 1),
+            [(0, 2, 0), *[(i, i + 1, 0) for i in range(2, 9)], (9, 0, 0), (1, 0, 0), (11, 10, 0)],
+            (0, 1),
+            list(range(10)),
+        ),
     ],
-    ids=["chains-around-seeds", "parallel-tails", "l0-bare-pair", "pair-only", "no-block"],
+    ids=["chains-around-seeds", "parallel-tails", "l0-bare-pair", "pair-only", "no-block",
+         "pebble-behind-component", "block-spans-component"],
 )
 def test_saturated_block_on_built_states(n, kl, edges, pair, block):
     s = GameState.from_parts(n, SparsityParams(*kl), edges)
     assert _definitional_block(s, *pair) == block  # the case is built as described
     assert _saturated_block(s, *pair) == block
+    # the component map only bounds the pre-test: with the first pair
+    # vertex's component tagged, the answer stays the same
+    for x in _bare_reach(s, pair[0]):
+        s.component_id[x] = 1
+    assert _saturated_block(s, *pair) == block
 
 
 def test_saturated_block_matches_the_definition_on_random_slot_fillings():
     # states no game need reach: every slot is filled with a random head
-    # (loops and parallel edges included) or left holding its pebble
+    # (loops and parallel edges included) or left holding its pebble.  Each
+    # state is asked again under a random component map, and with v's bare
+    # reach tagged as v's component, so that an outside pebble is often
+    # reachable only through vertices the pre-test does not expand
     rng = random.Random(18)
-    tagged = 0
+    id_rng = random.Random(19)
+    tagged = hidden = 0
     for _ in range(400):
         k = rng.randint(1, 3)
         params = SparsityParams(k, rng.randrange(2 * k))
@@ -557,7 +618,91 @@ def test_saturated_block_matches_the_definition_on_random_slot_fillings():
         block = _saturated_block(s, v, w)
         assert block == _definitional_block(s, v, w), (n, params, edges, v, w)
         tagged += block is not None
+        reach = _bare_reach(s, v)
+        for ids in (
+            [id_rng.randrange(4) for _ in range(n)],
+            [1 if x in reach else 0 for x in range(n)],
+        ):
+            s.component_id = ids
+            assert _saturated_block(s, v, w) == block, (n, params, edges, v, w, ids)
+            hidden += block is None and not _skip_walk_finds_pebble(s, v, w)
     assert tagged > 100
+    assert hidden > 10, hidden  # the closure, not the pre-test, refuted the block
+
+
+class _CountingRows(list):
+    """A slot table that counts its row reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_pre_test_does_not_enter_the_endpoints_component():
+    # a (2,2)-tight graph on 0..1199 is one tagged component; vertex 1200
+    # joins it by two edges, and the detection after the second reads only
+    # the two endpoints' slot rows, whatever the component's size
+    n, params = 1200, SparsityParams(2, 2)
+    g = random_tight_graph(n, params, 21)
+    state = run_canonical_game(Multigraph(n + 1, g.edges), params).state
+    giant = state.component_id[0]
+    assert state.component_id.count(giant) == n
+    assert play_edge(state, 0, n)
+    assert collect_pebbles_canonically(state, 1, n)
+    canonical_add_edge(state, 1, n)
+    state.out_color = rows = _CountingRows(state.out_color)
+    update_components(state, 1, n)
+    reads = rows.reads
+    assert len(set(state.component_id)) == 1 and state.component_id[0] != giant
+    assert reads <= 2 * params.k
+
+
+def _id_classes(state):
+    classes = {}
+    for x, cid in enumerate(state.component_id):
+        if cid:
+            classes.setdefault(cid, []).append(x)
+    return sorted(tuple(members) for members in classes.values())
+
+
+def _assert_classes_are_components(state):
+    """Every id class spans exactly k|C| - l accepted edges; at n <= 8 the
+    classes are the accepted subgraph's components."""
+    k, l = state.params.k, state.params.l
+    classes = _id_classes(state)
+    for members in classes:
+        inside = set(members)
+        span = sum(t in inside and h in inside for t, h in zip(state.tails, state.heads))
+        assert span == k * len(members) - l, members
+    if state.n <= 8:
+        kept = Multigraph(state.n, state.undirected_edges())
+        assert classes == sorted(brute_force_sparse(kept, state.params).components)
+
+
+@pytest.mark.parametrize(
+    "params", [p for p in ALL_PARAMS if p.lower_range], ids=lambda p: f"{p.k}-{p.l}"
+)
+def test_lower_range_component_classes_stay_tight(params):
+    # for l <= k, components are vertex-disjoint and one id per vertex is
+    # exact: tight graphs, and the same buried under random edges up to
+    # m = 3n, on n = 2..8 (three seeds each) and n = 60, in shuffled order
+    rng = random.Random(100 * params.k + params.l)
+    detections = 0
+    for n in [2, 3, 4, 5, 6, 7, 8] * 3 + [60]:
+        for buried in (False, True):
+            edges = list(random_tight_graph(n, params, rng.randrange(10**6)).edges)
+            while buried and len(edges) < 3 * n:
+                edges.append((rng.randrange(n), rng.randrange(n)))
+            rng.shuffle(edges)
+            state = GameState(n, params)
+            for u, v in edges:
+                if _play_detected(state, u, v)[1] is not None:
+                    detections += 1
+                    _assert_classes_are_components(state)
+            _assert_classes_are_components(state)
+    assert detections > 100
 
 
 def test_reject_fast_after_k4_two_two(k4):
