@@ -92,26 +92,34 @@ def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | 
     one.  A free pebble is fetched by reversing a shortest directed path to
     it.  When no pebble can be fetched, the vertices reachable from the
     endpoints are closed under out-edges and hold at most l free pebbles, so
-    with the new edge they span more than k*n' - l edges.  Shares no code
-    with the colored engine, so it can arbitrate it at any n.
+    with the new edge they span more than k*n' - l edges: the unique smallest
+    overfull set of the shortest non-sparse prefix of g.edges.  A call holds
+    flat arrays of n and m ints and allocates nothing per search beyond its
+    queue.  Shares no code with the colored engine, so it arbitrates it at any n.
     """
-    k, l = params.k, params.l
-    edges = g.edges
-    free = [k] * g.n
-    out: list[list[int]] = [[] for _ in range(g.n)]  # edge ids oriented away from v
+    k, l, n = params.k, params.l, g.n
+    free = [k] * n
+    out: list[list[int]] = [[] for _ in range(n)]  # edge ids oriented away from v
     head: list[int] = []  # head[f]: the endpoint placed edge f points to
-    for e, (u, v) in enumerate(edges):
+    tail: list[int] = []  # tail[f]: the endpoint it leaves
+    mark = [0] * n  # mark[y] == stamp: the current search reached y
+    via = [-1] * n  # via[y]: the edge that search reached y by, -1 at a source
+    stamp = 0
+    for e, (u, v) in enumerate(g.edges):
         if u == v and l >= k:
             return (u,)
         while (free[u] if u == v else free[u] + free[v]) <= l:
-            parent = {u: -1, v: -1}  # literals: most searches are short, so setup counts
+            stamp += 1
+            mark[u] = mark[v] = stamp
+            via[u] = via[v] = -1
             queue = [u, v] if u != v else [u]
             found = -1
             for x in queue:  # breadth-first; the list grows as it is walked
                 for f in out[x]:
                     y = head[f]
-                    if y not in parent:
-                        parent[y] = f
+                    if mark[y] != stamp:
+                        mark[y] = stamp
+                        via[y] = f
                         if free[y]:
                             found = y
                             break
@@ -119,22 +127,23 @@ def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | 
                 if found >= 0:
                     break
             if found < 0:
-                return tuple(sorted(parent))
+                return tuple(sorted(queue))  # a failed search queued all it reached
             free[found] -= 1
             y = found
-            while parent[y] >= 0:
-                f = parent[y]
-                a, b = edges[f]
-                x = a if b == y else b
+            f = via[y]
+            while f >= 0:
+                x = tail[f]
                 out[x].remove(f)
                 out[y].append(f)
-                head[f] = x
+                head[f], tail[f] = x, y
                 y = x
+                f = via[y]
             free[y] += 1
         payer = u if free[u] else v
         free[payer] -= 1
         out[payer].append(e)
         head.append(v if payer == u else u)  # every earlier edge is placed, so this is head[e]
+        tail.append(payer)
     return None
 
 
@@ -249,13 +258,14 @@ def brute_force_axis_parallel(
     exactly one loop of their color.
 
     `loop_colors` maps each loop edge id to 0 (x) or 1 (y), at most one loop
-    of each color per vertex; a malformed map or an empty vertex set raises
-    the `ValueError` that `sliders.axis_parallel_slider_check` raises.  The
-    loops are pre-placed as cycles of their color in `_split_exists`, which
-    keeps every tree to at most one.  Color c then has at least as many trees
-    as loops, so its forest holds at most n minus its loops in edges; with
-    exactly 2n - loops loopless edges a full split meets both bounds, and
-    every tree spans exactly one loop.
+    of each color per vertex, keys and colors plain ints (no bool); a
+    malformed map or an empty vertex set raises the `ValueError` that
+    `sliders.axis_parallel_slider_check` raises.  The loops are pre-placed as
+    cycles of their color in `_split_exists`, which keeps every tree to at
+    most one.  Color c then has at least as many trees as loops, so its
+    forest holds at most n minus its loops in edges; with exactly 2n - loops
+    loopless edges a full split meets both bounds, and every tree spans
+    exactly one loop.
     """
     n = g.n
     plain = [(u, v) for u, v in g.edges if u != v]
@@ -265,12 +275,14 @@ def brute_force_axis_parallel(
             if eid not in loop_colors:
                 raise ValueError(f"loop edge {eid} has no color")
             c = loop_colors[eid]
-            if c not in (0, 1):
+            if type(c) is not int or c not in (0, 1):
                 raise ValueError(f"loop edge {eid} color must be 0 (x) or 1 (y)")
             if cycles[c][u]:
                 raise ValueError(f"vertex {u} carries two loops of color {c}")
             cycles[c][u] = 1
     for eid in loop_colors:
+        if type(eid) is not int:  # exactly int: True and 0.0 would look up edges 1 and 0
+            raise ValueError(f"loop color key {eid!r} is not an int edge id")
         if not (0 <= eid < g.m) or not g.is_loop(eid):
             raise ValueError(f"loop color given for non-loop edge {eid}")
     if n < 1:

@@ -39,12 +39,10 @@ def graded_tight_check(g: Multigraph) -> bool:
                 raise ValueError(f"vertex {u} carries more than 2 loops")
     if g.n < 1:
         raise ValueError("the game needs at least one vertex")
+    if g.m != 2 * g.n:
+        return False
     loopless = Multigraph(g.n, [(u, v) for u, v in g.edges if u != v])
-    return (
-        g.m == 2 * g.n
-        and overfull_subset(loopless, _PARAMS_23) is None
-        and overfull_subset(g, _PARAMS_20) is None
-    )
+    return overfull_subset(loopless, _PARAMS_23) is None and overfull_subset(g, _PARAMS_20) is None
 
 
 def _rooted_forest(
@@ -164,13 +162,14 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
     """Is g minimally pinned with axis-parallel sliders?
 
     `loop_colors` maps each loop edge id of g to 0 (x) or 1 (y); at most one
-    loop of each color per vertex.  True iff the loopless part is (2,3)-sparse
-    and the edges admit a 2-coloring into forests with each tree spanning
-    exactly one loop of its color.  The edge total must be 2n minus the
-    loops, and the uncolored orientation test `overfull_subset` decides
-    (2,3)-sparsity of the loopless part without a colored game; an iterative
-    matroid partition (Edmonds 1965) then decides the forest split exactly in
-    polynomial time.
+    loop of each color per vertex.  Keys and colors must be plain ints: a
+    bool, a float or any other type raises `ValueError`.  True iff the
+    loopless part is (2,3)-sparse and the edges admit a 2-coloring into
+    forests with each tree spanning exactly one loop of its color.  The edge
+    total must be 2n minus the loops, and the uncolored orientation test
+    `overfull_subset` decides (2,3)-sparsity of the loopless part without a
+    colored game; an iterative matroid partition (Edmonds 1965) then decides
+    the forest split exactly in polynomial time.
     """
     loops: list[tuple[int, int]] = []  # (vertex, color)
     seen_per_vertex: set[tuple[int, int]] = set()
@@ -180,7 +179,7 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
             if eid not in loop_colors:
                 raise ValueError(f"loop edge {eid} has no color")
             c = loop_colors[eid]
-            if c not in (X_LOOP, Y_LOOP):
+            if type(c) is not int or c not in (X_LOOP, Y_LOOP):
                 raise ValueError(f"loop edge {eid} color must be 0 (x) or 1 (y)")
             if (u, c) in seen_per_vertex:
                 raise ValueError(f"vertex {u} carries two loops of color {c}")
@@ -189,6 +188,8 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
         else:
             plain_edges.append((u, v))
     for eid in loop_colors:
+        if type(eid) is not int:  # exactly int: True and 0.0 would look up edges 1 and 0
+            raise ValueError(f"loop color key {eid!r} is not an int edge id")
         if not (0 <= eid < g.m) or not g.is_loop(eid):
             raise ValueError(f"loop color given for non-loop edge {eid}")
 

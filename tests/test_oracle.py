@@ -416,3 +416,79 @@ def test_overfull_subset_large_tight_graph_runs_without_recursion():
     assert overfull_subset(g, params) is None
     doubled = Multigraph(g.n, edges + [edges[0]])  # a pair may span one edge only
     _assert_overfull(doubled, params, overfull_subset(doubled, params))
+
+
+def _smallest_overfull_of_first_bad_prefix(g, params):
+    """Brute force: add the edges one at a time, counting the edges every
+    vertex mask spans, and return the smallest overfull masks of the first
+    prefix that has one (each holds the prefix's last edge), or None."""
+    k, l, n = params.k, params.l, g.n
+    spans = [0] * (1 << n)
+    for u, v in g.edges:
+        em = (1 << u) | (1 << v)
+        bad = []
+        for mask in range(1, 1 << n):
+            if mask & em == em:
+                spans[mask] += 1
+                if spans[mask] > max(k * mask.bit_count() - l, 0):
+                    bad.append(mask)
+        if bad:
+            size = min(mask.bit_count() for mask in bad)
+            return [
+                tuple(i for i in range(n) if mask >> i & 1)
+                for mask in bad
+                if mask.bit_count() == size
+            ]
+    return None
+
+
+def test_overfull_subset_is_the_smallest_overfull_set_of_the_first_bad_prefix():
+    # the witness is not just some overfull set: it is the unique smallest
+    # one of the shortest non-sparse edge prefix
+    rng = random.Random(2022)
+    not_sparse = 0
+    for trial in range(2_700):
+        params = ALL_PARAMS[trial % len(ALL_PARAMS)]
+        n = rng.randint(1, 7)
+        m = rng.randint(0, params.k * n + 1)
+        g = Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+        smallest = _smallest_overfull_of_first_bad_prefix(g, params)
+        witness = overfull_subset(g, params)
+        if smallest is None:
+            assert witness is None, (params, g.edges)
+            continue
+        assert smallest == [witness], (params, g.edges, witness, smallest)
+        not_sparse += 1
+    assert not_sparse > 1_200, not_sparse
+
+
+# (k, l, n, seed) of tight graphs with edges swapped and one added, shuffled
+WITNESS_GRAPHS = [
+    (2, 3, 200, 31),
+    (2, 3, 350, 32),
+    (2, 3, 500, 33),
+    (3, 5, 200, 34),
+    (3, 5, 350, 35),
+    (3, 5, 500, 36),
+]
+WITNESS_DIGEST = "b13aed030ba9964420cb388ed5ce97fb5cf41a551f1facc8d1863f82204457b6"
+
+
+def test_overfull_subset_witnesses_are_pinned():
+    # any rewrite of the orientation test must return the same witnesses,
+    # not merely overfull ones
+    digest = hashlib.sha256()
+    for k, l, n, seed in WITNESS_GRAPHS:
+        params = SparsityParams(k, l)
+        rng = random.Random(1000 + seed)  # not the generator's own stream
+        edges = list(random_tight_graph(n, params, seed).edges)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(edges))
+            edges[i] = tuple(rng.sample(range(n), 2))
+        edges.append(tuple(rng.sample(range(n), 2)))
+        rng.shuffle(edges)
+        g = Multigraph(n, edges)
+        witness = overfull_subset(g, params)
+        _assert_overfull(g, params, witness)
+        digest.update(json.dumps([k, l, n, seed, witness]).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST

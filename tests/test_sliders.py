@@ -14,6 +14,7 @@ from sparsity_kit import (
     random_tight_graph,
     run_canonical_game,
 )
+from sparsity_kit import sliders
 from sparsity_kit.sliders import _tree_pair_exists
 
 
@@ -45,6 +46,18 @@ def test_graded_rejects_three_loops_on_a_vertex():
 def test_graded_wrong_total_count():
     g = Multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)])  # 4 < 2n
     assert not graded_tight_check(g)
+
+
+def test_graded_counts_edges_before_copying_the_loopless_part(monkeypatch):
+    # a wrong edge total is refused before any per-edge copy is validated
+    def refuse(*args, **kwargs):
+        raise AssertionError("graded_tight_check built the loopless copy")
+
+    monkeypatch.setattr(sliders, "Multigraph", refuse)
+    assert not graded_tight_check(Multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)]))
+    assert not graded_tight_check(Multigraph(2, [(0, 1)] * 5))
+    with pytest.raises(ValueError, match="vertex 0 carries more than 2 loops"):
+        graded_tight_check(Multigraph(2, [(0, 0)] * 3))
 
 
 def test_axis_single_vertex_x_and_y():
@@ -130,6 +143,29 @@ def test_axis_rejects_uncolored_loop():
             check(g, {})
         with pytest.raises(ValueError, match=r"loop edge 0 color must be 0 \(x\) or 1 \(y\)"):
             check(g, {0: 2})
+
+
+TRIANGLE = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
+TWO_LOOPS = Multigraph(2, [(0, 1), (0, 0), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "g, colors, message",
+    [
+        (TRIANGLE, {"0": 0}, "loop color key '0' is not an int edge id"),
+        (TRIANGLE, {0.0: 0}, "loop color key 0.0 is not an int edge id"),
+        (TWO_LOOPS, {1: 0, 2: 1.0}, r"loop edge 2 color must be 0 \(x\) or 1 \(y\)"),
+        (TWO_LOOPS, {1: 0, 2: True}, r"loop edge 2 color must be 0 \(x\) or 1 \(y\)"),
+        (TWO_LOOPS, {True: 0, 2: 1}, "loop color key True is not an int edge id"),
+    ],
+    ids=["str-key", "float-key", "float-color", "bool-color", "bool-key"],
+)
+def test_axis_refuses_loop_colors_that_are_not_plain_ints(g, colors, message):
+    # keys and colors equal to an int but of another type are refused, as
+    # SparsityParams refuses a bool k or l, with the same message from both
+    for check in (axis_parallel_slider_check, brute_force_axis_parallel):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(g, colors)
 
 
 def test_axis_planted_positive_with_a_thousand_edges():
