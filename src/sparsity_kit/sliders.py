@@ -8,7 +8,10 @@ split into two forests, each tree spanning exactly one loop of its color.
 
 Neither check plays a game or builds a game state.  Each decides its
 sparsity counts with the uncolored orientation test `oracle.overfull_subset`;
-the axis-parallel check then finds the forest split by matroid partition.
+the axis-parallel check then finds the forest split by matroid partition.  It
+keeps one parent-pointer forest per color for the whole call and updates it in
+place: each exchange cuts its leaving edges before it links its entering ones,
+and since the exchange path is a shortest one every link joins two trees.
 """
 
 from __future__ import annotations
@@ -45,50 +48,31 @@ def graded_tight_check(g: Multigraph) -> bool:
     return overfull_subset(loopless, _PARAMS_23) is None and overfull_subset(g, _PARAMS_20) is None
 
 
-def _rooted_forest(
-    n: int, edges: list[tuple[int, int]], node: list[int], owner: list[int], color: int
-):
-    """Root every tree of the color's forest on the contracted vertices 0..n.
-
-    Returns per vertex its tree id, the edge to its parent, the parent and its
-    depth.
-    """
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for e, (u, v) in enumerate(edges):
-        if owner[e] == color:
-            adj[node[u]].append(e)
-            adj[node[v]].append(e)
-    tree = [-1] * (n + 1)
-    up = [-1] * (n + 1)
-    par = [-1] * (n + 1)
-    depth = [0] * (n + 1)
-    for root in range(n + 1):
-        if tree[root] >= 0:
-            continue
-        tree[root] = root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for e in adj[x]:
-                a, b = node[edges[e][0]], node[edges[e][1]]
-                y = b if a == x else a
-                if tree[y] < 0:
-                    tree[y], up[y], par[y], depth[y] = root, e, x, depth[x] + 1
-                    stack.append(y)
-    return tree, up, par, depth
+def _link(par: list[int], up: list[int], a: int, b: int, e: int) -> None:
+    """Join a's tree to b's by edge e: re-root a's tree at a, then hang a under b."""
+    while a >= 0:
+        next_a, next_e = par[a], up[a]
+        par[a], up[a] = b, e
+        a, b, e = next_a, a, next_e
 
 
 def _augment(
-    n: int, edges: list[tuple[int, int]], node: list[list[int]], owner: list[int], start: int
+    edges: list[tuple[int, int]], node: list[list[int]], par: list[list[int]],
+    up: list[list[int]], mark: list[int], owner: list[int], start: int,
 ) -> bool:
     """Insert edge `start` into one of the two forests along a shortest exchange path.
 
     An arc f -> g (into color c) means f enters forest c and g, on the cycle f
-    would close there, leaves it for the other forest.  The search ends at an
-    edge that joins two trees of a forest it is not in.  False when no path
-    exists, i.e. the placed edges plus `start` cannot be split at all.
+    would close there, leaves it for the other forest.  The search reads the
+    forests as they stand: it stamps the root path of one end of f in `mark`
+    and walks up from the other end to the first stamped vertex, the lowest
+    common ancestor; an unstamped root means f joins two trees, which ends the
+    search.  The exchange then cuts every edge that leaves a forest before it
+    links any edge that enters one.  A breadth-first path is a shortest one,
+    so each forest's final edge set is a forest; the cut forests hold subsets
+    of it, so every link joins two trees.  False when no path exists, i.e.
+    the placed edges plus `start` cannot be split at all.
     """
-    forests = [_rooted_forest(n, edges, node[c], owner, c) for c in range(2)]
     back = {start: (-1, -1)}  # edge -> (edge that displaces it, color it enters)
     queue = [start]
     for f in queue:
@@ -99,52 +83,68 @@ def _augment(
             a, b = node[c][u], node[c][v]
             if a == b:
                 continue  # both ends are looped in this color: never placeable
-            tree, up, par, depth = forests[c]
-            if tree[a] != tree[b]:
-                while f >= 0:
-                    nxt = back[f]
-                    owner[f] = c
-                    f, c = nxt
-                return True
-            while a != b:  # the cycle f closes in forest c
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                g = up[a]
-                if g not in back:
-                    back[g] = (f, c)
-                    queue.append(g)
-                a = par[a]
+            p, stamp = par[c], 2 * (start * len(edges) + f) + c  # one walk per (start, f, c)
+            x = a
+            while x >= 0:
+                mark[x] = stamp
+                x = p[x]
+            y = b
+            while mark[y] != stamp:
+                if p[y] < 0:  # b's root is no ancestor of a: f joins two trees
+                    g = f
+                    while g != start:  # cut every leaving edge before any link
+                        o, (i, j) = owner[g], edges[g]
+                        x = node[o][i] if up[o][node[o][i]] == g else node[o][j]
+                        par[o][x] = up[o][x] = -1  # x is g's child end
+                        g = back[g][0]
+                    while f >= 0:
+                        owner[f] = c
+                        _link(par[c], up[c], node[c][edges[f][0]], node[c][edges[f][1]], f)
+                        f, c = back[f]
+                    return True
+                y = p[y]
+            for x in (a, b):  # the cycle: parent edges up to the common ancestor y
+                while x != y:
+                    g = up[c][x]
+                    if g not in back:
+                        back[g] = (f, c)
+                        queue.append(g)
+                    x = p[x]
     return False
 
 
-def _tree_pair_exists(n: int, edges: list[tuple[int, int]], loops: list[tuple[int, int]]) -> bool:
-    """Can the edges be 2-colored into forests whose trees each span exactly one
-    loop of their color?
+def _tree_pair_exists(
+    n: int, edges: list[tuple[int, int]], loops: list[tuple[int, int]]
+) -> list[int] | None:
+    """The owner color of each edge in a split into two forests whose trees
+    each span exactly one loop of their color, or None when there is none.
 
     Contracting the vertices looped in color c into one extra vertex n turns
     the color-c forest into a spanning tree of the contracted graph, so this is
-    Edmonds' matroid partition into two graphic matroids.  Edges go greedily
-    into the first forest that takes them; each leftover is then inserted by
-    `_augment`.  Polynomial and iterative.  The caller has checked that there
-    are exactly 2n - len(loops) edges.
+    Edmonds' matroid partition into two graphic matroids.  Each color keeps
+    one parent-pointer forest on the contracted vertices 0..n for the whole
+    call, updated in place: edges go greedily into the first forest whose
+    trees they join (each end walked to its root), and each leftover is then
+    inserted by `_augment`.  Polynomial and iterative.  The caller has
+    checked that there are exactly 2n - len(loops) edges.
     """
     node = [list(range(n)) for _ in range(2)]
     for v, c in loops:
         node[c][v] = n
-    parent = [list(range(n + 1)) for _ in range(2)]
-
-    def find(p: list[int], x: int) -> int:
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
+    par = [[-1] * (n + 1) for _ in range(2)]  # parent vertex, -1 at a root
+    up = [[-1] * (n + 1) for _ in range(2)]  # edge to the parent
+    mark = [-1] * (n + 1)
     owner = [-1] * len(edges)
     for e, (u, v) in enumerate(edges):
         for c in range(2):
-            ra, rb = find(parent[c], node[c][u]), find(parent[c], node[c][v])
-            if ra != rb:
-                parent[c][ra] = rb
+            p, a, b = par[c], node[c][u], node[c][v]
+            x, y = a, b
+            while p[x] >= 0:
+                x = p[x]
+            while p[y] >= 0:
+                y = p[y]
+            if x != y:
+                _link(p, up[c], a, b, e)
                 owner[e] = c
                 break
     # Forest c holds at most n - loops_c edges (a spanning tree of the
@@ -153,9 +153,9 @@ def _tree_pair_exists(n: int, edges: list[tuple[int, int]], loops: list[tuple[in
     # every tree spans one loop of its color; a color without a loop leaves
     # room for fewer than m edges, and `_augment` fails on some edge.
     for e in range(len(edges)):
-        if owner[e] < 0 and not _augment(n, edges, node, owner, e):
-            return False
-    return True
+        if owner[e] < 0 and not _augment(edges, node, par, up, mark, owner, e):
+            return None
+    return owner
 
 
 def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bool:
@@ -199,4 +199,4 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
         return False  # the whole graph cannot be (2,0)-tight
     if overfull_subset(Multigraph(g.n, plain_edges), _PARAMS_23) is not None:
         return False
-    return _tree_pair_exists(g.n, plain_edges, loops)
+    return _tree_pair_exists(g.n, plain_edges, loops) is not None

@@ -225,12 +225,17 @@ def test_graded_agreement_randomized():
         assert graded_tight_check(g) == brute_force_graded_tight(g), (plain, loops)
 
 
-def _planted_loops(g: Multigraph) -> list[int]:
-    # one loop per pebble that a (2,3) game on a shuffled copy leaves behind
+def _planted_pins(g: Multigraph) -> list[tuple[int, int]]:
+    # one (vertex, color) loop per pebble that a (2,3) game on a shuffled copy
+    # leaves behind; that game's coloring is the witness of the split
     shuffled = list(g.edges)
     random.Random(g.m).shuffle(shuffled)
     pebbles = run_canonical_game(Multigraph(g.n, shuffled), SparsityParams(2, 3)).state.pebbles
-    return [v for v in range(g.n) for c in range(2) if pebbles[v][c] > 0]
+    return [(v, c) for v in range(g.n) for c in range(2) if pebbles[v][c] > 0]
+
+
+def _planted_loops(g: Multigraph) -> list[int]:
+    return [v for v, _ in _planted_pins(g)]
 
 
 def _move_one_loop(n: int, edges: list, loops: list[int], rng: random.Random) -> list:
@@ -285,3 +290,169 @@ def test_graded_verdicts_are_pinned_at_large_n():
         # and the parallel-edge swaps
         assert chunk[:2] == "10" and chunk[2:5] == "111" and chunk[8:] == "00"
     assert hashlib.sha256(verdicts.encode()).hexdigest() == GRADED_VERDICTS_DIGEST
+
+
+def _with_pins(n: int, edges: list, pins: list) -> tuple[Multigraph, dict[int, int]]:
+    # the loops follow the loopless edges, so loop i has edge id len(edges) + i
+    colors = {len(edges) + i: c for i, (_, c) in enumerate(pins)}
+    return Multigraph(n, edges + [(v, v) for v, _ in pins]), colors
+
+
+def _move_pin(pins: list, targets, rng: random.Random) -> list:
+    # move one loop, keeping its color, to a target vertex without a loop of
+    # that color
+    moved = list(pins)
+    i = rng.randrange(len(moved))
+    c = moved[i][1]
+    moved[i] = (rng.choice([v for v in targets if (v, c) not in pins]), c)
+    return moved
+
+
+def _recolor_pin(pins: list, rng: random.Random) -> list:
+    # swap the color of one loop whose vertex has no loop of the other color
+    i = rng.choice([i for i, (v, c) in enumerate(pins) if (v, 1 - c) not in pins])
+    v, c = pins[i]
+    return pins[:i] + [(v, 1 - c)] + pins[i + 1 :]
+
+
+def _axis_digest_cases():
+    """Seeded axis-parallel inputs at n = 60-1000, 12 per n.
+
+    Every input meets the edge count and has a (2,3)-sparse loopless part, so
+    only the forest split decides it.  Per n, with planted answers:
+    - on a (2,3)-tight base (2n - 3 edges), three pins planted as the
+      `sliders` benchmark workload plants them, and the same pins with x and
+      y swapped (positive);
+    - on the same base, three x loops, then three y loops, each also with one
+      loop moved (negative: the color without a loop holds at most n - 1
+      edges and the other at most n - 3, one short of 2n - 3);
+    - two tight blocks joined by two edges with all four loops in the first
+      block, as the workload's negatives (negative: 2a - 3 edges on the a
+      block vertices, but four loops leave room for at most 2a - 4).
+    Unplanted: that negative with one loop moved to the second block (three
+    times; negative exactly when the three loops left in the first block have
+    one color), and the planted pins with one loop moved or recolored.
+    """
+    rng = random.Random(23)
+    p23 = SparsityParams(2, 3)
+    for n in (60, 120, 250, 500, 1000):
+        base = random_tight_graph(n, p23, rng.randrange(1 << 30))
+        edges, pins = list(base.edges), _planted_pins(base)
+        yield _with_pins(n, edges, pins)
+        yield _with_pins(n, edges, [(v, 1 - c) for v, c in pins])
+        for c in (0, 1):
+            one_color = [(v, c) for v in rng.sample(range(n), 3)]
+            yield _with_pins(n, edges, one_color)
+            yield _with_pins(n, edges, _move_pin(one_color, range(n), rng))
+        a = n // 2
+        block_a = random_tight_graph(a, p23, rng.randrange(1 << 30))
+        block_b = random_tight_graph(n - a, p23, rng.randrange(1 << 30))
+        two_blocks = list(block_a.edges) + [(u + a, v + a) for u, v in block_b.edges]
+        ua, vb = rng.sample(range(a), 2), rng.sample(range(a, n), 2)
+        two_blocks += [(ua[0], vb[0]), (ua[1], vb[1])]
+        in_a = rng.sample([(v, c) for v in range(a) for c in range(2)], 4)
+        yield _with_pins(n, two_blocks, in_a)
+        for _ in range(3):
+            yield _with_pins(n, two_blocks, _move_pin(in_a, range(a, n), rng))
+        yield _with_pins(n, edges, _move_pin(pins, range(n), rng))
+        yield _with_pins(n, edges, _recolor_pin(pins, rng))
+
+
+AXIS_VERDICTS_DIGEST = "7c45eb5fa9f33676d604bf810e30690233aafa2a00482b83c15d603fa1713c14"
+
+
+def test_axis_verdicts_are_pinned_at_large_n():
+    # the brute-force oracle stops at 16 loopless edges, so these verdicts
+    # guard the forest split where only the planted answers are known
+    verdicts = "".join(
+        "1" if axis_parallel_slider_check(g, colors) else "0" for g, colors in _axis_digest_cases()
+    )
+    assert len(verdicts) == 60
+    for chunk in (verdicts[i : i + 12] for i in range(0, 60, 12)):
+        # planted answers: the positive and its color swap, the one-color
+        # negatives and their moved copies, and the two-block negative
+        assert chunk[:7] == "1100000"
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == AXIS_VERDICTS_DIGEST
+
+
+def _is_tree_pair(n: int, edges: list, pins: list, owner: list) -> bool:
+    # union-find on each color's contracted graph (its looped vertices merged
+    # into vertex n): every edge has an owner, no edge closes a cycle, and
+    # every contracted vertex ends in the tree of vertex n, so each tree of
+    # the uncontracted forest spans exactly one loop of its color
+    if len(owner) != len(edges) or set(owner) - {0, 1}:
+        return False
+    for c in (0, 1):
+        node = list(range(n))
+        for v, pin_color in pins:
+            if pin_color == c:
+                node[v] = n
+        root = list(range(n + 1))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        for (u, v), o in zip(edges, owner):
+            if o == c:
+                a, b = find(node[u]), find(node[v])
+                if a == b:
+                    return False
+                root[a] = b
+        if any(find(x) != find(n) for x in node):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [60, 500, 2000])
+def test_tree_pair_returns_a_split_that_union_find_accepts(n):
+    # the split is checked without the engine, on planted positives whose
+    # edges come shuffled (shallow greedy trees) and sorted (deep ones)
+    base = random_tight_graph(n, SparsityParams(2, 3), n)
+    pins = _planted_pins(base)
+    shuffled = list(base.edges)
+    random.Random(n).shuffle(shuffled)
+    for edges in (shuffled, sorted(base.edges)):
+        owner = _tree_pair_exists(n, edges, pins)
+        assert owner is not None and _is_tree_pair(n, edges, pins, owner)
+
+
+def test_tree_pair_returns_none_only_without_a_split():
+    # one vertex with both loops splits no edges: an empty split, though
+    # falsy, so the axis check must test it against None
+    assert _tree_pair_exists(1, [], [(0, 0), (0, 1)]) == []
+    assert axis_parallel_slider_check(Multigraph(1, [(0, 0), (0, 0)]), {0: 0, 1: 1}) is True
+    # three x loops on a triangle: forest y has no loop, so there is no split
+    assert _tree_pair_exists(3, [(0, 1), (1, 2), (0, 2)], [(0, 0), (1, 0), (2, 0)]) is None
+
+
+def test_axis_agreement_on_inputs_that_reach_the_split(monkeypatch):
+    # every input has exactly 2n - loops loopless edges, so no verdict comes
+    # from the edge count: half are subsets of a (2,3)-tight graph, which
+    # always reach the forest split, and half are random multigraphs, which
+    # (2,3)-sparsity may reject first
+    real = sliders._tree_pair_exists
+    splits = []
+
+    def counted(*args):
+        owner = real(*args)
+        splits.append(owner is not None)
+        return owner
+
+    monkeypatch.setattr(sliders, "_tree_pair_exists", counted)
+    rng = random.Random(2023)
+    for i in range(3000):
+        n = rng.randint(2, 8)
+        pins = rng.sample([(v, c) for v in range(n) for c in (0, 1)], rng.randint(2 + i % 2, 2 * n))
+        m = 2 * n - len(pins)
+        if i % 2:
+            tight = random_tight_graph(n, SparsityParams(2, 3), rng.randrange(1 << 30))
+            edges = rng.sample(list(tight.edges), m)
+        else:
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(m)]
+        g, colors = _with_pins(n, edges, pins)
+        assert axis_parallel_slider_check(g, colors) == brute_force_axis_parallel(g, colors), (
+            n, edges, pins,
+        )
+    assert (len(splits), splits.count(False)) == (2306, 877)
