@@ -48,7 +48,6 @@ from .decompose import (
     Certificate,
     CertificateError,
     ColoredEdge,
-    Decomposition,
     NotTightError,
     TreePiece,
     certificate_from_json,
@@ -57,7 +56,6 @@ from .decompose import (
     count_tree_pieces_exact,
     extract_certificate,
     extract_coloring,
-    result_decomposition,
     to_dot,
     tree_pieces,
     validate_certificate,

@@ -199,15 +199,15 @@ def cmd_decompose(args) -> int:
     if args.trace == "-" == args.output:
         raise UsageError("--trace - would mix the trace into the output on stdout")
     params = _params(args)
-    g = _load_graph(args.graph)
     try:
-        # the game state is dropped here, so it is not held while the certificate is written
-        cert = extract_certificate(_play(args, g, params), args.kind)
+        # the graph and the game state are dropped here, so neither is held
+        # while the certificate is written
+        cert = extract_certificate(_play(args, _load_graph(args.graph), params), args.kind)
     except NotTightError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_TIGHT
     if args.format == "dot":
-        _write_text(args.output, to_dot(g, cert))
+        _write_text(args.output, to_dot(cert))
     else:
         _write_text(args.output, certificate_to_json(cert))
     return EXIT_OK

@@ -62,21 +62,6 @@ class ColoredEdge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """An edge coloring plus certifying orientation for a (k, l) game output."""
-
-    params: SparsityParams
-    n: int
-    edges: tuple[ColoredEdge, ...]
-
-    def color_classes(self) -> list[list[ColoredEdge]]:
-        classes: list[list[ColoredEdge]] = [[] for _ in range(self.params.k)]
-        for e in self.edges:
-            classes[e.color].append(e)
-        return classes
-
-
-@dataclass(frozen=True)
 class TreePiece:
     color: int
     vertices: frozenset[int]
@@ -87,6 +72,9 @@ class TreePiece:
 
 @dataclass(frozen=True)
 class Certificate:
+    """An edge coloring with its certifying orientation; the role-bearing
+    kinds also list the trees and maps the coloring defines."""
+
     kind: str
     params: SparsityParams
     n: int
@@ -94,34 +82,28 @@ class Certificate:
     trees: _Roles = ()
     maps: _Roles = ()
 
-    @property
-    def decomposition(self) -> Decomposition:
-        return Decomposition(self.params, self.n, self.edges)
+
+def _color_classes(edges: Iterable[ColoredEdge]) -> dict[int, list[ColoredEdge]]:
+    """The edges of each color that occurs, in edge order."""
+    classes: dict[int, list[ColoredEdge]] = {}
+    for e in edges:
+        classes.setdefault(e.color, []).append(e)
+    return classes
 
 
 # -- extraction ---------------------------------------------------------------
 
 
-def extract_coloring(state: GameState) -> Decomposition:
-    """Read the edge colors and orientations straight off a game state."""
+def extract_coloring(state: GameState) -> Certificate:
+    """The coloring certificate read straight off a game state, by state edge id."""
     edges = tuple(
         ColoredEdge(e, state.tails[e], state.heads[e], state.colors[e], state.tails[e])
         for e in range(state.m)
     )
-    return Decomposition(state.params, state.n, edges)
+    return Certificate("coloring", state.params, state.n, edges)
 
 
-def result_decomposition(result: ConstructionResult) -> Decomposition:
-    """The coloring of a construction, indexed by the input graph's edge ids."""
-    state = result.state
-    rows = []
-    for pos, eid in enumerate(result.accepted):
-        u, v = result.graph.edges[eid]
-        rows.append(ColoredEdge(eid, u, v, state.colors[pos], state.tails[pos]))
-    return Decomposition(result.params, result.graph.n, tuple(rows))
-
-
-def _check_cover(g: Multigraph, d: Decomposition) -> None:
+def _check_cover(g: Multigraph, d: Certificate) -> None:
     """Each edge id 0..m-1 once, on the graph's endpoints and oriented from one
     of them; `_out_slots` checks the colors."""
     if d.n != g.n:
@@ -142,7 +124,7 @@ def _check_cover(g: Multigraph, d: Decomposition) -> None:
             raise CertificateError(f"edge {eid} oriented from a non-endpoint")
 
 
-def _out_slots(d: Decomposition) -> dict[int, ColoredEdge]:
+def _out_slots(d: Certificate) -> dict[int, ColoredEdge]:
     """Map slot `vertex * k + color` -> its outgoing edge.
 
     Raises CertificateError if any slot is doubled, or if a tail or color is
@@ -165,7 +147,7 @@ def _out_slots(d: Decomposition) -> dict[int, ColoredEdge]:
     return slots
 
 
-def tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) -> list[TreePiece]:
+def tree_pieces(d: Certificate, g: Multigraph, subset: Iterable[int]) -> list[TreePiece]:
     """All monochromatic tree-pieces of the subgraph induced by `subset`.
 
     A piece is an acyclic monochromatic connected component of the induced
@@ -191,7 +173,7 @@ def tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) -> list[
     return pieces
 
 
-def count_tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) -> int:
+def count_tree_pieces(d: Certificate, subset: Iterable[int]) -> int:
     """Tree-piece count by the root rule, without materializing the pieces.
 
     A vertex roots a piece of a color exactly when its color slot has no
@@ -211,7 +193,7 @@ def count_tree_pieces(d: Decomposition, g: Multigraph, subset: Iterable[int]) ->
     return total
 
 
-def count_tree_pieces_exact(d: Decomposition, g: Multigraph, subset: Iterable[int]) -> int:
+def count_tree_pieces_exact(d: Certificate, g: Multigraph, subset: Iterable[int]) -> int:
     """Tree-piece count of a forest decomposition, asserted equal to k*n' - m'.
 
     Valid for subsets of at least two vertices of a proper tree decomposition.
@@ -276,16 +258,15 @@ def _class_components(
     return comps
 
 
-def _roles(
-    d: Decomposition, kind: str, classes: list[list[ColoredEdge]]
-) -> tuple[_Roles, _Roles]:
-    """The (trees, maps) roles the coloring of `d` defines, unchecked.
+def _roles(d: Certificate, kind: str) -> tuple[_Roles, _Roles]:
+    """The (trees, maps) roles of `kind` that the coloring of `d` defines, unchecked.
 
     maps-and-trees: each color class's edge ids, sorted; colors below l are
     the trees, the rest the maps.  proper-lTk: every component of every color
-    class, ordered by (root, color), and no maps.  `classes` is
-    `d.color_classes()`.
+    class, ordered by (root, color), and no maps.
     """
+    by_color = _color_classes(d.edges)
+    classes = [by_color.get(c, ()) for c in range(d.params.k)]
     if kind == "maps-and-trees":
         ids = [tuple(sorted(e.id for e in rows)) for rows in classes]
         return tuple(ids[: d.params.l]), tuple(ids[d.params.l :])
@@ -300,11 +281,15 @@ def _roles(
 def extract_certificate(result: ConstructionResult, kind: str | None = None) -> Certificate:
     """The certificate of a construction; the kind defaults to the range's own.
 
-    Role-bearing kinds need a tight input in their range (NotTightError
-    otherwise).  Extraction only derives the roles from the coloring, so an
-    engine bug shows up as an invalid certificate from `validate_certificate`.
+    The game must have been played on a `Multigraph` (ValueError otherwise:
+    an `EdgeStream`'s edges are spent).  Role-bearing kinds need a tight input
+    in their range (NotTightError otherwise).  Extraction only derives the
+    roles from the coloring, so an engine bug shows up as an invalid
+    certificate from `validate_certificate`.
     """
-    params = result.params
+    g, params, state = result.graph, result.params, result.state
+    if not isinstance(g, Multigraph):
+        raise ValueError("a certificate needs a game played on a Multigraph, not an EdgeStream")
     if kind is None:
         kind = "maps-and-trees" if params.lower_range else "proper-ltk"
     if kind not in CERTIFICATE_KINDS:
@@ -315,9 +300,14 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
         raise NotTightError("a proper tree decomposition requires the upper range (l >= k)")
     if kind != "coloring" and not result.is_tight():
         raise NotTightError("input not tight")
-    d = result_decomposition(result)
-    trees, maps = _roles(d, kind, d.color_classes()) if kind != "coloring" else ((), ())
-    return Certificate(kind, params, d.n, d.edges, trees, maps)
+    edges = tuple(
+        ColoredEdge(eid, *g.edges[eid], state.colors[pos], state.tails[pos])
+        for pos, eid in enumerate(result.accepted)
+    )
+    coloring = Certificate("coloring", params, g.n, edges)
+    if kind == "coloring":
+        return coloring
+    return Certificate(kind, params, g.n, edges, *_roles(coloring, kind))
 
 
 # -- validation -----------------------------------------------------------------
@@ -335,10 +325,10 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
     (k,l)-sparse, decided exactly by `oracle.overfull_subset`; valid
     maps-and-trees roles imply sparsity.
     """
-    d, params, kind = cert.decomposition, cert.params, cert.kind
+    params, kind = cert.params, cert.kind
     try:
-        _check_cover(g, d)
-        _out_slots(d)
+        _check_cover(g, cert)
+        _out_slots(cert)
     except CertificateError as exc:
         return False, str(exc)
     if kind not in CERTIFICATE_KINDS:
@@ -369,9 +359,7 @@ def _role_failure(g: Multigraph, cert: Certificate, lower: bool) -> str:
     that hold an edge is the number of empty roles expected.
     """
     params, n = cert.params, g.n
-    classes: dict[int, list[ColoredEdge]] = {}
-    for e in cert.edges:
-        classes.setdefault(e.color, []).append(e)
+    classes = _color_classes(cert.edges)
     tree_colors = params.l if lower else params.k
     empty = 0  # the lowest color without an edge
     while empty in classes:
@@ -559,14 +547,14 @@ _DOT_PALETTE = (
 )
 
 
-def to_dot(g: Multigraph, cert: Certificate | Decomposition, name: str = "decomposition") -> str:
-    """Render the colored, oriented decomposition as a Graphviz digraph (one-way)."""
-    edges = cert.edges
+def to_dot(cert: Certificate, name: str = "decomposition") -> str:
+    """Render the colored, oriented certificate as a Graphviz digraph (one-way):
+    one node per vertex 0..n-1, one arrow per edge from its tail."""
     lines = [f"digraph {name} {{"]
     lines.append("  node [shape=circle];")
-    for v in range(g.n):
+    for v in range(cert.n):
         lines.append(f"  {v};")
-    for e in sorted(edges, key=lambda r: r.id):
+    for e in sorted(cert.edges, key=lambda r: r.id):
         color = _DOT_PALETTE[e.color % len(_DOT_PALETTE)]
         lines.append(f'  {e.tail} -> {e.head} [color="{color}", label="{e.color}"];')
     lines.append("}")

@@ -232,17 +232,52 @@ def _split_exists(
     return rec(0)
 
 
-def brute_force_graded_tight(g: Multigraph, *, max_n: int = 8) -> bool:
-    """Graded tightness straight from the definition, by two subset scans; it
-    refuses input with the `ValueError`s of `sliders.graded_tight_check`."""
-    loop_count = [0] * g.n
-    for u, v in g.edges:
-        if u == v:
-            loop_count[u] += 1
-            if loop_count[u] > 2:
+def slider_loops(
+    g: Multigraph, loop_colors: dict[int, int] | None = None
+) -> list[tuple[int, int]]:
+    """The (vertex, color) loops of a slider instance, in edge order; raises
+    ValueError for input that no slider check accepts, and for n < 1.
+
+    Without `loop_colors` (graded tightness) a vertex's first loop has color
+    0 and its second color 1, and a third is refused.  With it, the map sends
+    each loop edge id to 0 (x) or 1 (y), at most one loop of each color per
+    vertex; keys and colors must be plain ints (not a bool or a float), and
+    every key must be a loop of g.  The slider checks and their brute-force
+    oracles all refuse input here, so they refuse it alike.
+    """
+    loops: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for eid, (u, v) in enumerate(g.edges):
+        if u != v:
+            continue
+        if loop_colors is None:
+            if (u, 1) in seen:
                 raise ValueError(f"vertex {u} carries more than 2 loops")
+            c = int((u, 0) in seen)
+        else:
+            if eid not in loop_colors:
+                raise ValueError(f"loop edge {eid} has no color")
+            c = loop_colors[eid]
+            if type(c) is not int or c not in (0, 1):
+                raise ValueError(f"loop edge {eid} color must be 0 (x) or 1 (y)")
+            if (u, c) in seen:
+                raise ValueError(f"vertex {u} carries two loops of color {c}")
+        seen.add((u, c))
+        loops.append((u, c))
+    for eid in loop_colors or ():
+        if type(eid) is not int:  # exactly int: True and 0.0 would look up edges 1 and 0
+            raise ValueError(f"loop color key {eid!r} is not an int edge id")
+        if not (0 <= eid < g.m) or not g.is_loop(eid):
+            raise ValueError(f"loop color given for non-loop edge {eid}")
     if g.n < 1:
         raise ValueError("the game needs at least one vertex")
+    return loops
+
+
+def brute_force_graded_tight(g: Multigraph, *, max_n: int = 8) -> bool:
+    """Graded tightness straight from the definition, by two subset scans; it
+    refuses input in `slider_loops`, as `sliders.graded_tight_check` does."""
+    slider_loops(g)
     loopless = Multigraph(g.n, [(u, v) for u, v in g.edges if u != v])
     if not brute_force_sparse(loopless, SparsityParams(2, 3), max_n=max_n).sparse:
         return False
@@ -259,8 +294,8 @@ def brute_force_axis_parallel(
 
     `loop_colors` maps each loop edge id to 0 (x) or 1 (y), at most one loop
     of each color per vertex, keys and colors plain ints (no bool); a
-    malformed map or an empty vertex set raises the `ValueError` that
-    `sliders.axis_parallel_slider_check` raises.  The loops are pre-placed as
+    malformed map or an empty vertex set raises in `slider_loops`, as
+    `sliders.axis_parallel_slider_check` does.  The loops are pre-placed as
     cycles of their color in `_split_exists`, which keeps every tree to at
     most one.  Color c then has at least as many trees as loops, so its
     forest holds at most n minus its loops in edges; with exactly 2n - loops
@@ -268,25 +303,10 @@ def brute_force_axis_parallel(
     exactly one loop.
     """
     n = g.n
-    plain = [(u, v) for u, v in g.edges if u != v]
     cycles = [[0] * n for _ in range(2)]
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            if eid not in loop_colors:
-                raise ValueError(f"loop edge {eid} has no color")
-            c = loop_colors[eid]
-            if type(c) is not int or c not in (0, 1):
-                raise ValueError(f"loop edge {eid} color must be 0 (x) or 1 (y)")
-            if cycles[c][u]:
-                raise ValueError(f"vertex {u} carries two loops of color {c}")
-            cycles[c][u] = 1
-    for eid in loop_colors:
-        if type(eid) is not int:  # exactly int: True and 0.0 would look up edges 1 and 0
-            raise ValueError(f"loop color key {eid!r} is not an int edge id")
-        if not (0 <= eid < g.m) or not g.is_loop(eid):
-            raise ValueError(f"loop color given for non-loop edge {eid}")
-    if n < 1:
-        raise ValueError("the game needs at least one vertex")
+    for u, c in slider_loops(g, loop_colors):
+        cycles[c][u] = 1
+    plain = [(u, v) for u, v in g.edges if u != v]
     if len(plain) > max_m:
         raise OracleSizeError(f"split search refused for m={len(plain)} > {max_m}")
     if not brute_force_sparse(Multigraph(n, plain), SparsityParams(2, 3)).sparse:

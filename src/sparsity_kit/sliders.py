@@ -17,13 +17,10 @@ and since the exchange path is a shortest one every link joins two trees.
 from __future__ import annotations
 
 from .graph import Multigraph, SparsityParams
-from .oracle import overfull_subset
+from .oracle import overfull_subset, slider_loops
 
 _PARAMS_23 = SparsityParams(2, 3)
 _PARAMS_20 = SparsityParams(2, 0)
-
-X_LOOP = 0
-Y_LOOP = 1
 
 
 def graded_tight_check(g: Multigraph) -> bool:
@@ -32,16 +29,9 @@ def graded_tight_check(g: Multigraph) -> bool:
     Straight from the definition: the whole graph has exactly 2n edges, and
     the uncolored orientation test `overfull_subset` finds no overfull set in
     the loopless part under (2,3) nor in the whole graph under (2,0), where
-    one pebble pays for a loop.
+    one pebble pays for a loop.  Input is refused in `oracle.slider_loops`.
     """
-    loop_count = [0] * g.n
-    for u, v in g.edges:
-        if u == v:
-            loop_count[u] += 1
-            if loop_count[u] > 2:
-                raise ValueError(f"vertex {u} carries more than 2 loops")
-    if g.n < 1:
-        raise ValueError("the game needs at least one vertex")
+    slider_loops(g)
     if g.m != 2 * g.n:
         return False
     loopless = Multigraph(g.n, [(u, v) for u, v in g.edges if u != v])
@@ -171,30 +161,8 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
     colored game; an iterative matroid partition (Edmonds 1965) then decides
     the forest split exactly in polynomial time.
     """
-    loops: list[tuple[int, int]] = []  # (vertex, color)
-    seen_per_vertex: set[tuple[int, int]] = set()
-    plain_edges = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            if eid not in loop_colors:
-                raise ValueError(f"loop edge {eid} has no color")
-            c = loop_colors[eid]
-            if type(c) is not int or c not in (X_LOOP, Y_LOOP):
-                raise ValueError(f"loop edge {eid} color must be 0 (x) or 1 (y)")
-            if (u, c) in seen_per_vertex:
-                raise ValueError(f"vertex {u} carries two loops of color {c}")
-            seen_per_vertex.add((u, c))
-            loops.append((u, c))
-        else:
-            plain_edges.append((u, v))
-    for eid in loop_colors:
-        if type(eid) is not int:  # exactly int: True and 0.0 would look up edges 1 and 0
-            raise ValueError(f"loop color key {eid!r} is not an int edge id")
-        if not (0 <= eid < g.m) or not g.is_loop(eid):
-            raise ValueError(f"loop color given for non-loop edge {eid}")
-
-    if g.n < 1:
-        raise ValueError("the game needs at least one vertex")
+    loops = slider_loops(g, loop_colors)
+    plain_edges = [(u, v) for u, v in g.edges if u != v]
     if len(plain_edges) != 2 * g.n - len(loops):
         return False  # the whole graph cannot be (2,0)-tight
     if overfull_subset(Multigraph(g.n, plain_edges), _PARAMS_23) is not None:

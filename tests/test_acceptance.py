@@ -31,7 +31,6 @@ from sparsity_kit import (
     graded_tight_check,
     monochromatic_cycle_colors,
     random_tight_graph,
-    result_decomposition,
     run_canonical_game,
     validate_certificate,
 )
@@ -98,7 +97,7 @@ def test_criterion_2_decomposition_properties():
                 failures += 1
                 made += 1
                 continue
-            d = result_decomposition(res)
+            d = extract_certificate(res, "coloring")
             out_seen = set()
             for e in d.edges:
                 key = (e.tail, e.color)
@@ -111,7 +110,7 @@ def test_criterion_2_decomposition_properties():
                 if mask.bit_count() == 1 and not include_singletons:
                     continue
                 sub = frozenset(i for i in range(n) if mask >> i & 1)
-                if count_tree_pieces(d, g, sub) < params.l:
+                if count_tree_pieces(d, sub) < params.l:
                     failures += 1
                     break
             made += 1
@@ -205,7 +204,6 @@ def test_criterion_4_upper_range_certificates():
                 if not ok:
                     failures.append((params, g.edges, why))
                     continue
-                d = cert.decomposition
                 membership = [0] * n
                 for t in cert.trees:
                     verts = set()
@@ -223,7 +221,7 @@ def test_criterion_4_upper_range_certificates():
                         continue
                     sub = frozenset(i for i in range(n) if mask >> i & 1)
                     try:
-                        count_tree_pieces_exact(d, g, sub)
+                        count_tree_pieces_exact(cert, g, sub)
                     except Exception:
                         bad_subset = True
                         break

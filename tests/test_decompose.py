@@ -22,7 +22,7 @@ from sparsity_kit import (
     extract_coloring,
     induced_edge_count,
     random_tight_graph,
-    result_decomposition,
+    read_graph,
     run_canonical_game,
     to_dot,
     tree_pieces,
@@ -32,8 +32,8 @@ from sparsity_kit.decompose import (
     CERTIFICATE_KINDS,
     Certificate,
     ColoredEdge,
-    Decomposition,
     _class_components,
+    _color_classes,
 )
 
 from conftest import K4_EDGES
@@ -54,10 +54,11 @@ def piece_summary(pieces):
 
 
 def test_extract_coloring_k4_classes(k4_decomposition):
-    classes = k4_decomposition.color_classes()
+    assert k4_decomposition.kind == "coloring"
+    classes = _color_classes(k4_decomposition.edges)
     assert len(classes[0]) == 3  # spanning tree color
     assert len(classes[1]) == 3  # ring color
-    for cls in classes:
+    for cls in classes.values():
         out_deg = {}
         for e in cls:
             out_deg[e.tail] = out_deg.get(e.tail, 0) + 1
@@ -68,8 +69,7 @@ def test_extract_coloring_empty_graph():
     from sparsity_kit import GameState
 
     d = extract_coloring(GameState(3, SparsityParams(2, 2)))
-    assert d.edges == ()
-    assert [len(c) for c in d.color_classes()] == [0, 0]
+    assert d == Certificate("coloring", SparsityParams(2, 2), 3, ())
 
 
 def test_tree_pieces_center_plus_two_ring_vertices(k4_decomposition, k4_graph):
@@ -111,12 +111,8 @@ def test_tree_piece_ordering_is_stable(k4_decomposition, k4_graph):
     assert keys == sorted(keys)
 
 
-def coloring_certificate(d):
-    return Certificate("coloring", d.params, d.n, d.edges)
-
-
 def test_certify_coloring_k4(k4_decomposition, k4_graph):
-    ok, why = validate_certificate(k4_graph, coloring_certificate(k4_decomposition))
+    ok, why = validate_certificate(k4_graph, k4_decomposition)
     assert ok
     assert not why
 
@@ -133,8 +129,8 @@ def test_certify_coloring_rejects_doubled_cycle():
         ColoredEdge(4, 2, 0, 0, 2),  # second color-0 out-edge at vertex 2
         ColoredEdge(5, 3, 0, 1, 3),
     ]
-    d = Decomposition(SparsityParams(2, 2), 4, tuple(rows))
-    ok, why = validate_certificate(g, coloring_certificate(d))
+    d = Certificate("coloring", SparsityParams(2, 2), 4, tuple(rows))
+    ok, why = validate_certificate(g, d)
     assert not ok
     assert "two outgoing" in why
 
@@ -142,8 +138,8 @@ def test_certify_coloring_rejects_doubled_cycle():
 def test_certify_coloring_triangle_exhaustive_pieces():
     tri = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
     res = run_canonical_game(tri, SparsityParams(2, 3))
-    d = result_decomposition(res)
-    ok, _ = validate_certificate(tri, coloring_certificate(d))
+    d = extract_certificate(res, "coloring")
+    ok, _ = validate_certificate(tri, d)
     assert ok
     for sub in ({0, 1}, {1, 2}, {0, 2}, {0, 1, 2}):
         assert len(tree_pieces(d, tri, sub)) >= 3
@@ -152,7 +148,7 @@ def test_certify_coloring_triangle_exhaustive_pieces():
 def test_count_tree_pieces_exact_triangle():
     tri = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
     res = run_canonical_game(tri, SparsityParams(2, 3))
-    d = result_decomposition(res)
+    d = extract_certificate(res, "coloring")
     assert count_tree_pieces_exact(d, tri, {0, 1, 2}) == 3  # 2*3-3
     u, v = tri.edges[0]
     assert count_tree_pieces_exact(d, tri, {u, v}) == 3  # 2*2-1
@@ -174,13 +170,11 @@ def test_root_rule_count_matches_piece_enumeration():
             ColoredEdge(i, *accepted_graph.edges[i], res.state.colors[i], res.state.tails[i])
             for i in range(len(res.accepted))
         )
-        d = Decomposition(params, n, rows)
+        d = Certificate("coloring", params, n, rows)
         for _ in range(10):
             size = rng.randint(1, n)
             sub = frozenset(rng.sample(range(n), size))
-            assert count_tree_pieces(d, accepted_graph, sub) == len(
-                tree_pieces(d, accepted_graph, sub)
-            )
+            assert count_tree_pieces(d, sub) == len(tree_pieces(d, accepted_graph, sub))
 
 
 def test_count_tree_pieces_matches_formula_on_random_tight():
@@ -189,7 +183,7 @@ def test_count_tree_pieces_matches_formula_on_random_tight():
         params = SparsityParams(2, 3)
         g = random_tight_graph(rng.randint(3, 6), params, seed)
         res = run_canonical_game(g, params)
-        d = result_decomposition(res)
+        d = extract_certificate(res, "coloring")
         n = g.n
         for mask in range(1, 1 << n):
             sub = [i for i in range(n) if mask >> i & 1]
@@ -696,10 +690,28 @@ def test_adversarial_proper_coloring_implies_sparse():
 def test_dot_output_mentions_colors_and_orientation(k4_graph):
     res = run_canonical_game(k4_graph, SparsityParams(2, 2))
     cert = extract_certificate(res)
-    dot = to_dot(k4_graph, cert)
+    dot = to_dot(cert)
     assert dot.startswith("digraph")
     assert "->" in dot
     assert 'color="' in dot
+    # one node line per vertex of the certificate, and every arrow between them
+    lines = dot.splitlines()
+    nodes = [line.strip(" ;") for line in lines if re.fullmatch(r"  \d+;", line)]
+    arrows = [line.split()[:3] for line in lines if "->" in line]
+    assert nodes == [str(v) for v in range(cert.n)]
+    assert len(arrows) == k4_graph.m
+    assert all(a in nodes and b in nodes for a, _, b in arrows)
+
+
+def test_extract_certificate_refuses_a_streamed_game():
+    # a game played from an EdgeStream has spent its edges, so no kind can
+    # name each edge's endpoints
+    text = ["3 3\n0 1\n1 2\n2 0\n"]
+    for kind in (None, *CERTIFICATE_KINDS):
+        res = run_canonical_game(read_graph(text), SparsityParams(2, 3))
+        assert res.is_tight()
+        with pytest.raises(ValueError, match="played on a Multigraph"):
+            extract_certificate(res, kind)
 
 
 def test_cover_check_rejects_repeated_edge_id():
@@ -722,7 +734,7 @@ def test_cover_check_rejects_repeated_edge_id():
 def test_piece_counts_reject_out_of_range_vertices(k4_decomposition, k4_graph):
     for bad in (-1, k4_graph.n):
         with pytest.raises(ValueError, match="out of range"):
-            count_tree_pieces(k4_decomposition, k4_graph, {bad, 0})
+            count_tree_pieces(k4_decomposition, {bad, 0})
         with pytest.raises(ValueError, match="out of range"):
             tree_pieces(k4_decomposition, k4_graph, {bad, 0})
 
@@ -735,9 +747,9 @@ def test_piece_counts_reject_out_of_range_tails_and_colors(
     # decomposition with such an edge without a word
     rows = list(k4_decomposition.edges)
     rows[0] = rows[0]._replace(**{field: value})
-    d = Decomposition(SparsityParams(2, 2), 4, tuple(rows))
+    d = Certificate("coloring", SparsityParams(2, 2), 4, tuple(rows))
     with pytest.raises(CertificateError, match="out of range"):
-        count_tree_pieces(d, k4_graph, range(4))
+        count_tree_pieces(d, range(4))
     with pytest.raises(CertificateError, match="out of range|non-endpoint"):
         tree_pieces(d, k4_graph, range(4))
 
@@ -764,11 +776,12 @@ def test_relabelled_22_coloring_is_neither_23_certificate():
         assert g.m == params.max_edges(g.n)
         res = run_canonical_game(g, SparsityParams(2, 2))
         assert not res.rejected
-        d = result_decomposition(res)
+        d = extract_certificate(res, "coloring")
+        classes = _color_classes(d.edges)
         trees = tuple(
             tuple(eids)
-            for rows in d.color_classes()
-            for _, eids, _ in _class_components(range(g.n), rows)
+            for c in range(2)
+            for _, eids, _ in _class_components(range(g.n), classes.get(c, ()))
         )
         for cert in (
             Certificate("proper-ltk", params, g.n, d.edges, trees),
@@ -785,8 +798,8 @@ def test_certify_coloring_rejects_upper_range_loop():
     # of two or more vertices still holds 3 tree-pieces
     g = Multigraph(2, [(0, 0)])
     params = SparsityParams(2, 3)
-    d = Decomposition(params, 2, (ColoredEdge(0, 0, 0, 0, 0),))
-    ok, why = validate_certificate(g, coloring_certificate(d))
+    d = Certificate("coloring", params, 2, (ColoredEdge(0, 0, 0, 0, 0),))
+    ok, why = validate_certificate(g, d)
     assert not ok
     assert _named_subset(why) == [0]
     assert not brute_force_sparse(g, params).sparse

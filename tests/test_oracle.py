@@ -16,10 +16,10 @@ from sparsity_kit import (
     brute_force_sparse,
     enumerate_small_multigraphs,
     enumerate_tight_graphs,
+    extract_certificate,
     induced_edge_count,
     overfull_subset,
     random_tight_graph,
-    result_decomposition,
     run_canonical_game,
     validate_certificate,
 )
@@ -370,8 +370,8 @@ def test_overfull_subset_matches_brute_force():
         # the (k,0) game colors every edge of a (k,0)-sparse graph
         res = run_canonical_game(g, SparsityParams(params.k, 0))
         if not res.rejected:
-            d = result_decomposition(res)
-            relabelled = Certificate("coloring", params, n, d.edges)
+            coloring = extract_certificate(res, "coloring")
+            relabelled = Certificate("coloring", params, n, coloring.edges)
             assert validate_certificate(g, relabelled)[0] == sparse
             certified += 1
     assert min(verdicts.values()) > 800 and certified > 1_500, (verdicts, certified)

@@ -15,6 +15,7 @@ from sparsity_kit import (
     run_canonical_game,
 )
 from sparsity_kit import sliders
+from sparsity_kit.oracle import slider_loops
 from sparsity_kit.sliders import _tree_pair_exists
 
 
@@ -93,6 +94,13 @@ def test_axis_rejects_a_color_on_a_non_loop_edge():
             check(g, {0: 0, 1: 0, 2: 1})
         with pytest.raises(ValueError, match="loop color given for non-loop edge 3"):
             check(g, {1: 0, 2: 1, 3: 0})
+
+
+def test_slider_loops_are_vertex_color_pairs_in_edge_order():
+    # graded input numbers a vertex's loops 0 then 1; axis input takes the map's colors
+    g = Multigraph(2, [(1, 1), (0, 1), (0, 0), (1, 1)])
+    assert slider_loops(g) == [(1, 0), (0, 0), (1, 1)]
+    assert slider_loops(g, {0: 1, 2: 1, 3: 0}) == [(1, 1), (0, 1), (1, 0)]
 
 
 def test_both_checks_refuse_an_empty_vertex_set():
