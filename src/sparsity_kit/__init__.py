@@ -40,7 +40,6 @@ from .canonical import (
     canonical_add_edge,
     collect_pebbles_canonically,
     creates_monochromatic_cycle,
-    monochromatic_cycle_colors,
     route_pebble,
     run_canonical_game,
 )
@@ -49,15 +48,10 @@ from .decompose import (
     CertificateError,
     ColoredEdge,
     NotTightError,
-    TreePiece,
     certificate_from_json,
     certificate_to_json,
-    count_tree_pieces,
-    count_tree_pieces_exact,
     extract_certificate,
-    extract_coloring,
     to_dot,
-    tree_pieces,
     validate_certificate,
 )
 from .sliders import axis_parallel_slider_check, graded_tight_check

@@ -279,38 +279,3 @@ def run_canonical_game(
     accepted = [eid for eid, (u, v) in enumerate(g.edges) if play_edge(state, u, v)]
     return ConstructionResult(g, params, state, accepted)
 
-
-def monochromatic_cycle_colors(state: GameState) -> list[int]:
-    """Colors that currently contain a directed monochromatic cycle (loops count)."""
-    bad: list[int] = []
-    for c in range(state.params.k):
-        status = [0] * state.n  # 0 unseen, 1 active, 2 done
-        found = False
-        for v in range(state.n):
-            if status[v] or found:
-                continue
-            chain = []
-            x = v
-            while True:
-                if status[x] == 1:
-                    found = True
-                    break
-                if status[x] == 2:
-                    break
-                status[x] = 1
-                chain.append(x)
-                e = state.out_color[x][c]
-                if e < 0:
-                    break
-                y = state.heads[e]
-                if y == x:
-                    found = True  # loop edge
-                    break
-                x = y
-            for z in chain:
-                status[z] = 2
-            if found:
-                break
-        if found:
-            bad.append(c)
-    return bad

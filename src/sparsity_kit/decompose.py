@@ -1,9 +1,10 @@
-"""Colorings, tree-pieces, and sparsity certificates extracted from game states.
+"""Sparsity certificates extracted from canonical games, and their one checker.
 
 A pebble game configuration colors every edge and orients it away from the
 vertex its pebble was spent at, so each color class has out-degree at most one
-per vertex.  Extraction only derives a certificate's tree and map roles from
-that coloring; `validate_certificate` is the one checker for every kind.  It
+per vertex.  `extract_certificate` reads that coloring from a game's
+`ConstructionResult` and only derives a certificate's tree and map roles from
+it; `validate_certificate` is the one checker for every kind.  It
 works from the stored orientation: out-degree is a per-vertex slot count, tree
 checks are connectivity counts, and tree-piece counts come from the root rule
 (a piece is rooted at a vertex whose color slot holds a pebble, or whose
@@ -28,9 +29,8 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .canonical import ConstructionResult
-from .graph import Multigraph, SparsityParams, induced_edge_count, vertex_subset
+from .graph import Multigraph, SparsityParams, induced_edge_count
 from .oracle import overfull_subset
-from .pebbles import GameState
 
 
 class CertificateError(ValueError):
@@ -62,15 +62,6 @@ class ColoredEdge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TreePiece:
-    color: int
-    vertices: frozenset[int]
-    edge_ids: tuple[int, ...]
-    root: int
-    root_kind: str  # "pebble" | "out-edge"
-
-
-@dataclass(frozen=True)
 class Certificate:
     """An edge coloring with its certifying orientation; the role-bearing
     kinds also list the trees and maps the coloring defines."""
@@ -91,16 +82,7 @@ def _color_classes(edges: Iterable[ColoredEdge]) -> dict[int, list[ColoredEdge]]
     return classes
 
 
-# -- extraction ---------------------------------------------------------------
-
-
-def extract_coloring(state: GameState) -> Certificate:
-    """The coloring certificate read straight off a game state, by state edge id."""
-    edges = tuple(
-        ColoredEdge(e, state.tails[e], state.heads[e], state.colors[e], state.tails[e])
-        for e in range(state.m)
-    )
-    return Certificate("coloring", state.params, state.n, edges)
+# -- cover, slot and sparsity checks -----------------------------------------
 
 
 def _check_cover(g: Multigraph, d: Certificate) -> None:
@@ -145,69 +127,6 @@ def _out_slots(d: Certificate) -> dict[int, ColoredEdge]:
             raise CertificateError(f"vertex {tail} has two outgoing edges of color {color}")
         slots[key] = e
     return slots
-
-
-def tree_pieces(d: Certificate, g: Multigraph, subset: Iterable[int]) -> list[TreePiece]:
-    """All monochromatic tree-pieces of the subgraph induced by `subset`.
-
-    A piece is an acyclic monochromatic connected component of the induced
-    subgraph, including single-vertex "empty trees"; every vertex belongs to
-    every color's vertex set.  Pieces are rooted at the unique member vertex
-    with no outgoing edge of that color inside the subgraph; the root kind says
-    whether the color slot is globally free (a pebble in game terms) or its
-    out-edge merely leaves the subgraph.
-    """
-    s = vertex_subset(d.n, subset)
-    _check_cover(g, d)
-    slots = _out_slots(d)
-    k = d.params.k
-    pieces: list[TreePiece] = []
-    for color in range(k):
-        inside = [e for v in s if (e := slots.get(v * k + color)) is not None and e.head in s]
-        for root, eids, comp in _class_components(s, inside):
-            if len(eids) >= len(comp):
-                continue  # contains a cycle inside the subgraph: a map piece
-            kind = "pebble" if root * k + color not in slots else "out-edge"
-            pieces.append(TreePiece(color, frozenset(comp), tuple(eids), root, kind))
-    pieces.sort(key=lambda p: (p.root, 0 if p.root_kind == "pebble" else 1, p.color))
-    return pieces
-
-
-def count_tree_pieces(d: Certificate, subset: Iterable[int]) -> int:
-    """Tree-piece count by the root rule, without materializing the pieces.
-
-    A vertex roots a piece of a color exactly when its color slot has no
-    outgoing edge or the edge leaves the subset; every root's component is
-    automatically acyclic (it has strictly fewer edges than vertices), and a
-    rootless component is a cycle, so roots and tree-pieces are in bijection.
-    """
-    s = vertex_subset(d.n, subset)
-    slots = _out_slots(d)
-    k = d.params.k
-    total = 0
-    for v in s:
-        for c in range(k):
-            e = slots.get(v * k + c)
-            if e is None or e.head not in s:
-                total += 1
-    return total
-
-
-def count_tree_pieces_exact(d: Certificate, g: Multigraph, subset: Iterable[int]) -> int:
-    """Tree-piece count of a forest decomposition, asserted equal to k*n' - m'.
-
-    Valid for subsets of at least two vertices of a proper tree decomposition.
-    """
-    s = frozenset(subset)
-    if len(s) < 2:
-        raise ValueError("count defined for subsets of at least 2 vertices")
-    count = len(tree_pieces(d, g, s))
-    expected = d.params.k * len(s) - induced_edge_count(g, s)
-    if count != expected:
-        raise CertificateError(
-            f"tree-piece count {count} != k*n'-m' = {expected} on subset {sorted(s)}"
-        )
-    return count
 
 
 def _overfull_failure(g: Multigraph, params: SparsityParams) -> str:

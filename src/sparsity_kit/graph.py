@@ -97,20 +97,17 @@ class Multigraph:
         return u == v
 
 
-def vertex_subset(n: int, subset: Iterable[int]) -> frozenset[int]:
-    """`subset` as a set of vertices of an n-vertex graph; raises if empty or out of range."""
+def induced_edge_count(g: Multigraph, subset: Iterable[int]) -> int:
+    """Number of edges with both endpoints (for loops, the one endpoint) in `subset`.
+
+    Raises ValueError if `subset` is empty or holds a vertex out of range.
+    """
     s = frozenset(subset)
     if not s:
         raise ValueError("empty subgraph undefined")
     for v in s:
-        if not 0 <= v < n:
+        if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    return s
-
-
-def induced_edge_count(g: Multigraph, subset: Iterable[int]) -> int:
-    """Number of edges with both endpoints (for loops, the one endpoint) in `subset`."""
-    s = vertex_subset(g.n, subset)
     return sum(1 for u, v in g.edges if u in s and v in s)
 
 

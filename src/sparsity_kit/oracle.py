@@ -234,9 +234,10 @@ def _split_exists(
 
 def slider_loops(
     g: Multigraph, loop_colors: dict[int, int] | None = None
-) -> list[tuple[int, int]]:
-    """The (vertex, color) loops of a slider instance, in edge order; raises
-    ValueError for input that no slider check accepts, and for n < 1.
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The (vertex, color) loops of a slider instance and its loopless edges,
+    each in edge order, from one walk over the edges; raises ValueError for
+    input that no slider check accepts, and for n < 1.
 
     Without `loop_colors` (graded tightness) a vertex's first loop has color
     0 and its second color 1, and a third is refused.  With it, the map sends
@@ -246,9 +247,12 @@ def slider_loops(
     oracles all refuse input here, so they refuse it alike.
     """
     loops: list[tuple[int, int]] = []
+    plain: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, edge in enumerate(g.edges):
+        u, v = edge
         if u != v:
+            plain.append(edge)
             continue
         if loop_colors is None:
             if (u, 1) in seen:
@@ -271,14 +275,14 @@ def slider_loops(
             raise ValueError(f"loop color given for non-loop edge {eid}")
     if g.n < 1:
         raise ValueError("the game needs at least one vertex")
-    return loops
+    return loops, plain
 
 
 def brute_force_graded_tight(g: Multigraph, *, max_n: int = 8) -> bool:
     """Graded tightness straight from the definition, by two subset scans; it
     refuses input in `slider_loops`, as `sliders.graded_tight_check` does."""
-    slider_loops(g)
-    loopless = Multigraph(g.n, [(u, v) for u, v in g.edges if u != v])
+    _, plain = slider_loops(g)
+    loopless = Multigraph(g.n, plain)
     if not brute_force_sparse(loopless, SparsityParams(2, 3), max_n=max_n).sparse:
         return False
     whole = brute_force_sparse(g, SparsityParams(2, 0), max_n=max_n)
@@ -303,10 +307,10 @@ def brute_force_axis_parallel(
     exactly one loop.
     """
     n = g.n
+    loops, plain = slider_loops(g, loop_colors)
     cycles = [[0] * n for _ in range(2)]
-    for u, c in slider_loops(g, loop_colors):
+    for u, c in loops:
         cycles[c][u] = 1
-    plain = [(u, v) for u, v in g.edges if u != v]
     if len(plain) > max_m:
         raise OracleSizeError(f"split search refused for m={len(plain)} > {max_m}")
     if not brute_force_sparse(Multigraph(n, plain), SparsityParams(2, 3)).sparse:

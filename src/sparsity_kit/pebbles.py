@@ -144,12 +144,6 @@ class GameState:
     def m(self) -> int:
         return len(self.tails)
 
-    def edge(self, eid: int) -> tuple[int, int, int]:
-        return self.tails[eid], self.heads[eid], self.colors[eid]
-
-    def peb_pair(self, v: int, w: int) -> int:
-        return self.peb_sum[v] if v == w else self.peb_sum[v] + self.peb_sum[w]
-
     def total_pebbles(self) -> int:
         return sum(self.peb_sum)
 
@@ -159,12 +153,6 @@ class GameState:
         flat = [1 if e < 0 else 0 for e in chain.from_iterable(self.out_color)]
         # rebuilt on every read, so zip groups the rows of k instead of a loop per row
         return tuple(zip(*[iter(flat)] * self.params.k))
-
-    def pebble_colors(self, v: int) -> list[int]:
-        return [c for c, e in enumerate(self.out_color[v]) if e < 0]
-
-    def undirected_edges(self) -> list[tuple[int, int]]:
-        return [(self.tails[e], self.heads[e]) for e in range(self.m)]
 
     def state_hash(self) -> str:
         """Deterministic digest of the full configuration (components excluded)."""
@@ -254,7 +242,8 @@ def apply_move(state: GameState, move: Move) -> Move:
         if not (0 <= move.v < state.n and 0 <= move.w < state.n):
             raise IllegalMoveError(f"vertex out of range in {move}")
         return add_edge(state, move.v, move.w, move.color)
-    if state.m <= move.edge or (state.tails[move.edge], state.heads[move.edge]) != (
+    # a negative id would index the edge lists from the end
+    if not 0 <= move.edge < state.m or (state.tails[move.edge], state.heads[move.edge]) != (
         move.tail,
         move.head,
     ):

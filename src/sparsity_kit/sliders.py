@@ -31,10 +31,10 @@ def graded_tight_check(g: Multigraph) -> bool:
     the loopless part under (2,3) nor in the whole graph under (2,0), where
     one pebble pays for a loop.  Input is refused in `oracle.slider_loops`.
     """
-    slider_loops(g)
+    _, plain = slider_loops(g)
     if g.m != 2 * g.n:
         return False
-    loopless = Multigraph(g.n, [(u, v) for u, v in g.edges if u != v])
+    loopless = Multigraph(g.n, plain)
     return overfull_subset(loopless, _PARAMS_23) is None and overfull_subset(g, _PARAMS_20) is None
 
 
@@ -161,8 +161,7 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
     colored game; an iterative matroid partition (Edmonds 1965) then decides
     the forest split exactly in polynomial time.
     """
-    loops = slider_loops(g, loop_colors)
-    plain_edges = [(u, v) for u, v in g.edges if u != v]
+    loops, plain_edges = slider_loops(g, loop_colors)
     if len(plain_edges) != 2 * g.n - len(loops):
         return False  # the whole graph cannot be (2,0)-tight
     if overfull_subset(Multigraph(g.n, plain_edges), _PARAMS_23) is not None:

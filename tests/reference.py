@@ -1,0 +1,88 @@
+"""Test-side references for statements the library certifies without
+enumerating them.
+
+`tree_pieces` builds the monochromatic tree-pieces of an induced subgraph and
+`count_tree_pieces` counts them by the root rule; a forest decomposition has
+exactly k*n' - m' pieces on every subset, which is why the library decides
+the paper's "at least l tree-pieces everywhere" condition as sparsity.
+`monochromatic_cycle_colors` scans a game state for the cycles that canonical
+slides must never close.
+"""
+
+from typing import NamedTuple
+
+from sparsity_kit.decompose import _class_components, _out_slots
+
+
+class Piece(NamedTuple):
+    color: int
+    vertices: frozenset[int]
+    edge_ids: tuple[int, ...]
+    root: int
+    root_kind: str  # "pebble" | "out-edge"
+
+
+def pebble_colors(state, v: int) -> list[int]:
+    """The colors whose pebble sits on vertex v."""
+    return [c for c, e in enumerate(state.out_color[v]) if e < 0]
+
+
+def tree_pieces(d, subset) -> list[Piece]:
+    """All monochromatic tree-pieces of the subgraph of certificate `d` induced
+    by `subset`.
+
+    A piece is an acyclic monochromatic connected component of the induced
+    subgraph, single-vertex "empty trees" included: every vertex belongs to
+    every color's vertex set.  A piece is rooted at its one vertex with no
+    out-edge of its color inside the subgraph; the root kind says whether that
+    color slot is free (a pebble in game terms) or its out-edge leaves the
+    subgraph.  `_out_slots` raises CertificateError on a malformed orientation.
+    """
+    s = frozenset(subset)
+    slots = _out_slots(d)
+    k = d.params.k
+    pieces = []
+    for color in range(k):
+        inside = [e for v in s if (e := slots.get(v * k + color)) is not None and e.head in s]
+        for root, eids, comp in _class_components(s, inside):
+            if len(eids) >= len(comp):
+                continue  # holds a cycle inside the subgraph: a map piece
+            kind = "pebble" if root * k + color not in slots else "out-edge"
+            pieces.append(Piece(color, frozenset(comp), tuple(eids), root, kind))
+    return pieces
+
+
+def count_tree_pieces(d, subset) -> int:
+    """The tree-piece count of `tree_pieces`, by the root rule, building no piece.
+
+    A vertex roots a piece of a color exactly when its color slot is free or
+    its out-edge leaves the subset.  A component with a root has fewer edges
+    than vertices, so it is a tree, and a rootless one holds a cycle, so roots
+    and tree-pieces are in bijection.
+    """
+    s = frozenset(subset)
+    slots = _out_slots(d)
+    k = d.params.k
+    return sum(
+        1 for v in s for c in range(k) if (e := slots.get(v * k + c)) is None or e.head not in s
+    )
+
+
+def monochromatic_cycle_colors(state) -> list[int]:
+    """Colors that currently contain a directed monochromatic cycle (loops count).
+
+    A vertex has at most one out-edge of each color, so its chain in a color
+    either stops at a pebble within n steps or runs into a cycle.
+    """
+    bad = []
+    for c in range(state.params.k):
+        for x in range(state.n):
+            for _ in range(state.n):
+                e = state.out_color[x][c]
+                if e < 0:
+                    break
+                x = state.heads[e]
+            else:
+                bad.append(c)
+                break
+    return bad

@@ -14,7 +14,6 @@ from sparsity_kit import (
     canonical_add_edge,
     collect_pebbles_canonically,
     creates_monochromatic_cycle,
-    monochromatic_cycle_colors,
     random_tight_graph,
     read_graph,
     route_pebble,
@@ -26,6 +25,7 @@ from sparsity_kit.cli import _peak_bytes
 from sparsity_kit.pebbles import find_pebble, pebble_slide, replay_trace, trace_to_lines
 
 from conftest import ALL_PARAMS
+from reference import monochromatic_cycle_colors, pebble_colors
 
 
 def random_reachable_state(rng, n, params, moves):
@@ -36,7 +36,7 @@ def random_reachable_state(rng, n, params, moves):
             u, v = rng.randrange(n), rng.randrange(n)
             if u == v and params.l >= params.k:
                 continue
-            if s.peb_pair(u, v) >= params.l + 1:
+            if (s.peb_sum[u] if u == v else s.peb_sum[u] + s.peb_sum[v]) >= params.l + 1:
                 try:
                     canonical_add_edge(s, u, v)
                 except Exception:
@@ -51,7 +51,7 @@ def random_reachable_state(rng, n, params, moves):
                 e = rng.choice(movable)
                 covers = [
                     c
-                    for c in s.pebble_colors(s.heads[e])
+                    for c in pebble_colors(s, s.heads[e])
                     if not creates_monochromatic_cycle(s, e, c)
                 ]
                 if covers:
@@ -63,7 +63,7 @@ def test_shared_color_takes_lowest_index():
     # vertex 1 spent its color-1 pebble on an edge to vertex 2, so it holds
     # only color 0; vertex 0 holds both
     s = GameState.from_parts(3, SparsityParams(2, 1), [(1, 2, 1)])
-    assert s.pebble_colors(0) == [0, 1] and s.pebble_colors(1) == [0]
+    assert pebble_colors(s, 0) == [0, 1] and pebble_colors(s, 1) == [0]
     canonical_add_edge(s, 0, 1)
     assert s.colors[1] == 0
     assert s.tails[1] == 0
@@ -89,7 +89,7 @@ def test_upper_range_always_has_shared_color():
         n = rng.randint(2, 6)
         s = random_reachable_state(rng, n, params, rng.randint(0, 12))
         u, v = rng.randrange(n), rng.randrange(n)
-        if u == v or s.peb_pair(u, v) < l + 1:
+        if u == v or s.peb_sum[u] + s.peb_sum[v] < l + 1:
             continue
         shared = [c for c in range(k) if s.pebbles[u][c] and s.pebbles[v][c]]
         assert shared, (k, l, s.pebbles[u], s.pebbles[v])
@@ -170,23 +170,23 @@ def test_cycle_detection_matches_simulation():
             continue
         e = rng.randrange(s.m)
         h = s.heads[e]
-        covers = s.pebble_colors(h)
+        covers = pebble_colors(s, h)
         if not covers:
             continue
         c = rng.choice(covers)
         predicted = creates_monochromatic_cycle(s, e, c)
-        clone = GameState.from_parts(s.n, params, [s.edge(i) for i in range(s.m)])
+        clone = GameState.from_parts(s.n, params, zip(s.tails, s.heads, s.colors))
         before = count_cycles_of_color(clone, c)
         pebble_slide(clone, e, c)
         after = count_cycles_of_color(clone, c)
-        assert predicted == (after == before + 1), (s.edge(e), c, predicted, before, after)
+        assert predicted == (after == before + 1), (e, c, predicted, before, after)
         trials += 1
     assert trials > 500
 
 
 def _chain_answer(state, eid, cover):
     """The cycle check's answer from the chain walk that records what it saw."""
-    t, h, old = state.edge(eid)
+    t, h, old = state.tails[eid], state.heads[eid], state.colors[eid]
     return old != cover and (t == h or _monochromatic_chain_to(state, t, cover, h) is not None)
 
 
@@ -235,7 +235,7 @@ def test_bounded_cycle_walk_matches_the_recorded_chain_in_random_games():
             nonlocal checked, cyclic
             cyclic += bool(monochromatic_cycle_colors(state))
             for e in range(state.m):
-                for c in state.pebble_colors(state.heads[e]):
+                for c in pebble_colors(state, state.heads[e]):
                     assert creates_monochromatic_cycle(state, e, c) == _chain_answer(state, e, c)
                     checked += 1
 
@@ -267,7 +267,7 @@ def test_hook_receives_exactly_the_returned_records():
             else:
                 returned.append(canonical_add_edge(s, u, v))
             for e in rng.sample(range(s.m), min(3, s.m)):  # a few plain slides too
-                covers = s.pebble_colors(s.heads[e])
+                covers = pebble_colors(s, s.heads[e])
                 if covers:
                     returned.append(pebble_slide(s, e, rng.choice(covers)))
         return returned, seen
@@ -424,7 +424,7 @@ def test_collect_fails_against_saturated_region():
     assert collect_pebbles_canonically(s, 0, 1)
     canonical_add_edge(s, 0, 1)
     assert not collect_pebbles_canonically(s, 0, 1)
-    assert s.peb_pair(0, 1) == 3
+    assert s.peb_sum[0] + s.peb_sum[1] == 3
 
 
 def test_collect_on_pendant_edge_is_short():
@@ -432,7 +432,7 @@ def test_collect_on_pendant_edge_is_short():
     res = run_canonical_game(tri, SparsityParams(2, 3))
     # extend with a pendant vertex: the new edge needs at most n slides
     s = res.state
-    s2 = GameState.from_parts(4, s.params, [s.edge(i) for i in range(s.m)])
+    s2 = GameState.from_parts(4, s.params, zip(s.tails, s.heads, s.colors))
     slides = []
     s2.after_move = lambda state, move: slides.append(move)
     assert collect_pebbles_canonically(s2, 3, 0)

@@ -12,9 +12,11 @@ import pytest
 from sparsity_kit import (
     Multigraph,
     SparsityParams,
+    TraceError,
     certificate_to_json,
     extract_certificate,
     random_tight_graph,
+    replay_trace,
     run_canonical_game,
     validate_certificate,
     write_graph,
@@ -516,6 +518,23 @@ def test_replay_reports_malformed_records(tmp_path, capsys, lines, named):
     trace.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(trace)]) == 4
     assert capsys.readouterr().err.startswith(f"replay failed: {named}")
+
+
+@pytest.mark.parametrize(
+    "edges, eid", [(0, -1), (0, 0), (0, 2), (1, -1), (1, -2), (1, 1), (1, 3)]
+)
+def test_replay_refuses_slide_ids_out_of_range(tmp_path, capsys, edges, eid):
+    # ids below 0 or at m and past it name no edge; a negative id must not
+    # index the edge lists from the end
+    lines = ['{"op":"init","n":2,"k":1,"l":1}'] + ['{"op":"add","v":0,"w":1,"color":0}'] * edges
+    lines.append(json.dumps({"op": "slide", "edge": eid, "tail": 0, "head": 1, "color": 0}))
+    named = f"line {len(lines)}: stale slide record for edge {eid}"
+    with pytest.raises(TraceError, match=f"^{named}$"):
+        replay_trace(lines)
+    trace = tmp_path / "bad.trace"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(trace)]) == 4
+    assert capsys.readouterr().err == f"replay failed: {named}\n"
 
 
 def test_recognize_and_decompose_record_the_same_trace(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from sparsity_kit import (
     CertificateError,
+    ConstructionResult,
     Multigraph,
     NotTightError,
     SparsityParams,
@@ -16,16 +17,12 @@ from sparsity_kit import (
     brute_force_sparse,
     certificate_from_json,
     certificate_to_json,
-    count_tree_pieces,
-    count_tree_pieces_exact,
     extract_certificate,
-    extract_coloring,
     induced_edge_count,
     random_tight_graph,
     read_graph,
     run_canonical_game,
     to_dot,
-    tree_pieces,
     validate_certificate,
 )
 from sparsity_kit.decompose import (
@@ -37,11 +34,7 @@ from sparsity_kit.decompose import (
 )
 
 from conftest import K4_EDGES
-
-
-@pytest.fixture
-def k4_decomposition(k4_two_color_state):
-    return extract_coloring(k4_two_color_state)
+from reference import count_tree_pieces, tree_pieces
 
 
 @pytest.fixture
@@ -49,8 +42,12 @@ def k4_graph():
     return Multigraph(4, K4_EDGES)
 
 
-def piece_summary(pieces):
-    return sorted((p.color, len(p.vertices), len(p.edge_ids)) for p in pieces)
+@pytest.fixture
+def k4_decomposition(k4_two_color_state, k4_graph):
+    # the state's edges are K4_EDGES in order: K4's game with every edge accepted
+    state = k4_two_color_state
+    result = ConstructionResult(k4_graph, state.params, state, list(range(k4_graph.m)))
+    return extract_certificate(result, "coloring")
 
 
 def test_extract_coloring_k4_classes(k4_decomposition):
@@ -66,16 +63,14 @@ def test_extract_coloring_k4_classes(k4_decomposition):
 
 
 def test_extract_coloring_empty_graph():
-    from sparsity_kit import GameState
-
-    d = extract_coloring(GameState(3, SparsityParams(2, 2)))
+    d = extract_certificate(run_canonical_game(Multigraph(3), SparsityParams(2, 2)), "coloring")
     assert d == Certificate("coloring", SparsityParams(2, 2), 3, ())
 
 
-def test_tree_pieces_center_plus_two_ring_vertices(k4_decomposition, k4_graph):
+def test_tree_pieces_center_plus_two_ring_vertices(k4_decomposition):
     # the ring color contributes one real tree and one empty tree at the
     # center; the tree color stays connected: 3 pieces total
-    pieces = tree_pieces(k4_decomposition, k4_graph, {0, 1, 2})
+    pieces = tree_pieces(k4_decomposition, {0, 1, 2})
     by_color = {0: [], 1: []}
     for p in pieces:
         by_color[p.color].append(p)
@@ -86,29 +81,18 @@ def test_tree_pieces_center_plus_two_ring_vertices(k4_decomposition, k4_graph):
     assert empty[0].root_kind == "pebble"
 
 
-def test_tree_pieces_ring_subset_gives_three_empty_trees(k4_decomposition, k4_graph):
+def test_tree_pieces_ring_subset_gives_three_empty_trees(k4_decomposition):
     # the ring color forms a cycle inside {1,2,3}: no piece from it; the tree
     # color has no edges inside, so each vertex is an empty tree
-    pieces = tree_pieces(k4_decomposition, k4_graph, {1, 2, 3})
+    pieces = tree_pieces(k4_decomposition, {1, 2, 3})
     assert len(pieces) == 3
     assert all(p.color == 0 for p in pieces)
     assert all(not p.edge_ids for p in pieces)
 
 
-def test_tree_pieces_full_graph_exactly_l(k4_decomposition, k4_graph):
-    pieces = tree_pieces(k4_decomposition, k4_graph, range(4))
+def test_tree_pieces_full_graph_exactly_l(k4_decomposition):
+    pieces = tree_pieces(k4_decomposition, range(4))
     assert len(pieces) == 2  # tight: equality with l
-
-
-def test_tree_pieces_rejects_empty_subset(k4_decomposition, k4_graph):
-    with pytest.raises(ValueError):
-        tree_pieces(k4_decomposition, k4_graph, set())
-
-
-def test_tree_piece_ordering_is_stable(k4_decomposition, k4_graph):
-    pieces = tree_pieces(k4_decomposition, k4_graph, range(4))
-    keys = [(p.root, 0 if p.root_kind == "pebble" else 1, p.color) for p in pieces]
-    assert keys == sorted(keys)
 
 
 def test_certify_coloring_k4(k4_decomposition, k4_graph):
@@ -142,16 +126,15 @@ def test_certify_coloring_triangle_exhaustive_pieces():
     ok, _ = validate_certificate(tri, d)
     assert ok
     for sub in ({0, 1}, {1, 2}, {0, 2}, {0, 1, 2}):
-        assert len(tree_pieces(d, tri, sub)) >= 3
+        assert len(tree_pieces(d, sub)) >= 3
 
 
 def test_count_tree_pieces_exact_triangle():
     tri = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
     res = run_canonical_game(tri, SparsityParams(2, 3))
     d = extract_certificate(res, "coloring")
-    assert count_tree_pieces_exact(d, tri, {0, 1, 2}) == 3  # 2*3-3
-    u, v = tri.edges[0]
-    assert count_tree_pieces_exact(d, tri, {u, v}) == 3  # 2*2-1
+    for sub in ({0, 1, 2}, set(tri.edges[0])):  # 2*3-3 and 2*2-1 pieces
+        assert len(tree_pieces(d, sub)) == 3 == 2 * len(sub) - induced_edge_count(tri, sub)
 
 
 def test_root_rule_count_matches_piece_enumeration():
@@ -174,7 +157,7 @@ def test_root_rule_count_matches_piece_enumeration():
         for _ in range(10):
             size = rng.randint(1, n)
             sub = frozenset(rng.sample(range(n), size))
-            assert count_tree_pieces(d, sub) == len(tree_pieces(d, accepted_graph, sub))
+            assert count_tree_pieces(d, sub) == len(tree_pieces(d, sub))
 
 
 def test_count_tree_pieces_matches_formula_on_random_tight():
@@ -189,7 +172,7 @@ def test_count_tree_pieces_matches_formula_on_random_tight():
             sub = [i for i in range(n) if mask >> i & 1]
             if len(sub) < 2:
                 continue
-            count_tree_pieces_exact(d, g, sub)  # raises on mismatch
+            assert len(tree_pieces(d, sub)) == 2 * len(sub) - induced_edge_count(g, sub), sub
 
 
 def test_maps_and_trees_k4(k4_graph):
@@ -731,27 +714,17 @@ def test_cover_check_rejects_repeated_edge_id():
     assert "edge id 3 listed twice" in why
 
 
-def test_piece_counts_reject_out_of_range_vertices(k4_decomposition, k4_graph):
-    for bad in (-1, k4_graph.n):
-        with pytest.raises(ValueError, match="out of range"):
-            count_tree_pieces(k4_decomposition, {bad, 0})
-        with pytest.raises(ValueError, match="out of range"):
-            tree_pieces(k4_decomposition, k4_graph, {bad, 0})
-
-
 @pytest.mark.parametrize("field, value", [("tail", -1), ("tail", 4), ("color", 2), ("color", -1)])
-def test_piece_counts_reject_out_of_range_tails_and_colors(
-    k4_decomposition, k4_graph, field, value
-):
-    # the root-rule counter runs no cover check, and used to count a
-    # decomposition with such an edge without a word
+def test_piece_counts_reject_out_of_range_tails_and_colors(k4_decomposition, field, value):
+    # both piece counts read the orientation through `_out_slots`, which
+    # refuses a slot key that would name another vertex's slot
     rows = list(k4_decomposition.edges)
     rows[0] = rows[0]._replace(**{field: value})
     d = Certificate("coloring", SparsityParams(2, 2), 4, tuple(rows))
     with pytest.raises(CertificateError, match="out of range"):
         count_tree_pieces(d, range(4))
-    with pytest.raises(CertificateError, match="out of range|non-endpoint"):
-        tree_pieces(d, k4_graph, range(4))
+    with pytest.raises(CertificateError, match="out of range"):
+        tree_pieces(d, range(4))
 
 
 def _named_subset(why: str) -> list[int]:

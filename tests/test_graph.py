@@ -58,6 +58,12 @@ def test_induced_count_rejects_empty(k4):
         induced_edge_count(k4, set())
 
 
+def test_induced_count_rejects_out_of_range_vertices(k4):
+    for bad in (-1, k4.n):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            induced_edge_count(k4, {0, bad})
+
+
 def test_induced_count_monotone_over_chains():
     rng = random.Random(5)
     for _ in range(50):

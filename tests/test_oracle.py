@@ -1,6 +1,8 @@
 import ast
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import tracemalloc
 
@@ -23,7 +25,8 @@ from sparsity_kit import (
     run_canonical_game,
     validate_certificate,
 )
-from sparsity_kit import oracle
+import sparsity_kit
+from sparsity_kit import GameState, decompose, oracle
 
 from conftest import ALL_PARAMS, tight_exists
 
@@ -229,6 +232,31 @@ def test_oracle_imports_no_engine_module_outside_the_generator():
         "f": {"pebbles"},
         "method": {"canonical"},
     }
+
+
+def test_decompose_reads_games_only_through_construction_results():
+    # extraction reads a game's coloring from its ConstructionResult alone, and
+    # the piece counters, the cycle scan and the state helpers that only tests
+    # called are test-side references now, defined nowhere in the package
+    with open(decompose.__file__, encoding="utf-8") as fh:
+        found = _engine_imports(fh.read())
+    assert "pebbles" not in set().union(*found.values()), found
+    modules = [sparsity_kit] + [
+        importlib.import_module(f"sparsity_kit.{info.name}")
+        for info in pkgutil.iter_modules(sparsity_kit.__path__)
+    ]
+    removed = (
+        "extract_coloring",
+        "TreePiece",
+        "tree_pieces",
+        "count_tree_pieces",
+        "count_tree_pieces_exact",
+        "monochromatic_cycle_colors",
+        "vertex_subset",
+    )
+    assert [(m.__name__, name) for m in modules for name in removed if hasattr(m, name)] == []
+    for name in ("edge", "peb_pair", "pebble_colors", "undirected_edges"):
+        assert not hasattr(GameState, name), name
 
 
 def test_enumerate_single_vertex():

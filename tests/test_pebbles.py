@@ -27,6 +27,7 @@ from sparsity_kit.canonical import bring_pebble_dynamic, play_edge
 from sparsity_kit.pebbles import _saturated_block
 
 from conftest import ALL_PARAMS
+from reference import pebble_colors
 
 
 def total_pebbles_everywhere(state):
@@ -58,7 +59,7 @@ def test_init_rejects_zero_vertices():
 def test_add_edge_takes_pebble_from_first_endpoint():
     s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 0)
-    assert s.edge(0) == (0, 1, 0)
+    assert (s.tails[0], s.heads[0], s.colors[0]) == (0, 1, 0)
     assert s.peb_sum[0] == 1 and s.peb_sum[1] == 2
 
 
@@ -66,7 +67,7 @@ def test_add_loop_lower_range():
     s = GameState(1, SparsityParams(2, 1))
     add_edge(s, 0, 0, 0)
     assert s.peb_sum[0] == 1
-    assert s.edge(0) == (0, 0, 0)
+    assert (s.tails[0], s.heads[0], s.colors[0]) == (0, 0, 0)
 
 
 def test_add_loop_insufficient_pebbles():
@@ -89,7 +90,7 @@ def test_slide_swaps_orientation_and_colors():
     s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 1)
     pebble_slide(s, 0, 0)
-    assert s.edge(0) == (1, 0, 0)
+    assert (s.tails[0], s.heads[0], s.colors[0]) == (1, 0, 0)
     assert s.pebbles[0] == (1, 1)
     assert s.pebbles[1] == (0, 1)
 
@@ -115,7 +116,7 @@ def test_slides_preserve_color_slots():
         if not movable:
             break
         e = rng.choice(movable)
-        color = rng.choice(s.pebble_colors(s.heads[e]))
+        color = rng.choice(pebble_colors(s, s.heads[e]))
         pebble_slide(s, e, color)
         assert check_invariants(s).ok
         assert total_pebbles_everywhere(s) == 2 * 5
@@ -181,7 +182,7 @@ def test_find_pebble_returns_a_shortest_path_or_the_reachable_set():
         s = run_canonical_game(g, params).state
         for _ in range(rng.randint(0, 3 * n) if s.m else 0):
             e = rng.randrange(s.m)
-            colors = s.pebble_colors(s.heads[e])
+            colors = pebble_colors(s, s.heads[e])
             if colors:
                 pebble_slide(s, e, rng.choice(colors))
         for _ in range(10):
@@ -241,11 +242,11 @@ def test_bring_pebble_never_changes_undirected_edges():
     s = GameState(5, SparsityParams(2, 2))
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
         add_edge(s, u, v, rng.randrange(2))
-    undirected = sorted(tuple(sorted(e)) for e in s.undirected_edges())
+    undirected = sorted(tuple(sorted(e)) for e in zip(s.tails, s.heads))
     path, _ = find_pebble(s, 0, forbidden={0})
     if path:
         bring_pebble_dynamic(s, path)
-    assert sorted(tuple(sorted(e)) for e in s.undirected_edges()) == undirected
+    assert sorted(tuple(sorted(e)) for e in zip(s.tails, s.heads)) == undirected
 
 
 def test_check_invariants_flags_doubled_pebble():
@@ -308,7 +309,7 @@ def test_from_parts_rebuilds_played_states():
         edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
         rng.shuffle(edges)
         s = run_canonical_game(Multigraph(n, edges), params).state
-        rebuilt = GameState.from_parts(s.n, s.params, [s.edge(e) for e in range(s.m)])
+        rebuilt = GameState.from_parts(s.n, s.params, zip(s.tails, s.heads, s.colors))
         assert rebuilt.state_hash() == s.state_hash()
         assert rebuilt.peb_sum == s.peb_sum
         assert check_invariants(rebuilt).ok
@@ -409,7 +410,8 @@ def _play_detected(state, u, v):
     screened = (u == v and params.l >= params.k) or reject_fast(state, u, v)
     before = list(state.component_id)
     accepted = play_edge(state, u, v)
-    if screened or state.peb_pair(u, v) != params.l:
+    peb_sum = state.peb_sum
+    if screened or (peb_sum[u] if u == v else peb_sum[u] + peb_sum[v]) != params.l:
         assert state.component_id == before
         return accepted, None
     return accepted, before
@@ -677,7 +679,7 @@ def _assert_classes_are_components(state):
         span = sum(t in inside and h in inside for t, h in zip(state.tails, state.heads))
         assert span == k * len(members) - l, members
     if state.n <= 8:
-        kept = Multigraph(state.n, state.undirected_edges())
+        kept = Multigraph(state.n, zip(state.tails, state.heads))
         assert classes == sorted(brute_force_sparse(kept, state.params).components)
 
 
@@ -764,7 +766,7 @@ def test_reachable_states_stay_sparse():
         g = Multigraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)])
 
         def hook(state, move):
-            ug = Multigraph(state.n, state.undirected_edges())
+            ug = Multigraph(state.n, zip(state.tails, state.heads))
             assert brute_force_sparse(ug, params).sparse
 
         run_canonical_game(g, params, after_move=hook)

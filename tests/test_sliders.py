@@ -97,10 +97,11 @@ def test_axis_rejects_a_color_on_a_non_loop_edge():
 
 
 def test_slider_loops_are_vertex_color_pairs_in_edge_order():
-    # graded input numbers a vertex's loops 0 then 1; axis input takes the map's colors
-    g = Multigraph(2, [(1, 1), (0, 1), (0, 0), (1, 1)])
-    assert slider_loops(g) == [(1, 0), (0, 0), (1, 1)]
-    assert slider_loops(g, {0: 1, 2: 1, 3: 0}) == [(1, 1), (0, 1), (1, 0)]
+    # graded input numbers a vertex's loops 0 then 1; axis input takes the map's
+    # colors; the same walk returns the loopless edges, in edge order too
+    g = Multigraph(2, [(1, 1), (0, 1), (0, 0), (1, 0), (1, 1)])
+    assert slider_loops(g) == ([(1, 0), (0, 0), (1, 1)], [(0, 1), (1, 0)])
+    assert slider_loops(g, {0: 1, 2: 1, 4: 0}) == ([(1, 1), (0, 1), (1, 0)], [(0, 1), (1, 0)])
 
 
 def test_both_checks_refuse_an_empty_vertex_set():
