@@ -100,12 +100,17 @@ def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
 def _monochromatic_chain_to(
     state: GameState, start: int, color: int, goal: int
 ) -> list[int] | None:
-    """Edge ids of start's color-chain up to `goal`, or None if it never arrives."""
+    """Edge ids of start's color-chain up to `goal`, or None if it never arrives.
+
+    The walk marks the vertices it passes in the state's stamped `mark` array.
+    """
     out_color = state.out_color
     heads = state.heads
+    stamp = state.new_search()
+    mark = state.mark
+    mark[start] = stamp
     x = start
     chain: list[int] = []
-    seen = {start}
     while True:
         f = out_color[x][color]
         if f < 0:
@@ -114,9 +119,9 @@ def _monochromatic_chain_to(
         y = heads[f]
         if y == goal:
             return chain
-        if y in seen:
+        if mark[y] == stamp:
             return None  # ran into a pre-existing cycle elsewhere
-        seen.add(y)
+        mark[y] = stamp
         x = y
 
 

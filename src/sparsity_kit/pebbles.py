@@ -13,7 +13,10 @@ immutable, cheap to build on the hot path, and equal to the plain tuple of
 their fields.  A trace file is a move list collected by such a hook and
 written by `trace_to_lines`; `replay_trace` plays it back move by move.
 Because per-vertex adjacency is this k-slot array, searches stay O(n) on
-sparse states.
+sparse states.  Every search (`find_pebble`, component detection's forward
+pre-test, and the canonical game's shortcut walk) marks the vertices it
+reaches in the state's one stamped `mark` array, so none allocates a visited
+set or a parent map of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graph import SparsityParams
 
@@ -74,6 +77,12 @@ class GameState:
     `peb_sum[v]` caches the number of empty slots of v, which the searches
     read once per vertex.  `in_edges[v]` lists the ids of v's in-edges in no
     fixed order, for component detection's backward closure.
+
+    The searches share two n-entry arrays, allocated with the state:
+    `mark[y] == stamp` means the current search has reached y, and `via[y]`
+    is the edge it reached y by (read only where the mark is current).  A
+    search takes a fresh stamp from `new_search`, so `mark` is cleared only
+    once every 256 searches.
     """
 
     __slots__ = (
@@ -87,6 +96,9 @@ class GameState:
         "in_edges",
         "component_id",
         "_next_component",
+        "mark",
+        "via",
+        "stamp",
         "after_move",
     )
 
@@ -104,6 +116,9 @@ class GameState:
         self.in_edges: list[list[int]] = [[] for _ in range(n)]
         self.component_id: list[int] = [0] * n
         self._next_component = 1
+        self.mark: list[int] = [0] * n
+        self.via: list[int] = [-1] * n
+        self.stamp = 0
         self.after_move: Optional[Callable[["GameState", Move], None]] = None
 
     # -- constructors ------------------------------------------------------
@@ -137,6 +152,20 @@ class GameState:
             state.in_edges[h].append(eid)
             state.peb_sum[t] -= 1
         return state
+
+    def new_search(self) -> int:
+        """Start a search: return a stamp that no entry of `mark` holds yet.
+
+        Stamps count up from 1; after 256 searches `mark` is cleared in place
+        and the count restarts, so every stamp is one of the interpreter's
+        shared small ints and the array holds no int object of its own.
+        """
+        stamp = self.stamp + 1
+        if stamp > 256:
+            self.mark[:] = [0] * self.n
+            stamp = 1
+        self.stamp = stamp
+        return stamp
 
     # -- simple accessors ---------------------------------------------------
 
@@ -173,9 +202,13 @@ class GameState:
 def add_edge(state: GameState, v: int, w: int, color: int) -> AddEdgeMove:
     """Add the edge vw, spending a pebble of `color` from v (preferred) or w.
 
-    Requires at least l+1 pebbles on {v, w} and a pebble of `color` on one of
-    them.  The endpoint the pebble is taken from becomes the tail.
+    Requires both endpoints in 0..n-1, at least l+1 pebbles on {v, w} and a
+    pebble of `color` on one of them.  The endpoint the pebble is taken from
+    becomes the tail.
     """
+    n = state.n
+    if not (0 <= v < n and 0 <= w < n):  # a negative id would alias a vertex's slots
+        raise IllegalMoveError(f"vertex out of range in edge ({v}, {w}) for n={n}")
     params = state.params
     if not 0 <= color < params.k:
         raise ColorNotAvailableError(f"color {color} out of range")
@@ -237,10 +270,9 @@ def pebble_slide(state: GameState, eid: int, color: int) -> SlideMove:
 
 
 def apply_move(state: GameState, move: Move) -> Move:
-    """Replay a recorded move, verifying its vertices and slide orientation."""
+    """Replay a recorded move, verifying its slide orientation; `add_edge`
+    checks an added edge's vertices."""
     if isinstance(move, AddEdgeMove):
-        if not (0 <= move.v < state.n and 0 <= move.w < state.n):
-            raise IllegalMoveError(f"vertex out of range in {move}")
         return add_edge(state, move.v, move.w, move.color)
     # a negative id would index the edge lists from the end
     if not 0 <= move.edge < state.m or (state.tails[move.edge], state.heads[move.edge]) != (
@@ -256,43 +288,50 @@ def apply_move(state: GameState, move: Move) -> Move:
 
 def find_pebble(
     state: GameState, source: int, forbidden: frozenset[int] | set[int] = frozenset()
-) -> tuple[list[int] | None, AbstractSet[int]]:
+) -> tuple[list[int] | None, list[int]]:
     """Breadth-first search from `source` for a pebbled vertex outside `forbidden`.
 
     Returns (path, visited): `path` is a list of edge ids forming a shortest
     directed path from source to such a vertex (empty if source itself
     qualifies), so bringing the pebble back takes the fewest slides; or None
-    if no pebble is reachable, in which case `visited` is the full reachable
-    set.  `visited` is a read-only set view.  Each vertex's out-slots are
-    explored in color order.
+    if no pebble is reachable.  `visited` is the search's queue, a list of
+    distinct vertices in the order they were reached: the source first and,
+    on success, the pebbled vertex last; on failure it is the full reachable
+    set.  Each vertex's out-slots are explored in color order.  The search
+    marks vertices in the state's `mark` array and records each one's
+    discovering edge in `via`, so it allocates nothing beyond the queue and
+    the path.
     """
-    # parent[y] is the edge that discovered y; its keys are the visited set
-    parent = {source: -1}
+    queue = [source]
     peb_sum = state.peb_sum
     if peb_sum[source] > 0 and source not in forbidden:
-        return [], parent.keys()
+        return [], queue
+    stamp = state.new_search()
+    mark = state.mark
+    via = state.via
+    mark[source] = stamp
     heads = state.heads
     out_color = state.out_color
-    queue = [source]
     for x in queue:  # the list grows while it is walked, so it acts as a FIFO
         for e in out_color[x]:
             if e < 0:
                 continue
             y = heads[e]
-            if y in parent:
+            if mark[y] == stamp:
                 continue
-            parent[y] = e
+            mark[y] = stamp
+            via[y] = e
+            queue.append(y)
             if peb_sum[y] > 0 and y not in forbidden:
                 path: list[int] = []
                 tails = state.tails
                 while y != source:
-                    e = parent[y]
+                    e = via[y]
                     path.append(e)
                     y = tails[e]
                 path.reverse()
-                return path, parent.keys()
-            queue.append(y)
-    return None, parent.keys()
+                return path, queue
+    return None, queue
 
 
 # -- component maintenance ------------------------------------------------------
@@ -301,7 +340,8 @@ def find_pebble(
 def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     """The maximal tight vertex set containing {v, w}, or None if none exists.
 
-    First a forward search from {v, w} stops early at the first pebbled vertex
+    First a forward search from {v, w}, marking what it discovers in the
+    state's stamped `mark` array, stops early at the first pebbled vertex
     outside {v, w} it discovers.  It tests every discovered vertex, but does
     not expand one that carries v's or w's nonzero component id: a tight set
     meeting the block lies inside it, so a passing search would only re-walk
@@ -309,7 +349,7 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     block.  Every pebbled vertex outside {v, w} is outside the block by
     definition, so only the bare vertices (all k slots holding out-edges) are
     left to decide: a bare vertex is outside iff it reaches a pebbled vertex
-    outside {v, w}.  One flat mark list, copied from `peb_sum`, records the
+    outside {v, w}.  One flat list, copied from `peb_sum`, records the
     answer: nonzero means outside.  The backward closure is seeded by one
     C-level stream of the tails of the in-edges of the pebbled vertices
     outside {v, w}; each bare tail it marks is then walked back.  If v or w
@@ -327,16 +367,18 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     component_id = state.component_id
     cv, cw = component_id[v], component_id[w]
     skipped = False
-    seen = {v, w}
+    stamp = state.new_search()
+    mark = state.mark
+    mark[v] = mark[w] = stamp
     stack = [v, w] if v != w else [v]
     while stack:
         for e in out_color[stack.pop()]:
             if e >= 0:
                 y = heads[e]
-                if y not in seen:
-                    if peb_sum[y] > 0:  # y is outside {v, w}, which start in `seen`
+                if mark[y] != stamp:
+                    if peb_sum[y] > 0:  # y is outside {v, w}, which start marked
                         return None
-                    seen.add(y)
+                    mark[y] = stamp
                     c = component_id[y]
                     if c and (c == cv or c == cw):
                         skipped = True
@@ -417,9 +459,10 @@ def check_invariants(state: GameState) -> InvariantReport:
     a cycle.  Checked: the total pebble count, the vertex balance (which
     guards the `peb_sum` cache) and edge-slot agreement.  Together they imply
     the subset balance (span + out + pebbles = k * |subset|) for every vertex
-    subset, so no subset is enumerated.  In-edge agreement (each edge id is
-    listed exactly once, at its head) guards the lists that component
-    detection walks.  On failure the report carries a witness.
+    subset, so no subset is enumerated.  An edge whose tail or head is
+    outside 0..n-1 is reported before its slot is read.  In-edge agreement
+    (each edge id is listed exactly once, at its head) guards the lists that
+    component detection walks.  On failure the report carries a witness.
     """
     failures: list[InvariantFailure] = []
     k, l, n = state.params.k, state.params.l, state.n
@@ -444,7 +487,12 @@ def check_invariants(state: GameState) -> InvariantReport:
     # anything else, so summing the vertex balance over any vertex subset
     # gives span + out + pebbles = k * |subset|
     for e in range(state.m):
-        t, c = state.tails[e], state.colors[e]
+        t, h, c = state.tails[e], state.heads[e], state.colors[e]
+        if not (0 <= t < n and 0 <= h < n):  # a negative id would alias a vertex's slots
+            failures.append(
+                InvariantFailure("edge-range", f"edge {e} runs {t} -> {h}, outside 0..{n - 1}")
+            )
+            continue
         if not 0 <= c < k or state.out_color[t][c] != e:
             failures.append(
                 InvariantFailure(

@@ -6,9 +6,12 @@ enumerating them.
 exactly k*n' - m' pieces on every subset, which is why the library decides
 the paper's "at least l tree-pieces everywhere" condition as sparsity.
 `monochromatic_cycle_colors` scans a game state for the cycles that canonical
-slides must never close.
+slides must never close.  `bfs_pebble` is the pebble search with its own
+dict of discovering edges, for checking the engine's search, which marks
+vertices in arrays the state keeps from one search to the next.
 """
 
+from collections import deque
 from typing import NamedTuple
 
 from sparsity_kit.decompose import _class_components, _out_slots
@@ -86,3 +89,29 @@ def monochromatic_cycle_colors(state) -> list[int]:
                 bad.append(c)
                 break
     return bad
+
+
+def bfs_pebble(state, source: int, forbidden=frozenset()):
+    """`find_pebble`'s answer from a fresh search: (path, reached set).
+
+    Breadth-first from `source`, each vertex's out-slots in color order,
+    stopping at the first pebbled vertex outside `forbidden`; the path is
+    read back through a dict of discovering edges.
+    """
+    via = {source: -1}
+    if state.peb_sum[source] > 0 and source not in forbidden:
+        return [], set(via)
+    queue = deque([source])
+    while queue:
+        for e in state.out_color[queue.popleft()]:
+            if e < 0 or (y := state.heads[e]) in via:
+                continue
+            via[y] = e
+            if state.peb_sum[y] > 0 and y not in forbidden:
+                path = []
+                while y != source:
+                    path.append(via[y])
+                    y = state.tails[via[y]]
+                return path[::-1], set(via)
+            queue.append(y)
+    return None, set(via)

@@ -84,6 +84,24 @@ def test_add_edge_color_not_available():
         add_edge(s, 0, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "v, w",
+    [(-1, 0), (0, -1), (3, 0), (0, 5)],
+    ids=["first-negative", "second-negative", "first-n", "second-past-n"],
+)
+def test_add_edge_rejects_out_of_range_endpoints(v, w):
+    # a negative endpoint would take vertex 2's slot through negative indexing
+    # and record a move that does not replay; one past n would fail with a
+    # bare IndexError
+    s = GameState(3, SparsityParams(1, 0))
+    moves = []
+    s.after_move = lambda state, move: moves.append(move)
+    before = s.state_hash()
+    with pytest.raises(IllegalMoveError, match=r"^vertex out of range in edge"):
+        add_edge(s, v, w, 0)
+    assert s.state_hash() == before and s.in_edges == [[], [], []] and moves == []
+
+
 def test_slide_swaps_orientation_and_colors():
     # one edge 0->1 of color 1; covering with vertex 1's color-0 pebble
     # reverses it, recolors it, and drops the old color-1 pebble on vertex 0
@@ -126,7 +144,7 @@ def test_find_pebble_trivial_on_fresh_state():
     s = GameState(3, SparsityParams(2, 2))
     path, visited = find_pebble(s, 0)
     assert path == []
-    assert visited == {0}
+    assert set(visited) == {0}
 
 
 def test_find_pebble_reports_reachable_set_on_failure():
@@ -135,7 +153,7 @@ def test_find_pebble_reports_reachable_set_on_failure():
     add_edge(s, 1, 1, 0)  # loop eats vertex 1's pebble
     path, visited = find_pebble(s, 0, forbidden={0, 1})
     assert path is None
-    assert visited == {0, 1}
+    assert set(visited) == {0, 1}
 
 
 def test_find_pebble_walks_cycle_to_the_pebbled_vertex():
@@ -193,7 +211,7 @@ def test_find_pebble_returns_a_shortest_path_or_the_reachable_set():
             targets = [dist[y] for y in dist if s.peb_sum[y] > 0 and y not in forbidden]
             if path is None:
                 assert not targets
-                assert visited == set(dist)
+                assert set(visited) == set(dist)
                 misses += 1
                 continue
             cur = source
@@ -277,6 +295,22 @@ def test_check_invariants_flags_stale_slot():
     assert s.pebbles == ((0,), (1,), (0,))  # the stale slot hides vertex 2's pebble
     report = check_invariants(s)
     assert [f.name for f in report.failures] == ["edge-slot"]
+
+
+def test_check_invariants_flags_out_of_range_endpoints():
+    # tail -1 indexes vertex 2's slot, which holds the edge, so every slot and
+    # balance check agrees; the endpoint itself is what is wrong
+    s = GameState.from_parts(3, SparsityParams(1, 0), [(2, 0, 0)])
+    s.tails[0] = -1
+    assert [f.name for f in check_invariants(s).failures] == ["edge-range"]
+    s.tails[0] = 3  # no slot to read: reported, not an IndexError
+    assert [f.name for f in check_invariants(s).failures] == ["edge-range"]
+    s.tails[0], s.heads[0] = 2, 5
+    assert [f.name for f in check_invariants(s).failures] == [
+        "edge-range",
+        "in-edges",  # vertex 0 lists an edge that no longer ends there
+        "in-edges",  # and no list holds it at its head
+    ]
 
 
 def test_check_invariants_flags_in_edge_disagreement():
