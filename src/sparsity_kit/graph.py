@@ -13,9 +13,9 @@ token starts with '#' are comments.  One reader serves every caller:
 returns an `EdgeStream` whose edges are checked and yielded as their lines are
 read, a bounded block of lines at a time, with every distinct vertex id one
 shared int object.  `parse_graph` materialises that stream into a
-`Multigraph`, which holds about 64 bytes per edge (the pair tuple and its
-slot); the canonical game plays the stream itself, so recognition never holds
-the input's edges.
+`Multigraph` without checking its edges a second time, and the graph holds
+about 64 bytes per edge (the pair tuple and its slot); the canonical game
+plays the stream itself, so recognition never holds the input's edges.
 """
 
 from __future__ import annotations
@@ -242,7 +242,12 @@ def parse_graph(text: str | bytes | Iterable[str]) -> Multigraph:
     if isinstance(text, str):
         chunks = (text[i : i + _PARSE_BLOCK] for i in range(0, len(text), _PARSE_BLOCK))
     g = read_graph(chunks)
-    return Multigraph(g.n, g.edges)
+    # the reader has checked every edge as an exact (int, int) tuple in
+    # 0..n-1 and n >= 0, so the graph is built without checking them again
+    graph = object.__new__(Multigraph)
+    object.__setattr__(graph, "n", g.n)
+    object.__setattr__(graph, "edges", tuple(g.edges))
+    return graph
 
 
 def write_graph(g: Multigraph) -> str:

@@ -16,8 +16,9 @@ valid tight sample.
 
 `overfull_subset` is also the engine's exact sparsity decision where no
 coloring is needed: certificate validation (`decompose.validate_certificate`)
-and both slider checks (`sliders.graded_tight_check` and
-`sliders.axis_parallel_slider_check`) call it.
+calls it, and both slider checks (`sliders.graded_tight_check` and
+`sliders.axis_parallel_slider_check`) play its game, `_orient`, straight on
+their edge lists; the graded check resumes one orientation for its loops.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Multigraph, SparsityParams
 
@@ -86,28 +87,54 @@ def brute_force_sparse(g: Multigraph, params: SparsityParams, *, max_n: int = 20
 def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | None:
     """A vertex set spanning more than max(k*n' - l, 0) edges, or None if g is sparse.
 
-    The uncolored pebble game of Lee & Streinu (Hakimi's orientation test):
-    every vertex starts with k free pebbles, and an edge goes in once l + 1
-    of them sit on its endpoints, oriented away from the endpoint that pays
-    one.  A free pebble is fetched by reversing a shortest directed path to
-    it.  When no pebble can be fetched, the vertices reachable from the
-    endpoints are closed under out-edges and hold at most l free pebbles, so
-    with the new edge they span more than k*n' - l edges: the unique smallest
-    overfull set of the shortest non-sparse prefix of g.edges.  A call holds
-    flat arrays of n and m ints and allocates nothing per search beyond its
-    queue.  Shares no code with the colored engine, so it arbitrates it at any n.
+    The uncolored pebble game of Lee & Streinu (Hakimi's orientation test),
+    played by `_orient` from a fresh orientation: every vertex starts with k
+    free pebbles, and an edge goes in once l + 1 of them sit on its endpoints,
+    oriented away from the endpoint that pays one.  A free pebble is fetched
+    by reversing a shortest directed path to it.  When no pebble can be
+    fetched, the vertices reachable from the endpoints are closed under
+    out-edges and hold at most l free pebbles, so with the new edge they span
+    more than k*n' - l edges: the unique smallest overfull set of the
+    shortest non-sparse prefix of g.edges.  The game holds flat arrays of n
+    and m ints and allocates nothing per search beyond its queue.  Shares no
+    code with the colored engine, so it arbitrates it at any n.
     """
-    k, l, n = params.k, params.l, g.n
-    free = [k] * n
-    out: list[list[int]] = [[] for _ in range(n)]  # edge ids oriented away from v
-    head: list[int] = []  # head[f]: the endpoint placed edge f points to
-    tail: list[int] = []  # tail[f]: the endpoint it leaves
+    return _orient(g.n, params, g.edges)[0]
+
+
+# free pebbles per vertex, each vertex's out-edge ids, and each placed edge's
+# head and tail
+_Orientation = tuple[list[int], list[list[int]], list[int], list[int]]
+
+
+def _orient(
+    n: int,
+    params: SparsityParams,
+    edges: Iterable[tuple[int, int]],
+    orientation: _Orientation | None = None,
+) -> tuple[tuple[int, ...] | None, _Orientation]:
+    """Play the uncolored (k,l) pebble game on `edges` (pairs in 0..n-1), from
+    `orientation` or, without it, from no edges; return the overfull set at
+    the first edge that does not fit (None if all fit) and the orientation.
+
+    The orientation is updated in place, so the edges placed before a failure
+    stay placed.  A resumed orientation must come from a game with the same k,
+    and every vertex's out-degree in it is at most k.  Resumed under (k,0),
+    the game decides (k,0)-sparsity of all edges played so far: a pebble
+    search from any orientation with out-degree at most k finds a free pebble
+    exactly when the edge set stays (k,0)-sparse (Hakimi), and sparsity does
+    not depend on the order the edges came in.
+    """
+    k, l = params.k, params.l
+    if orientation is None:
+        orientation = [k] * n, [[] for _ in range(n)], [], []
+    free, out, head, tail = orientation
     mark = [0] * n  # mark[y] == stamp: the current search reached y
     via = [-1] * n  # via[y]: the edge that search reached y by, -1 at a source
     stamp = 0
-    for e, (u, v) in enumerate(g.edges):
+    for e, (u, v) in enumerate(edges, len(tail)):  # e: the id the edge gets once placed
         if u == v and l >= k:
-            return (u,)
+            return (u,), orientation
         while (free[u] if u == v else free[u] + free[v]) <= l:
             stamp += 1
             mark[u] = mark[v] = stamp
@@ -127,7 +154,7 @@ def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | 
                 if found >= 0:
                     break
             if found < 0:
-                return tuple(sorted(queue))  # a failed search queued all it reached
+                return tuple(sorted(queue)), orientation  # a failed search queued all it reached
             free[found] -= 1
             y = found
             f = via[y]
@@ -144,7 +171,7 @@ def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | 
         out[payer].append(e)
         head.append(v if payer == u else u)  # every earlier edge is placed, so this is head[e]
         tail.append(payer)
-    return None
+    return None, orientation
 
 
 # -- decomposition existence -----------------------------------------------------

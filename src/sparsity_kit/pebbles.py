@@ -462,7 +462,8 @@ def check_invariants(state: GameState) -> InvariantReport:
     subset, so no subset is enumerated.  An edge whose tail or head is
     outside 0..n-1 is reported before its slot is read.  In-edge agreement
     (each edge id is listed exactly once, at its head) guards the lists that
-    component detection walks.  On failure the report carries a witness.
+    component detection walks.  On failure the report carries a witness: the
+    vertices, all in 0..n-1, that the failure names, or none.
     """
     failures: list[InvariantFailure] = []
     k, l, n = state.params.k, state.params.l, state.n
@@ -521,8 +522,11 @@ def check_invariants(state: GameState) -> InvariantReport:
     for e, seen in enumerate(listed):
         if not seen:
             h = heads[e]
-            detail = f"edge {e} is missing from vertex {h}'s in-edges"
-            failures.append(InvariantFailure("in-edges", detail, (h,)))
+            if 0 <= h < n:
+                detail, witness = f"edge {e} is missing from vertex {h}'s in-edges", (h,)
+            else:  # reported as edge-range too; there is no vertex h to name
+                detail, witness = f"edge {e} is in no vertex's in-edges", ()
+            failures.append(InvariantFailure("in-edges", detail, witness))
 
     return InvariantReport(not failures, failures)
 

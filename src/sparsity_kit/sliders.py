@@ -6,18 +6,22 @@ part is (2,3)-sparse and the whole graph, loops included, is (2,0)-tight.  In
 the axis-parallel variant loops carry a color (0 = x, 1 = y) and the edges must
 split into two forests, each tree spanning exactly one loop of its color.
 
-Neither check plays a game or builds a game state.  Each decides its
-sparsity counts with the uncolored orientation test `oracle.overfull_subset`;
-the axis-parallel check then finds the forest split by matroid partition.  It
-keeps one parent-pointer forest per color for the whole call and updates it in
-place: each exchange cuts its leaving edges before it links its entering ones,
-and since the exchange path is a shortest one every link joins two trees.
+Neither check plays a colored game or builds a game state.  Each decides its
+sparsity counts with the uncolored orientation game of
+`oracle.overfull_subset`, played straight on the edge list from
+`oracle.slider_loops`, so no loopless graph is copied; the graded check
+resumes one orientation for its loops.  The axis-parallel check then finds
+the forest split by matroid partition.  It keeps one parent-pointer forest per
+color for the whole call and updates it in place: a union-find per color
+drives the greedy phase, and each exchange cuts its leaving edges before it
+links its entering ones; since the exchange path is a shortest one every link
+joins two trees.
 """
 
 from __future__ import annotations
 
 from .graph import Multigraph, SparsityParams
-from .oracle import overfull_subset, slider_loops
+from .oracle import _orient, slider_loops
 
 _PARAMS_23 = SparsityParams(2, 3)
 _PARAMS_20 = SparsityParams(2, 0)
@@ -26,16 +30,22 @@ _PARAMS_20 = SparsityParams(2, 0)
 def graded_tight_check(g: Multigraph) -> bool:
     """Is g (2,0,3)-graded-tight (loopless part (2,3)-sparse, whole (2,0)-tight)?
 
-    Straight from the definition: the whole graph has exactly 2n edges, and
-    the uncolored orientation test `overfull_subset` finds no overfull set in
-    the loopless part under (2,3) nor in the whole graph under (2,0), where
-    one pebble pays for a loop.  Input is refused in `oracle.slider_loops`.
+    The whole graph must have exactly 2n edges.  One uncolored orientation
+    game (`oracle._orient`, the game of `overfull_subset`) then plays the
+    loopless edges under (2,3) and, when they all fit, resumes the same
+    orientation with only the loops under (2,0), where one pebble pays for a
+    loop.  That is exact: (2,3)-sparse edges are (2,0)-sparse, a (2,0) search
+    from their orientation decides (2,0)-sparsity of them plus the loops, and
+    sparsity does not depend on edge order.  The game reads the edge list of
+    `oracle.slider_loops` (which refuses bad input), so no edge is copied.
     """
-    _, plain = slider_loops(g)
+    loops, plain = slider_loops(g)
     if g.m != 2 * g.n:
         return False
-    loopless = Multigraph(g.n, plain)
-    return overfull_subset(loopless, _PARAMS_23) is None and overfull_subset(g, _PARAMS_20) is None
+    witness, orientation = _orient(g.n, _PARAMS_23, plain)
+    if witness is not None:
+        return False
+    return _orient(g.n, _PARAMS_20, [(v, v) for v, _ in loops], orientation)[0] is None
 
 
 def _link(par: list[int], up: list[int], a: int, b: int, e: int) -> None:
@@ -103,6 +113,39 @@ def _augment(
     return False
 
 
+def _greedy(
+    edges: list[tuple[int, int]], node: list[list[int]], par: list[list[int]],
+    up: list[list[int]], owner: list[int],
+) -> None:
+    """Place each edge in the first forest whose trees it joins, if any.
+
+    A union-find per color (path halving), held only for this phase, answers
+    "same tree?", so the choice depends on connectivity alone.  The link
+    re-roots the smaller of the two trees under the larger, so the phase
+    re-roots O(n log n) vertices in all, and `_augment` starts from shallower
+    trees than linking in edge order leaves.
+    """
+    root = [list(range(len(par[0]))) for _ in range(2)]
+    size = [[1] * len(par[0]) for _ in range(2)]  # vertices in each union-find root's tree
+    for e, (u, v) in enumerate(edges):
+        for c in range(2):
+            r, a, b = root[c], node[c][u], node[c][v]
+            x, y = a, b
+            while r[x] != x:
+                r[x] = x = r[r[x]]
+            while r[y] != y:
+                r[y] = y = r[r[y]]
+            if x != y:
+                s = size[c]
+                if s[x] > s[y]:
+                    a, b, x, y = b, a, y, x
+                _link(par[c], up[c], a, b, e)  # re-roots a's tree, the smaller one
+                r[x] = y
+                s[y] += s[x]
+                owner[e] = c
+                break
+
+
 def _tree_pair_exists(
     n: int, edges: list[tuple[int, int]], loops: list[tuple[int, int]]
 ) -> list[int] | None:
@@ -113,10 +156,9 @@ def _tree_pair_exists(
     the color-c forest into a spanning tree of the contracted graph, so this is
     Edmonds' matroid partition into two graphic matroids.  Each color keeps
     one parent-pointer forest on the contracted vertices 0..n for the whole
-    call, updated in place: edges go greedily into the first forest whose
-    trees they join (each end walked to its root), and each leftover is then
-    inserted by `_augment`.  Polynomial and iterative.  The caller has
-    checked that there are exactly 2n - len(loops) edges.
+    call, updated in place: `_greedy` places every edge it can, and each
+    leftover is then inserted by `_augment`.  Polynomial and iterative.  The
+    caller has checked that there are exactly 2n - len(loops) edges.
     """
     node = [list(range(n)) for _ in range(2)]
     for v, c in loops:
@@ -125,18 +167,7 @@ def _tree_pair_exists(
     up = [[-1] * (n + 1) for _ in range(2)]  # edge to the parent
     mark = [-1] * (n + 1)
     owner = [-1] * len(edges)
-    for e, (u, v) in enumerate(edges):
-        for c in range(2):
-            p, a, b = par[c], node[c][u], node[c][v]
-            x, y = a, b
-            while p[x] >= 0:
-                x = p[x]
-            while p[y] >= 0:
-                y = p[y]
-            if x != y:
-                _link(p, up[c], a, b, e)
-                owner[e] = c
-                break
+    _greedy(edges, node, par, up, owner)
     # Forest c holds at most n - loops_c edges (a spanning tree of the
     # contracted graph), or n - 1 when no loop has color c.  With m = 2n -
     # loops a complete placement therefore fills both forests exactly, so
@@ -156,14 +187,16 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
     bool, a float or any other type raises `ValueError`.  True iff the
     loopless part is (2,3)-sparse and the edges admit a 2-coloring into
     forests with each tree spanning exactly one loop of its color.  The edge
-    total must be 2n minus the loops, and the uncolored orientation test
-    `overfull_subset` decides (2,3)-sparsity of the loopless part without a
-    colored game; an iterative matroid partition (Edmonds 1965) then decides
-    the forest split exactly in polynomial time.
+    total must be 2n minus the loops, and the uncolored orientation game of
+    `overfull_subset` (`oracle._orient`) decides (2,3)-sparsity of the
+    loopless part without a colored game; an iterative matroid partition
+    (Edmonds 1965) then decides the forest split exactly in polynomial time.
+    Both read the edge list of `oracle.slider_loops`, so no edge is copied
+    into a new graph.
     """
     loops, plain_edges = slider_loops(g, loop_colors)
     if len(plain_edges) != 2 * g.n - len(loops):
         return False  # the whole graph cannot be (2,0)-tight
-    if overfull_subset(Multigraph(g.n, plain_edges), _PARAMS_23) is not None:
+    if _orient(g.n, _PARAMS_23, plain_edges)[0] is not None:
         return False
     return _tree_pair_exists(g.n, plain_edges, loops) is not None

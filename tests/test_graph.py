@@ -358,3 +358,41 @@ def test_multigraph_range_checks():
         Multigraph(3, [(-1, 0)])
     with pytest.raises(ValueError, match="vertex count must be non-negative"):
         Multigraph(-1)
+
+
+def test_parse_builds_the_graph_without_checking_its_edges_again(monkeypatch):
+    # the reader checks each line, so parse_graph keeps its exact pairs as
+    # they are and never rebuilds or re-checks an edge
+    def refuse(edge):
+        raise AssertionError("parse_graph checked an edge again")
+
+    text = "4 5\n0 1\n# a comment\n1 2\n2 2\n3 0\n003 +1\n"
+    want = Multigraph(4, [(0, 1), (1, 2), (2, 2), (3, 0), (3, 1)])
+    monkeypatch.setattr(graph, "_int_pair", refuse)
+    g = parse_graph(text)
+    assert g == want and {type(x) for e in g.edges for x in e} == {int}
+    with pytest.raises(GraphFormatError, match=r"^line 3: vertex id out of range \(n=4\)$"):
+        parse_graph("4 2\n0 1\n4 0\n")
+
+
+def test_multigraph_checks_non_exact_pairs_edge_by_edge():
+    # a bool, list or iterator pair is rebuilt with int(), in edge order
+    g = Multigraph(3, [(0, 1), (True, 2), [2, 0], iter((1, 1)), (x for x in (0, 2))])
+    assert g.edges == ((0, 1), (1, 2), (2, 0), (1, 1), (0, 2))
+    assert all(type(e) is tuple and list(map(type, e)) == [int, int] for e in g.edges)
+    # the first out-of-range edge is named, rebuilt or not
+    for edges in ([(0, 1), (0, 3), (-1, 0)], [(0, 1), [0, 3], (-1, 0)], [(0, 1), (0, 3), (False, 9)]):
+        with pytest.raises(ValueError, match=r"^edge 1 endpoints \(0, 3\) out of range for n=3$"):
+            Multigraph(3, edges)
+    with pytest.raises(ValueError, match=r"^edge 1 endpoints \(2, -1\) out of range for n=3$"):
+        Multigraph(3, [(2, 2), (2, -1)])
+    # a pair of another length or a non-integer endpoint fails as it is
+    # rebuilt, before the vertex count is checked; a negative count comes
+    # before any edge's range
+    with pytest.raises(ValueError, match=r"^too many values to unpack"):
+        Multigraph(-1, [(0, 1), (0, 1, 2)])
+    with pytest.raises(ValueError, match="^invalid literal for int"):
+        Multigraph(-1, [(0, "x")])
+    for edges in ([(0, 0), (5, 0)], [(True, 7)]):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            Multigraph(-1, edges)

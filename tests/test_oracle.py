@@ -446,6 +446,31 @@ def test_overfull_subset_large_tight_graph_runs_without_recursion():
     _assert_overfull(doubled, params, overfull_subset(doubled, params))
 
 
+def test_a_resumed_k0_game_gives_the_fresh_games_verdict():
+    # a (k,0) pebble search from any orientation with out-degree at most k
+    # decides (k,0)-sparsity (Hakimi), so a (k,l)-sparse list A played under
+    # (k,l) and resumed with a list B under (k,0) gets the verdict of a fresh
+    # game on A + B; a witness of the resumed game is overfull there too
+    rng = random.Random(2027)
+    verdicts = {True: 0, False: 0}
+    for trial in range(1_200):
+        params = ALL_PARAMS[trial % len(ALL_PARAMS)]
+        k0 = SparsityParams(params.k, 0)
+        n = rng.randint(5, 12) if trial % 4 else rng.randint(13, 80)
+        tight = random_tight_graph(n, params, rng.randrange(2**31))
+        a = rng.sample(list(tight.edges), tight.m - rng.randint(0, params.k + 1))
+        b = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, params.l + 2))]
+        witness, orientation = oracle._orient(n, params, a)
+        assert witness is None
+        resumed = oracle._orient(n, k0, b, orientation)[0]
+        whole = Multigraph(n, a + b)
+        assert (resumed is None) == (overfull_subset(whole, k0) is None), (params, n, trial)
+        if resumed is not None:
+            _assert_overfull(whole, k0, resumed)
+        verdicts[resumed is None] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
 def _smallest_overfull_of_first_bad_prefix(g, params):
     """Brute force: add the edges one at a time, counting the edges every
     vertex mask spans, and return the smallest overfull masks of the first

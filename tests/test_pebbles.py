@@ -313,6 +313,42 @@ def test_check_invariants_flags_out_of_range_endpoints():
     ]
 
 
+def test_check_invariants_witnesses_are_vertices_of_the_state():
+    # a caller may index the state by a witness, so every witness lies in
+    # 0..n-1, also when the failure is an endpoint out of range
+    for h in (5, 3, -1, -4):
+        s = GameState.from_parts(3, SparsityParams(1, 0), [(2, 0, 0)])
+        s.heads[0] = h
+        report = check_invariants(s)
+        assert [(f.name, f.witness) for f in report.failures] == [
+            ("edge-range", ()),
+            ("in-edges", (0,)),
+            ("in-edges", ()),
+        ]
+    # one field of a played state corrupted at a time
+    rng = random.Random(31)
+    flagged = 0
+    for i in range(300):
+        n, params = rng.randint(3, 6), ALL_PARAMS[i % len(ALL_PARAMS)]
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+        s = run_canonical_game(Multigraph(n, edges), params).state
+        value = rng.randint(-2, n + 2)
+        field = rng.choice(["tails", "heads", "colors", "peb_sum", "out_color", "in_edges"])
+        if field in ("tails", "heads", "colors"):
+            getattr(s, field)[rng.randrange(s.m)] = value
+        elif field == "peb_sum":
+            s.peb_sum[rng.randrange(n)] = value
+        elif field == "out_color":
+            s.out_color[rng.randrange(n)][rng.randrange(params.k)] = value
+        else:
+            s.in_edges[rng.randrange(n)].append(value)
+        report = check_invariants(s)
+        flagged += not report.ok
+        for f in report.failures:
+            assert all(0 <= v < n for v in f.witness), (field, value, f)
+    assert flagged > 150
+
+
 def test_check_invariants_flags_in_edge_disagreement():
     # component detection walks in_edges; a list, unlike a set, can hold an
     # id twice, and a slide that skipped its update would leave the id at the

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -11,6 +12,7 @@ from sparsity_kit import (
     brute_force_axis_parallel,
     brute_force_graded_tight,
     graded_tight_check,
+    overfull_subset,
     random_tight_graph,
     run_canonical_game,
 )
@@ -59,6 +61,20 @@ def test_graded_counts_edges_before_copying_the_loopless_part(monkeypatch):
     assert not graded_tight_check(Multigraph(2, [(0, 1)] * 5))
     with pytest.raises(ValueError, match="vertex 0 carries more than 2 loops"):
         graded_tight_check(Multigraph(2, [(0, 0)] * 3))
+
+
+def test_both_checks_answer_without_copying_the_loopless_part(monkeypatch):
+    # the orientation game reads the loopless edge list itself, so no
+    # Multigraph is built on valid input: the n = 60 axis digest inputs,
+    # planted positives and negatives among them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slider check built a loopless copy")
+
+    cases = list(islice(_axis_digest_cases(), 12))
+    want = [(graded_tight_check(g), axis_parallel_slider_check(g, c)) for g, c in cases]
+    monkeypatch.setattr(sliders, "Multigraph", refuse)
+    assert [(graded_tight_check(g), axis_parallel_slider_check(g, c)) for g, c in cases] == want
+    assert want[:2] == [(True, True)] * 2 and (True, False) in want and (False, False) in want
 
 
 def test_axis_single_vertex_x_and_y():
@@ -299,6 +315,49 @@ def test_graded_verdicts_are_pinned_at_large_n():
         # and the parallel-edge swaps
         assert chunk[:2] == "10" and chunk[2:5] == "111" and chunk[8:] == "00"
     assert hashlib.sha256(verdicts.encode()).hexdigest() == GRADED_VERDICTS_DIGEST
+
+
+def _graded_by_two_fresh_games(g: Multigraph) -> tuple[bool, bool]:
+    # the definition the graded check resumes one game for: 2n edges, and no
+    # overfull set in the loopless part under (2,3) nor in the whole graph
+    # under (2,0), each from a fresh game of the public `overfull_subset`;
+    # also whether the loopless part passed
+    _, plain = slider_loops(g)
+    loopless_sparse = overfull_subset(Multigraph(g.n, plain), SparsityParams(2, 3)) is None
+    whole_sparse = overfull_subset(g, SparsityParams(2, 0)) is None
+    return g.m == 2 * g.n and loopless_sparse and whole_sparse, loopless_sparse
+
+
+def test_graded_check_equals_two_fresh_games():
+    # planted positives and their moved-loop mutants, the workload's
+    # negatives (two tight blocks, four loops in one), which fail only at a
+    # loop, and random multigraphs with 2n edges, at n = 4-300
+    rng = random.Random(27)
+    p23 = SparsityParams(2, 3)
+    cases = list(_graded_digest_cases())
+    for n in (4, 5, 7, 10, 16, 40, 90, 300):
+        base = random_tight_graph(n, p23, rng.randrange(1 << 30))
+        edges, loops = list(base.edges), _planted_loops(base)
+        cases.append(Multigraph(n, edges + [(v, v) for v in loops]))
+        cases += [Multigraph(n, _move_one_loop(n, edges, loops, rng)) for _ in range(2)]
+        a = n // 2
+        block_a = random_tight_graph(a, p23, rng.randrange(1 << 30))
+        block_b = random_tight_graph(n - a, p23, rng.randrange(1 << 30))
+        two_blocks = list(block_a.edges) + [(u + a, v + a) for u, v in block_b.edges]
+        two_blocks += [(0, a), (1, a + 1)]
+        in_a = rng.sample([v for v in range(a) for _ in range(2)], 4)
+        cases.append(Multigraph(n, two_blocks + [(v, v) for v in in_a]))
+        for _ in range(4):
+            looped = [v for v in range(n) for _ in range(rng.randint(0, 2))]
+            plain = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n - len(looped))]
+            if rng.random() < 0.5 and len(plain) <= len(edges):  # sparse more often
+                plain = rng.sample(edges, len(plain))
+            cases.append(Multigraph(n, plain + [(v, v) for v in looped]))
+    verdicts = [graded_tight_check(g) for g in cases]
+    reference = [_graded_by_two_fresh_games(g) for g in cases]
+    assert verdicts == [want for want, _ in reference]
+    fails_at_a_loop = sum(1 for want, loopless in reference if loopless and not want)
+    assert (len(cases), verdicts.count(True), fails_at_a_loop) == (114, 53, 32)
 
 
 def _with_pins(n: int, edges: list, pins: list) -> tuple[Multigraph, dict[int, int]]:
