@@ -6,14 +6,16 @@ the highest color present otherwise.  Canonical slides never close a
 monochromatic cycle: `route_pebble` finds the nearest pebble with the
 breadth-first `find_pebble` and `bring_pebble_dynamic`, the one path executor,
 brings it along that shortest path, shortcutting along a monochromatic tree
-wherever every available cover would close a cycle.  The cycle check
-`creates_monochromatic_cycle` walks one color-chain and keeps no record of
-where it has been: a chain is a walk with one out-edge per step, so within n
-steps it reaches a pebble, the head, or a cycle, and a cycle is caught when
-the walk comes back to a vertex it remembered (Brent's method).  Every move
-is made by `pebbles.add_edge` or `pebbles.pebble_slide`, so the state's
-`after_move` hook sees each one; `run_canonical_game(after_move=...)` is the
-way to observe a game, and a hook that collects the moves records its trace.
+wherever every available cover would close a cycle.  One chain walk,
+`_chain_reaches`, answers both the cycle check `creates_monochromatic_cycle`
+and the shortcut's search for its start, and keeps no record of where it has
+been: a chain is a walk with one out-edge per step, so within n steps it
+reaches a pebble, the goal, or a cycle, and a cycle is caught when the walk
+comes back to a vertex it remembered (Brent's method).  Every move is made by
+`pebbles.add_edge` or `pebbles.pebble_slide` and returns nothing, so the
+state's `after_move` hook is the one observer of a game:
+`run_canonical_game(after_move=...)` sees every move, and a hook that collects
+the moves records its trace.
 """
 
 from __future__ import annotations
@@ -38,26 +40,54 @@ class CanonicalError(Exception):
     pass
 
 
-def canonical_add_edge(state: GameState, v: int, w: int) -> Move:
+def canonical_add_edge(state: GameState, v: int, w: int) -> None:
     """Add vw with the canonical color choice.
 
     Shared color (lowest index) when some color has a pebble on both distinct
     endpoints; otherwise the highest color present on {v, w}.  A loop always
     closes a cycle in its own color, so it takes the highest color, keeping the
-    low (tree) colors acyclic.
+    low (tree) colors acyclic.  The chosen color is `state.colors[-1]`.
     """
     sw = state.out_color[w]
     pick = -1
     for c, f in enumerate(state.out_color[v]):  # one pass: the first shared color wins
         if f < 0:
-            if sw[c] < 0 and v != w:
-                return add_edge(state, v, w, c)
             pick = c
+            if sw[c] < 0 and v != w:
+                break
         elif sw[c] < 0:
             pick = c
     if pick < 0:
         raise IllegalMoveError("no pebble available on either endpoint")
-    return add_edge(state, v, w, pick)
+    add_edge(state, v, w, pick)
+
+
+def _chain_reaches(state: GameState, x: int, color: int, goal: int) -> bool:
+    """Does x's color-chain reach `goal` in one or more steps?
+
+    Each vertex has at most one out-edge per color, so the chain ends at its
+    first pebble or, within n steps, runs into a cycle that it then goes round
+    for good.  The walk keeps no record of the vertices it has seen: it
+    remembers one vertex at the start of each leg, and doubles the leg each
+    time (Brent's cycle detection).  Once a leg starts on the cycle and is at
+    least as long, the walk comes back to the remembered vertex without having
+    met the goal, and stops with False, so it takes O(n) steps and, in a small
+    cycle, far fewer than n.
+    """
+    out_color = state.out_color
+    heads = state.heads
+    mark, leg = x, 32  # canonical chains are mostly shorter than one leg
+    while True:
+        for _ in range(leg):
+            f = out_color[x][color]
+            if f < 0:
+                return False
+            x = heads[f]
+            if x == goal:
+                return True
+            if x == mark:  # round a cycle that does not hold the goal
+                return False
+        mark, leg = x, 2 * leg
 
 
 def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
@@ -66,77 +96,28 @@ def creates_monochromatic_cycle(state: GameState, eid: int, cover: int) -> bool:
     Covering with the edge's own color only re-roots its tree.  Otherwise the
     reversed edge closes a cycle exactly when the old tail's cover-colored
     out-chain already leads to the old head; a loop recolored this way is a
-    fresh one-edge cycle.  Each vertex has at most one out-edge per color, so
-    the chain ends at its first pebble or, within n steps, runs into a cycle
-    that it then goes round for good.  The walk keeps no record of the
-    vertices it has seen: it remembers one vertex at the start of each leg,
-    and doubles the leg each time (Brent's cycle detection).  Once a leg
-    starts on the cycle and is at least as long, the walk comes back to the
-    remembered vertex without having met the head, and stops with False, so
-    it takes O(n) steps and, in a small cycle, far fewer than n.
+    fresh one-edge cycle.
     """
     if state.colors[eid] == cover:
         return False
     h = state.heads[eid]
     x = state.tails[eid]
-    if x == h:
-        return True
-    out_color = state.out_color
-    heads = state.heads
-    mark, leg = x, 32  # canonical chains are mostly shorter than one leg
-    while True:
-        for _ in range(leg):
-            f = out_color[x][cover]
-            if f < 0:
-                return False
-            x = heads[f]
-            if x == h:
-                return True
-            if x == mark:  # round a cycle that does not hold the head
-                return False
-        mark, leg = x, 2 * leg
+    return x == h or _chain_reaches(state, x, cover, h)
 
 
-def _monochromatic_chain_to(
-    state: GameState, start: int, color: int, goal: int
-) -> list[int] | None:
-    """Edge ids of start's color-chain up to `goal`, or None if it never arrives.
-
-    The walk marks the vertices it passes in the state's stamped `mark` array.
-    """
-    out_color = state.out_color
-    heads = state.heads
-    stamp = state.new_search()
-    mark = state.mark
-    mark[start] = stamp
-    x = start
-    chain: list[int] = []
-    while True:
-        f = out_color[x][color]
-        if f < 0:
-            return None
-        chain.append(f)
-        y = heads[f]
-        if y == goal:
-            return chain
-        if mark[y] == stamp:
-            return None  # ran into a pre-existing cycle elsewhere
-        mark[y] = stamp
-        x = y
-
-
-def bring_pebble_dynamic(state: GameState, path: list[int]) -> list[Move]:
+def bring_pebble_dynamic(state: GameState, path: list[int]) -> None:
     """Slide a pebble along `path` to its start, avoiding cycle-closing covers.
 
     Each edge is covered with its own color when its head holds that pebble,
     which only re-roots the color's tree; otherwise with the lowest available
     color that closes no cycle.  Whenever every available covering pebble
     would close a cycle, the path suffix is replaced by the covering color's
-    tree path from its first touch, whose slides are all same-colored and
-    safe.  Each replacement strictly shortens the unprocessed prefix, so this
-    always terminates.  The caller's list is read, never changed.
+    tree path from its first touch, found by the cycle check's chain walk,
+    whose slides are all same-colored and safe.  Each replacement strictly
+    shortens the unprocessed prefix, so this always terminates.  The slides
+    are reported to the state's `after_move` hook only; the caller's list is
+    read, never changed.
     """
-    moves: list[Move] = []
     heads = state.heads
     colors = state.colors
     out_color = state.out_color
@@ -148,13 +129,13 @@ def bring_pebble_dynamic(state: GameState, path: list[int]) -> list[Move]:
         head_slots = out_color[h]
         ce = colors[e]
         if head_slots[ce] < 0:  # the edge's own color only re-roots its tree
-            moves.append(pebble_slide(state, e, ce))
+            pebble_slide(state, e, ce)
             continue
         q = -1  # the lowest available color: the shortcut's, if every cover closes a cycle
         for c, f in enumerate(head_slots):
             if f < 0:
                 if not creates_monochromatic_cycle(state, e, c):
-                    moves.append(pebble_slide(state, e, c))
+                    pebble_slide(state, e, c)
                     break
                 if q < 0:
                     q = c
@@ -164,14 +145,18 @@ def bring_pebble_dynamic(state: GameState, path: list[int]) -> list[Move]:
             # every cover closes a cycle in its color; shortcut along the lowest one
             tails = state.tails
             for idx in range(i + 1):
-                chain = _monochromatic_chain_to(state, tails[path[idx]], q, h)
-                if chain is not None:
-                    path = path[:idx] + chain
-                    i = len(path)
+                x = tails[path[idx]]
+                if _chain_reaches(state, x, q, h):
                     break
             else:
                 raise CanonicalError("shortcut target vanished; state corrupted")
-    return moves
+            path = path[:idx]
+            f = out_color[x][q]  # the walk showed that this chain reaches h
+            path.append(f)
+            while heads[f] != h:
+                f = out_color[heads[f]][q]
+                path.append(f)
+            i = len(path)
 
 
 def route_pebble(

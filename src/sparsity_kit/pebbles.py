@@ -7,16 +7,17 @@ empty, the pebble itself.  An edge is added by spending a pebble from one
 endpoint (which becomes the tail), and a pebble-slide reverses an edge by
 covering it with a pebble taken from its head.  Once a state is built, these
 two moves (`add_edge` and `pebble_slide`) are the only writers of its edges and
-slots, and each reports itself to the state's `after_move` hook, the one move
-sink, as an `AddEdgeMove` or `SlideMove`.  These move records are named tuples:
-immutable, cheap to build on the hot path, and equal to the plain tuple of
-their fields.  A trace file is a move list collected by such a hook and
-written by `trace_to_lines`; `replay_trace` plays it back move by move.
-Because per-vertex adjacency is this k-slot array, searches stay O(n) on
-sparse states.  Every search (`find_pebble`, component detection's forward
-pre-test, and the canonical game's shortcut walk) marks the vertices it
-reaches in the state's one stamped `mark` array, so none allocates a visited
-set or a parent map of its own.
+slots.  A move returns nothing: it reports itself only to the state's
+`after_move` hook, the one move sink, as an `AddEdgeMove` or `SlideMove`, and
+builds that record only when a hook is set.  These move records are named
+tuples: immutable, cheap to build, and equal to the plain tuple of their
+fields.  A trace file is a move list collected by such a hook and written by
+`trace_to_lines`; `replay_trace` plays it back move by move.  Because
+per-vertex adjacency is this k-slot array, searches stay O(n) on sparse
+states.  The pebble search `find_pebble` and component detection's forward
+pre-test are the two users of the state's one stamped `mark` array: each marks
+the vertices it reaches there, so neither allocates a visited set or a parent
+map of its own.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class GameState:
 # -- moves -------------------------------------------------------------------
 
 
-def add_edge(state: GameState, v: int, w: int, color: int) -> AddEdgeMove:
+def add_edge(state: GameState, v: int, w: int, color: int) -> None:
     """Add the edge vw, spending a pebble of `color` from v (preferred) or w.
 
     Requires both endpoints in 0..n-1, at least l+1 pebbles on {v, w} and a
@@ -230,14 +231,12 @@ def add_edge(state: GameState, v: int, w: int, color: int) -> AddEdgeMove:
     state.colors.append(color)
     out_color[tail][color] = eid  # the edge takes the spent pebble's slot
     state.in_edges[head].append(eid)
-    move = _record(AddEdgeMove, (v, w, color))
     hook = state.after_move
     if hook is not None:
-        hook(state, move)
-    return move
+        hook(state, _record(AddEdgeMove, (v, w, color)))
 
 
-def pebble_slide(state: GameState, eid: int, color: int) -> SlideMove:
+def pebble_slide(state: GameState, eid: int, color: int) -> None:
     """Reverse edge eid, covering it with a pebble of `color` from its head.
 
     The pebble that was on the edge returns to the old tail; the edge takes the
@@ -262,25 +261,24 @@ def pebble_slide(state: GameState, eid: int, color: int) -> SlideMove:
     head_slots[color] = eid
     in_edges[h].remove(eid)
     in_edges[t].append(eid)
-    move = _record(SlideMove, (eid, t, h, color))
     hook = state.after_move
     if hook is not None:
-        hook(state, move)
-    return move
+        hook(state, _record(SlideMove, (eid, t, h, color)))
 
 
-def apply_move(state: GameState, move: Move) -> Move:
+def apply_move(state: GameState, move: Move) -> None:
     """Replay a recorded move, verifying its slide orientation; `add_edge`
     checks an added edge's vertices."""
     if isinstance(move, AddEdgeMove):
-        return add_edge(state, move.v, move.w, move.color)
+        add_edge(state, move.v, move.w, move.color)
+        return
     # a negative id would index the edge lists from the end
     if not 0 <= move.edge < state.m or (state.tails[move.edge], state.heads[move.edge]) != (
         move.tail,
         move.head,
     ):
         raise IllegalMoveError(f"stale slide record for edge {move.edge}")
-    return pebble_slide(state, move.edge, move.color)
+    pebble_slide(state, move.edge, move.color)
 
 
 # -- pebble search -------------------------------------------------------------
@@ -300,8 +298,10 @@ def find_pebble(
     set.  Each vertex's out-slots are explored in color order.  The search
     marks vertices in the state's `mark` array and records each one's
     discovering edge in `via`, so it allocates nothing beyond the queue and
-    the path.
+    the path.  A source outside 0..n-1 raises IllegalMoveError.
     """
+    if not 0 <= source < state.n:  # a negative id would alias a vertex
+        raise IllegalMoveError(f"source {source} out of range for n={state.n}")
     queue = [source]
     peb_sum = state.peb_sum
     if peb_sum[source] > 0 and source not in forbidden:

@@ -6,7 +6,9 @@ enumerating them.
 exactly k*n' - m' pieces on every subset, which is why the library decides
 the paper's "at least l tree-pieces everywhere" condition as sparsity.
 `monochromatic_cycle_colors` scans a game state for the cycles that canonical
-slides must never close.  `bfs_pebble` is the pebble search with its own
+slides must never close, and `chain_reaches` follows one color-chain with a
+set of the vertices it has seen, for checking the engine's chain walk, which
+keeps none.  `bfs_pebble` is the pebble search with its own
 dict of discovering edges, for checking the engine's search, which marks
 vertices in arrays the state keeps from one search to the next.
 """
@@ -89,6 +91,26 @@ def monochromatic_cycle_colors(state) -> list[int]:
                 bad.append(c)
                 break
     return bad
+
+
+def chain_reaches(state, start: int, color: int, goal: int) -> bool:
+    """Whether start's color-chain reaches `goal` in one or more steps.
+
+    The walk stops at a pebble, or when it comes back to a vertex in its set
+    of seen vertices, which means it went round a cycle that misses `goal`.
+    """
+    seen = {start}
+    x = start
+    while True:
+        e = state.out_color[x][color]
+        if e < 0:
+            return False
+        x = state.heads[e]
+        if x == goal:
+            return True
+        if x in seen:
+            return False
+        seen.add(x)
 
 
 def bfs_pebble(state, source: int, forbidden=frozenset()):

@@ -20,12 +20,13 @@ from sparsity_kit import (
     run_canonical_game,
     write_graph,
 )
-from sparsity_kit.canonical import _monochromatic_chain_to, bring_pebble_dynamic
+from sparsity_kit import pebbles
+from sparsity_kit.canonical import bring_pebble_dynamic
 from sparsity_kit.cli import _peak_bytes
-from sparsity_kit.pebbles import find_pebble, pebble_slide, replay_trace, trace_to_lines
+from sparsity_kit.pebbles import SlideMove, find_pebble, pebble_slide, replay_trace, trace_to_lines
 
 from conftest import ALL_PARAMS
-from reference import monochromatic_cycle_colors, pebble_colors
+from reference import chain_reaches, monochromatic_cycle_colors, pebble_colors
 
 
 def random_reachable_state(rng, n, params, moves):
@@ -187,7 +188,7 @@ def test_cycle_detection_matches_simulation():
 def _chain_answer(state, eid, cover):
     """The cycle check's answer from the chain walk that records what it saw."""
     t, h, old = state.tails[eid], state.heads[eid], state.colors[eid]
-    return old != cover and (t == h or _monochromatic_chain_to(state, t, cover, h) is not None)
+    return old != cover and (t == h or chain_reaches(state, t, cover, h))
 
 
 def _color_zero_walk(steps):
@@ -243,7 +244,10 @@ def test_bounded_cycle_walk_matches_the_recorded_chain_in_random_games():
     assert checked > 10000 and cyclic > 500
 
 
-def test_hook_receives_exactly_the_returned_records():
+def test_hooked_and_unhooked_games_end_in_the_same_state():
+    # moves return nothing, so the hook is their only record: a game played
+    # with a hook ends where the same game without one does, and the moves
+    # the hook saw replay to that state
     def play(params, seed, hooked):
         rng = random.Random(seed)
         n = 30
@@ -251,7 +255,6 @@ def test_hook_receives_exactly_the_returned_records():
         seen = []
         if hooked:
             s.after_move = lambda state, move: seen.append(move)
-        returned = []
         for _ in range(4 * n):
             u, v = rng.randrange(n), rng.randrange(n)
             if u == v and params.l >= params.k:
@@ -263,23 +266,47 @@ def test_hook_receives_exactly_the_returned_records():
                     path, _ = find_pebble(s, v, forbidden)
                 if not path:
                     break
-                returned += bring_pebble_dynamic(s, path)
+                assert bring_pebble_dynamic(s, path) is None
             else:
-                returned.append(canonical_add_edge(s, u, v))
+                assert canonical_add_edge(s, u, v) is None
             for e in rng.sample(range(s.m), min(3, s.m)):  # a few plain slides too
                 covers = pebble_colors(s, s.heads[e])
                 if covers:
-                    returned.append(pebble_slide(s, e, rng.choice(covers)))
-        return returned, seen
+                    assert pebble_slide(s, e, rng.choice(covers)) is None
+        return s, seen
 
     for params in (SparsityParams(3, 3), SparsityParams(2, 0), SparsityParams(2, 3)):
-        returned, seen = play(params, 43, hooked=True)
-        assert len(returned) > 100
-        assert len(seen) == len(returned)
-        assert all(a is b for a, b in zip(seen, returned))
+        hooked, seen = play(params, 43, hooked=True)
+        assert len(seen) > 100
         plain, nothing = play(params, 43, hooked=False)
-        assert nothing == [] and plain == returned
-        assert [type(m) for m in plain] == [type(m) for m in returned]
+        assert nothing == [] and plain.state_hash() == hooked.state_hash()
+        replayed = replay_trace(trace_to_lines(hooked, seen), debug_invariants=True)
+        assert replayed.state_hash() == hooked.state_hash()
+
+
+def test_an_unhooked_game_builds_no_move_record(monkeypatch):
+    params = SparsityParams(3, 3)
+    g = random_tight_graph(60, params, 61)
+    expected = run_canonical_game(g, params).accepted
+
+    def refuse(*args):
+        raise AssertionError("a move record was built with no hook set")
+
+    monkeypatch.setattr(pebbles, "_record", refuse)
+    assert run_canonical_game(g, params).accepted == expected
+
+
+def test_shortcut_slides_along_the_cover_colors_chain():
+    # vertex 3 reaches vertex 0's pebble by the color-0 edge 3->0, but vertex 0
+    # holds only its color-1 pebble, and covering with it would close a color-1
+    # cycle through the color-1 edge 3->0; the shortcut slides that edge instead
+    s = GameState.from_parts(4, SparsityParams(2, 0), [(3, 0, 0), (0, 2, 0), (3, 0, 1)])
+    moves = []
+    s.after_move = lambda state, move: moves.append(move)
+    before = set(monochromatic_cycle_colors(s))
+    assert route_pebble(s, 3, frozenset({3}))
+    assert moves == [SlideMove(2, 3, 0, 1)]
+    assert set(monochromatic_cycle_colors(s)) <= before
 
 
 @pytest.mark.parametrize("k, l", [(3, 3), (2, 0)])

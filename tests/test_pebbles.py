@@ -23,7 +23,7 @@ from sparsity_kit import (
     trace_to_lines,
     update_components,
 )
-from sparsity_kit.canonical import bring_pebble_dynamic, play_edge
+from sparsity_kit.canonical import bring_pebble_dynamic, play_edge, route_pebble
 from sparsity_kit.pebbles import _saturated_block
 
 from conftest import ALL_PARAMS
@@ -147,6 +147,18 @@ def test_find_pebble_trivial_on_fresh_state():
     assert set(visited) == {0}
 
 
+@pytest.mark.parametrize("source", [-1, 3])
+def test_find_pebble_rejects_a_source_out_of_range(source):
+    # a negative source would alias vertex n + source; only fresh states here,
+    # since on a state with edges such an alias used to loop forever
+    s = GameState(3, SparsityParams(1, 0))
+    with pytest.raises(IllegalMoveError, match=r"^source .* out of range"):
+        find_pebble(s, source)
+    with pytest.raises(IllegalMoveError, match=r"^source .* out of range"):
+        route_pebble(s, source)
+    assert s.m == 0 and s.total_pebbles() == 3
+
+
 def test_find_pebble_reports_reachable_set_on_failure():
     s = GameState(2, SparsityParams(1, 0))
     add_edge(s, 0, 1, 0)
@@ -224,16 +236,26 @@ def test_find_pebble_returns_a_shortest_path_or_the_reachable_set():
     assert hits > 100 and misses > 100
 
 
+def _recorded(state):
+    """The list that `state`'s moves are recorded into from now on."""
+    moves = []
+    state.after_move = lambda _, move: moves.append(move)
+    return moves
+
+
 def test_bring_pebble_empty_path_is_noop():
     s = GameState(2, SparsityParams(2, 3))
-    assert bring_pebble_dynamic(s, []) == []
+    moves = _recorded(s)
+    assert bring_pebble_dynamic(s, []) is None
+    assert moves == []
 
 
 def test_bring_pebble_single_edge():
     s = GameState(2, SparsityParams(2, 3))
     add_edge(s, 0, 1, 0)
     before = s.peb_sum[0]
-    moves = bring_pebble_dynamic(s, [0])
+    moves = _recorded(s)
+    bring_pebble_dynamic(s, [0])
     assert len(moves) == 1
     assert s.peb_sum[0] == before + 1
 
@@ -248,7 +270,8 @@ def test_bring_pebble_three_edge_path_counts():
     path, _ = find_pebble(s, 0, forbidden={0})
     assert [s.tails[e] for e in path] == [0, 1, 2]
     peb_before = [s.peb_sum[v] for v in range(4)]
-    moves = bring_pebble_dynamic(s, path)
+    moves = _recorded(s)
+    bring_pebble_dynamic(s, path)
     assert len(moves) == 3
     assert s.peb_sum[0] == peb_before[0] + 1
     assert s.peb_sum[3] == peb_before[3] - 1
