@@ -180,8 +180,12 @@ def collect_pebbles_canonically(state: GameState, v: int, w: int) -> bool:
 
     Fills v first, then w, one `route_pebble` at a time (a full endpoint is
     skipped); pebbles already on {v, w} are never slid away.  Returns False
-    when the reachable region is exhausted short of l+1.
+    when the reachable region is exhausted short of l+1.  An endpoint outside
+    0..n-1 raises IllegalMoveError.
     """
+    n = state.n
+    if not 0 <= v < n > w >= 0:  # a negative id would alias a vertex's pebbles
+        raise IllegalMoveError(f"vertex out of range in edge ({v}, {w}) for n={n}")
     k, l = state.params.k, state.params.l
     peb_sum = state.peb_sum
     forbidden = {v, w}
@@ -200,8 +204,12 @@ def play_edge(state: GameState, u: int, v: int) -> bool:
     The edge is screened by the loop rule and the component map, then by
     pebble collection.  A failed collection exposes the same saturated block
     an accepted tight edge does, so both feed the component map.  Returns
-    True when the edge was added.
+    True when the edge was added; an endpoint outside 0..n-1 raises
+    IllegalMoveError.
     """
+    n = state.n
+    if not 0 <= u < n > v >= 0:  # checked before the component map is indexed
+        raise IllegalMoveError(f"vertex out of range in edge ({u}, {v}) for n={n}")
     if u == v and state.params.l >= state.params.k:
         return False
     if reject_fast(state, u, v):

@@ -95,16 +95,17 @@ def overfull_subset(g: Multigraph, params: SparsityParams) -> tuple[int, ...] | 
     fetched, the vertices reachable from the endpoints are closed under
     out-edges and hold at most l free pebbles, so with the new edge they span
     more than k*n' - l edges: the unique smallest overfull set of the
-    shortest non-sparse prefix of g.edges.  The game holds flat arrays of n
-    and m ints and allocates nothing per search beyond its queue.  Shares no
-    code with the colored engine, so it arbitrates it at any n.
+    shortest non-sparse prefix of g.edges.  The game holds n free-pebble
+    counts and, per vertex, the heads of its out-edges, m ints in all; it
+    numbers no edge and allocates nothing per search beyond its queue.
+    Shares no code with the colored engine, so it arbitrates it at any n.
     """
     return _orient(g.n, params, g.edges)[0]
 
 
-# free pebbles per vertex, each vertex's out-edge ids, and each placed edge's
-# head and tail
-_Orientation = tuple[list[int], list[list[int]], list[int], list[int]]
+# free pebbles per vertex, and each vertex's out-neighbours: the head of each
+# of its out-edges, once per edge, so a parallel edge or a loop is one more entry
+_Orientation = tuple[list[int], list[list[int]]]
 
 
 def _orient(
@@ -123,16 +124,18 @@ def _orient(
     the game decides (k,0)-sparsity of all edges played so far: a pebble
     search from any orientation with out-degree at most k finds a free pebble
     exactly when the edge set stays (k,0)-sparse (Hakimi), and sparsity does
-    not depend on the order the edges came in.
+    not depend on the order the edges came in.  The game numbers no edge:
+    parallel edges are interchangeable, so reversing a path step x -> y
+    removes one entry y from x's list and appends x to y's.
     """
     k, l = params.k, params.l
     if orientation is None:
-        orientation = [k] * n, [[] for _ in range(n)], [], []
-    free, out, head, tail = orientation
+        orientation = [k] * n, [[] for _ in range(n)]
+    free, out = orientation
     mark = [0] * n  # mark[y] == stamp: the current search reached y
-    via = [-1] * n  # via[y]: the edge that search reached y by, -1 at a source
+    via = [-1] * n  # via[y]: the vertex that search reached y from, -1 at a source
     stamp = 0
-    for e, (u, v) in enumerate(edges, len(tail)):  # e: the id the edge gets once placed
+    for u, v in edges:
         if u == v and l >= k:
             return (u,), orientation
         while (free[u] if u == v else free[u] + free[v]) <= l:
@@ -142,11 +145,10 @@ def _orient(
             queue = [u, v] if u != v else [u]
             found = -1
             for x in queue:  # breadth-first; the list grows as it is walked
-                for f in out[x]:
-                    y = head[f]
+                for y in out[x]:
                     if mark[y] != stamp:
                         mark[y] = stamp
-                        via[y] = f
+                        via[y] = x
                         if free[y]:
                             found = y
                             break
@@ -157,20 +159,16 @@ def _orient(
                 return tuple(sorted(queue)), orientation  # a failed search queued all it reached
             free[found] -= 1
             y = found
-            f = via[y]
-            while f >= 0:
-                x = tail[f]
-                out[x].remove(f)
-                out[y].append(f)
-                head[f], tail[f] = x, y
+            x = via[y]
+            while x >= 0:
+                out[x].remove(y)
+                out[y].append(x)
                 y = x
-                f = via[y]
+                x = via[y]
             free[y] += 1
         payer = u if free[u] else v
         free[payer] -= 1
-        out[payer].append(e)
-        head.append(v if payer == u else u)  # every earlier edge is placed, so this is head[e]
-        tail.append(payer)
+        out[payer].append(v if payer == u else u)
     return None, orientation
 
 

@@ -13,11 +13,14 @@ builds that record only when a hook is set.  These move records are named
 tuples: immutable, cheap to build, and equal to the plain tuple of their
 fields.  A trace file is a move list collected by such a hook and written by
 `trace_to_lines`; `replay_trace` plays it back move by move.  Because
-per-vertex adjacency is this k-slot array, searches stay O(n) on sparse
-states.  The pebble search `find_pebble` and component detection's forward
-pre-test are the two users of the state's one stamped `mark` array: each marks
-the vertices it reaches there, so neither allocates a visited set or a parent
-map of its own.
+per-vertex out-adjacency is this k-slot array, searches stay O(n) on sparse
+states.  In-adjacency is one list per vertex holding the tail vertex of each
+in-edge, not the edge's id: the one walk that reads it, component
+detection's backward closure, needs only vertices, so it never turns an id
+back into a tail.  The pebble search `find_pebble` and component detection's
+forward pre-test are the two users of the state's one stamped `mark` array:
+each marks the vertices it reaches there, so neither allocates a visited set
+or a parent map of its own.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ class GameState:
     every vertex.  `out_color[v][c]` is v's slot of color c: the id of its
     out-edge of that color, or -1 when the color-c pebble sits on v.
     `peb_sum[v]` caches the number of empty slots of v, which the searches
-    read once per vertex.  `in_edges[v]` lists the ids of v's in-edges in no
-    fixed order, for component detection's backward closure.
+    read once per vertex.  `in_tails[v]` lists the tail of each of v's
+    in-edges, once per edge and in no fixed order, for component detection's
+    backward closure, which needs only the vertices an edge comes from.
 
     The searches share two n-entry arrays, allocated with the state:
     `mark[y] == stamp` means the current search has reached y, and `via[y]`
@@ -94,7 +98,7 @@ class GameState:
         "colors",
         "peb_sum",
         "out_color",
-        "in_edges",
+        "in_tails",
         "component_id",
         "_next_component",
         "mark",
@@ -114,7 +118,7 @@ class GameState:
         self.colors: list[int] = []
         self.peb_sum: list[int] = [k] * n
         self.out_color: list[list[int]] = [[-1] * k for _ in range(n)]
-        self.in_edges: list[list[int]] = [[] for _ in range(n)]
+        self.in_tails: list[list[int]] = [[] for _ in range(n)]
         self.component_id: list[int] = [0] * n
         self._next_component = 1
         self.mark: list[int] = [0] * n
@@ -150,7 +154,7 @@ class GameState:
             if state.out_color[t][c] != -1:
                 raise ValueError(f"vertex {t} would have two outgoing edges of color {c}")
             state.out_color[t][c] = eid
-            state.in_edges[h].append(eid)
+            state.in_tails[h].append(t)
             state.peb_sum[t] -= 1
         return state
 
@@ -230,7 +234,7 @@ def add_edge(state: GameState, v: int, w: int, color: int) -> None:
     state.heads.append(head)
     state.colors.append(color)
     out_color[tail][color] = eid  # the edge takes the spent pebble's slot
-    state.in_edges[head].append(eid)
+    state.in_tails[head].append(tail)
     hook = state.after_move
     if hook is not None:
         hook(state, _record(AddEdgeMove, (v, w, color)))
@@ -253,14 +257,14 @@ def pebble_slide(state: GameState, eid: int, color: int) -> None:
     if not 0 <= color < state.params.k or head_slots[color] >= 0:
         raise IllegalMoveError(f"no pebble of color {color} on vertex {h}")
     peb_sum = state.peb_sum
-    in_edges = state.in_edges
+    in_tails = state.in_tails
     out_color[t][colors[eid]] = -1
     peb_sum[t] += 1
     peb_sum[h] -= 1
     tails[eid], heads[eid], colors[eid] = h, t, color
     head_slots[color] = eid
-    in_edges[h].remove(eid)
-    in_edges[t].append(eid)
+    in_tails[h].remove(t)  # any one of parallel t -> h edges: the lists hold vertices
+    in_tails[t].append(h)
     hook = state.after_move
     if hook is not None:
         hook(state, _record(SlideMove, (eid, t, h, color)))
@@ -351,15 +355,16 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
     left to decide: a bare vertex is outside iff it reaches a pebbled vertex
     outside {v, w}.  One flat list, copied from `peb_sum`, records the
     answer: nonzero means outside.  The backward closure is seeded by one
-    C-level stream of the tails of the in-edges of the pebbled vertices
-    outside {v, w}; each bare tail it marks is then walked back.  If v or w
-    ends up marked, it reaches an outside pebble through a vertex the search
-    skipped, and there is no block.  So the answer depends on the state
-    alone; the component map only bounds the early-exit search.  The stream
-    reads the list it marks, so a bare tail marked before the stream reaches
-    its index has its in-edges read a second time: still at most twice per
-    in-edge.  With one copy and one read-back pass over the n vertices, a
-    call stays linear in n + m.
+    C-level stream that chains the `in_tails` lists of the pebbled vertices
+    outside {v, w}; each bare tail it marks is then walked back through its
+    own `in_tails`, so the closure reads vertices only and no edge id.  If v
+    or w ends up marked, it reaches an outside pebble through a vertex the
+    search skipped, and there is no block.  So the answer depends on the
+    state alone; the component map only bounds the early-exit search.  The
+    stream reads the list it marks, so a bare tail marked before the stream
+    reaches its index has its `in_tails` read a second time: still at most
+    twice per in-edge.  With one copy and one read-back pass over the n
+    vertices, a call stays linear in n + m.
     """
     heads = state.heads
     out_color = state.out_color
@@ -386,15 +391,13 @@ def _saturated_block(state: GameState, v: int, w: int) -> list[int] | None:
                         stack.append(y)
     bad = peb_sum.copy()  # the pebbled vertices outside {v, w}, then each tail shown bad
     bad[v] = bad[w] = 0
-    tails = state.tails
-    in_edges = state.in_edges
-    for x in map(tails.__getitem__, chain.from_iterable(compress(in_edges, bad))):
+    in_tails = state.in_tails
+    for x in chain.from_iterable(compress(in_tails, bad)):
         if not bad[x]:  # a bare tail, or v or w when a skipped vertex hid the pebble
             bad[x] = 1
             stack.append(x)
     while stack:
-        for e in in_edges[stack.pop()]:
-            x = tails[e]
+        for x in in_tails[stack.pop()]:
             if not bad[x]:
                 bad[x] = 1
                 stack.append(x)
@@ -461,9 +464,10 @@ def check_invariants(state: GameState) -> InvariantReport:
     the subset balance (span + out + pebbles = k * |subset|) for every vertex
     subset, so no subset is enumerated.  An edge whose tail or head is
     outside 0..n-1 is reported before its slot is read.  In-edge agreement
-    (each edge id is listed exactly once, at its head) guards the lists that
-    component detection walks.  On failure the report carries a witness: the
-    vertices, all in 0..n-1, that the failure names, or none.
+    guards the lists that component detection walks: each vertex's
+    `in_tails` equals, as a multiset, the tails of the in-range edges whose
+    head it is.  On failure the report carries a witness: the vertices, all
+    in 0..n-1, that the failure names, or none.
     """
     failures: list[InvariantFailure] = []
     k, l, n = state.params.k, state.params.l, state.n
@@ -506,27 +510,17 @@ def check_invariants(state: GameState) -> InvariantReport:
             InvariantFailure("edge-slot", f"{occupied} occupied out-slots for {state.m} edges")
         )
 
-    # every edge id is listed once across in_edges, in its head's list
-    heads = state.heads
-    listed = [False] * state.m
-    for v, ids in enumerate(state.in_edges):
-        for e in ids:
-            if not 0 <= e < state.m or heads[e] != v:
-                detail = f"vertex {v} lists edge {e}, which does not end there"
-            elif listed[e]:
-                detail = f"vertex {v} lists edge {e} twice"
-            else:
-                listed[e] = True
-                continue
+    # each vertex lists the tails of its in-edges, once per edge, so the
+    # sorted lists agree as multisets
+    expected: list[list[int]] = [[] for _ in range(n)]
+    for t, h in zip(state.tails, state.heads):
+        if 0 <= t < n and 0 <= h < n:  # an edge out of range is reported above
+            expected[h].append(t)
+    for v, got in enumerate(state.in_tails):
+        got, want = sorted(got), sorted(expected[v])
+        if got != want:
+            detail = f"vertex {v} lists in-edge tails {got}, but its in-edges come from {want}"
             failures.append(InvariantFailure("in-edges", detail, (v,)))
-    for e, seen in enumerate(listed):
-        if not seen:
-            h = heads[e]
-            if 0 <= h < n:
-                detail, witness = f"edge {e} is missing from vertex {h}'s in-edges", (h,)
-            else:  # reported as edge-range too; there is no vertex h to name
-                detail, witness = f"edge {e} is in no vertex's in-edges", ()
-            failures.append(InvariantFailure("in-edges", detail, witness))
 
     return InvariantReport(not failures, failures)
 

@@ -194,9 +194,9 @@ def axis_parallel_slider_check(g: Multigraph, loop_colors: dict[int, int]) -> bo
     Both read the edge list of `oracle.slider_loops`, so no edge is copied
     into a new graph.
     """
-    loops, plain_edges = slider_loops(g, loop_colors)
-    if len(plain_edges) != 2 * g.n - len(loops):
+    loops, plain = slider_loops(g, loop_colors)
+    if len(plain) != 2 * g.n - len(loops):
         return False  # the whole graph cannot be (2,0)-tight
-    if _orient(g.n, _PARAMS_23, plain_edges)[0] is not None:
+    if _orient(g.n, _PARAMS_23, plain)[0] is not None:
         return False
-    return _tree_pair_exists(g.n, plain_edges, loops) is not None
+    return _tree_pair_exists(g.n, plain, loops) is not None

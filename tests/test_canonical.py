@@ -7,6 +7,7 @@ import pytest
 
 from sparsity_kit import (
     GameState,
+    IllegalMoveError,
     Multigraph,
     SparsityParams,
     add_edge,
@@ -21,7 +22,7 @@ from sparsity_kit import (
     write_graph,
 )
 from sparsity_kit import pebbles
-from sparsity_kit.canonical import bring_pebble_dynamic
+from sparsity_kit.canonical import bring_pebble_dynamic, play_edge
 from sparsity_kit.cli import _peak_bytes
 from sparsity_kit.pebbles import SlideMove, find_pebble, pebble_slide, replay_trace, trace_to_lines
 
@@ -442,6 +443,23 @@ def test_collect_trivial_on_fresh_state():
         s = GameState(3, params)
         assert collect_pebbles_canonically(s, 0, 1)
         assert s.m == 0  # no edges appear during collection
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [(-1, 0), (0, -1), (3, 0), (0, 3)],
+    ids=["first-negative", "second-negative", "first-n", "second-n"],
+)
+def test_collection_and_play_edge_reject_an_endpoint_out_of_range(u, v):
+    # a negative endpoint would alias vertex n + u, whose pebbles could pass
+    # the count with no search; one past n would fail with a bare IndexError
+    # in the component screen.  Only fresh states, like find_pebble's test
+    s = GameState(3, SparsityParams(1, 0))
+    with pytest.raises(IllegalMoveError, match=r"^vertex out of range in edge"):
+        collect_pebbles_canonically(s, u, v)
+    with pytest.raises(IllegalMoveError, match=r"^vertex out of range in edge"):
+        play_edge(s, u, v)
+    assert s.m == 0 and s.total_pebbles() == 3
 
 
 def test_collect_fails_against_saturated_region():

@@ -471,6 +471,57 @@ def test_a_resumed_k0_game_gives_the_fresh_games_verdict():
     assert min(verdicts.values()) > 300, verdicts
 
 
+def _orientation_pairs(orientation, k):
+    """The placed edges of an orientation as sorted unordered pairs, after
+    checking that every vertex's free pebbles and out-edges add up to k."""
+    free, out = orientation
+    assert all(f + len(heads) == k for f, heads in zip(free, out))
+    return sorted((min(x, y), max(x, y)) for x, heads in enumerate(out) for y in heads)
+
+
+def test_the_orientation_lists_each_placed_edge_once_by_its_head():
+    # the game keeps per-vertex head lists and no edge ids; after every call
+    # each vertex's free pebbles and out-entries sum to k, and the out-lists
+    # hold exactly the placed edges, parallel ones once each.  Edges are
+    # played in chunks: a failing chunk places a prefix and stops there
+    rng = random.Random(2029)
+    placed_parallel = 0
+    for k, l in ((2, 3), (2, 0), (3, 5), (1, 1)):
+        params = SparsityParams(k, l)
+        for _ in range(10):
+            n = rng.randint(2, 9)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+            edges = [rng.choice(pairs) for _ in range(3 * n)]  # repeats make parallel edges
+            _, orientation = oracle._orient(n, params, [])
+            placed = []
+            while edges:
+                size = rng.randint(1, 4)
+                chunk, edges = edges[:size], edges[size:]
+                witness, orientation = oracle._orient(n, params, chunk, orientation)
+                got = _orientation_pairs(orientation, k)
+                kept = len(got) - len(placed)
+                assert (witness is None) == (kept == len(chunk))
+                placed += chunk[:kept]
+                assert got == sorted((min(e), max(e)) for e in placed)
+            placed_parallel += len(placed) - len(set(placed))
+    assert placed_parallel > 0
+    # a (2,3) game resumed under (2,0) with loops, as the graded slider check plays
+    for seed in range(10):
+        n = 6 + seed
+        plain = list(random_tight_graph(n, SparsityParams(2, 3), seed).edges)
+        witness, orientation = oracle._orient(n, SparsityParams(2, 3), plain)
+        assert witness is None and _orientation_pairs(orientation, 2) == sorted(
+            (min(e), max(e)) for e in plain
+        )
+        loops = [(v, v) for v in rng.sample(range(n), 3)]
+        witness, orientation = oracle._orient(n, SparsityParams(2, 0), loops, orientation)
+        assert witness is None
+        assert _orientation_pairs(orientation, 2) == sorted(
+            (min(e), max(e)) for e in plain + loops
+        )
+        assert sum(orientation[0]) == 0
+
+
 def _smallest_overfull_of_first_bad_prefix(g, params):
     """Brute force: add the edges one at a time, counting the edges every
     vertex mask spans, and return the smallest overfull masks of the first

@@ -99,7 +99,7 @@ def test_add_edge_rejects_out_of_range_endpoints(v, w):
     before = s.state_hash()
     with pytest.raises(IllegalMoveError, match=r"^vertex out of range in edge"):
         add_edge(s, v, w, 0)
-    assert s.state_hash() == before and s.in_edges == [[], [], []] and moves == []
+    assert s.state_hash() == before and s.in_tails == [[], [], []] and moves == []
 
 
 def test_slide_swaps_orientation_and_colors():
@@ -322,17 +322,17 @@ def test_check_invariants_flags_stale_slot():
 
 def test_check_invariants_flags_out_of_range_endpoints():
     # tail -1 indexes vertex 2's slot, which holds the edge, so every slot and
-    # balance check agrees; the endpoint itself is what is wrong
+    # balance check agrees; the endpoint itself is what is wrong, and vertex 0
+    # still lists tail 2, which no in-range edge into it has
     s = GameState.from_parts(3, SparsityParams(1, 0), [(2, 0, 0)])
     s.tails[0] = -1
-    assert [f.name for f in check_invariants(s).failures] == ["edge-range"]
+    assert [f.name for f in check_invariants(s).failures] == ["edge-range", "in-edges"]
     s.tails[0] = 3  # no slot to read: reported, not an IndexError
-    assert [f.name for f in check_invariants(s).failures] == ["edge-range"]
+    assert [f.name for f in check_invariants(s).failures] == ["edge-range", "in-edges"]
     s.tails[0], s.heads[0] = 2, 5
-    assert [f.name for f in check_invariants(s).failures] == [
-        "edge-range",
-        "in-edges",  # vertex 0 lists an edge that no longer ends there
-        "in-edges",  # and no list holds it at its head
+    assert [(f.name, f.witness) for f in check_invariants(s).failures] == [
+        ("edge-range", ()),
+        ("in-edges", (0,)),  # vertex 0 lists a tail whose edge no longer ends there
     ]
 
 
@@ -346,7 +346,6 @@ def test_check_invariants_witnesses_are_vertices_of_the_state():
         assert [(f.name, f.witness) for f in report.failures] == [
             ("edge-range", ()),
             ("in-edges", (0,)),
-            ("in-edges", ()),
         ]
     # one field of a played state corrupted at a time
     rng = random.Random(31)
@@ -356,7 +355,7 @@ def test_check_invariants_witnesses_are_vertices_of_the_state():
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
         s = run_canonical_game(Multigraph(n, edges), params).state
         value = rng.randint(-2, n + 2)
-        field = rng.choice(["tails", "heads", "colors", "peb_sum", "out_color", "in_edges"])
+        field = rng.choice(["tails", "heads", "colors", "peb_sum", "out_color", "in_tails"])
         if field in ("tails", "heads", "colors"):
             getattr(s, field)[rng.randrange(s.m)] = value
         elif field == "peb_sum":
@@ -364,7 +363,7 @@ def test_check_invariants_witnesses_are_vertices_of_the_state():
         elif field == "out_color":
             s.out_color[rng.randrange(n)][rng.randrange(params.k)] = value
         else:
-            s.in_edges[rng.randrange(n)].append(value)
+            s.in_tails[rng.randrange(n)].append(value)
         report = check_invariants(s)
         flagged += not report.ok
         for f in report.failures:
@@ -373,24 +372,57 @@ def test_check_invariants_witnesses_are_vertices_of_the_state():
 
 
 def test_check_invariants_flags_in_edge_disagreement():
-    # component detection walks in_edges; a list, unlike a set, can hold an
-    # id twice, and a slide that skipped its update would leave the id at the
-    # old head
+    # component detection walks in_tails, which must hold each in-edge's tail
+    # exactly once: a list can hold a tail one time too many or too few, and
+    # a slide that skipped its update would leave the tail at the old head
     s = GameState.from_parts(2, SparsityParams(2, 2), [(0, 1, 0)])
-    pebble_slide(s, 0, 0)  # edge 0 now ends at vertex 0
-    assert check_invariants(s).ok
-    s.in_edges[0].append(0)
+    pebble_slide(s, 0, 0)  # edge 0 now runs 1 -> 0
+    assert check_invariants(s).ok and s.in_tails == [[1], []]
+    s.in_tails[0].append(1)
     report = check_invariants(s)
     assert [(f.name, f.witness) for f in report.failures] == [("in-edges", (0,))]
-    assert "twice" in report.failures[0].detail
+    assert report.failures[0].detail.endswith("tails [1, 1], but its in-edges come from [1]")
 
-    s.in_edges[0].clear()
-    s.in_edges[1].append(0)
+    s.in_tails[0].clear()
+    s.in_tails[1].append(0)
     report = check_invariants(s)
     assert [(f.name, f.witness) for f in report.failures] == [
-        ("in-edges", (1,)),  # the old head still lists the edge
-        ("in-edges", (0,)),  # and the new head does not
+        ("in-edges", (0,)),  # the new head does not list the edge's tail
+        ("in-edges", (1,)),  # and the old head still lists its old tail
     ]
+    assert report.failures[0].detail.endswith("tails [], but its in-edges come from [1]")
+
+    # two parallel edges are two entries: one entry for both is a missing entry
+    s = GameState.from_parts(2, SparsityParams(2, 2), [(0, 1, 0), (0, 1, 1)])
+    assert check_invariants(s).ok and s.in_tails == [[], [0, 0]]
+    s.in_tails[1].pop()
+    report = check_invariants(s)
+    assert [(f.name, f.witness) for f in report.failures] == [("in-edges", (1,))]
+    assert report.failures[0].detail.endswith("tails [0], but its in-edges come from [0, 0]")
+
+
+def test_in_tails_agree_after_rejecting_games_and_random_slides():
+    # games that reject edges, then legal slides in random order (which may
+    # close monochromatic cycles), keep every vertex's in_tails exact
+    rng = random.Random(29)
+    for params in ALL_PARAMS:
+        for _ in range(4):
+            n = rng.randint(2, 12)
+            # more than k*n edges, so some are rejected
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range((params.k + 1) * n)]
+            result = run_canonical_game(Multigraph(n, edges), params)
+            assert result.rejected
+            s = result.state
+            assert check_invariants(s).ok
+            for _ in range(4 * n):
+                if not s.m:
+                    break
+                eid = rng.randrange(s.m)
+                free = [c for c, f in enumerate(s.out_color[s.heads[eid]]) if f < 0]
+                if free:
+                    pebble_slide(s, eid, rng.choice(free))
+            report = check_invariants(s)
+            assert report.ok, (params, n, edges, report.failures)
 
 
 def test_from_parts_rebuilds_played_states():
