@@ -3,19 +3,29 @@
 Canonical add-edge covers a new edge with a color carried by both endpoints
 when one exists (so the two tree roots merge without closing a cycle) and with
 the highest color present otherwise.  Canonical slides never close a
-monochromatic cycle: `route_pebble` finds the nearest pebble with the
-breadth-first `find_pebble` and `bring_pebble_dynamic`, the one path executor,
-brings it along that shortest path, shortcutting along a monochromatic tree
-wherever every available cover would close a cycle.  One chain walk,
-`_chain_reaches`, answers both the cycle check `creates_monochromatic_cycle`
-and the shortcut's search for its start, and keeps no record of where it has
-been: a chain is a walk with one out-edge per step, so within n steps it
-reaches a pebble, the goal, or a cycle, and a cycle is caught when the walk
-comes back to a vertex it remembered (Brent's method).  Every move is made by
-`pebbles.add_edge` or `pebbles.pebble_slide` and returns nothing, so the
-state's `after_move` hook is the one observer of a game:
-`run_canonical_game(after_move=...)` sees every move, and a hook that collects
-the moves records its trace.
+monochromatic cycle: the breadth-first `find_pebble` finds the nearest pebble
+and `bring_pebble_dynamic`, the one path executor, brings it along that
+shortest path, shortcutting along a monochromatic tree wherever every
+available cover would close a cycle.  One chain walk, `_chain_reaches`,
+answers both the cycle check `creates_monochromatic_cycle` and the shortcut's
+search for its start, and keeps no record of where it has been: a chain is a
+walk with one out-edge per step, so within n steps it reaches a pebble, the
+goal, or a cycle, and a cycle is caught when the walk comes back to a vertex
+it remembered (Brent's method).
+
+`run_canonical_game` plays each edge through one private step, `_play_edge`:
+the loop rule, the component screen `reject_fast`, the collection loop
+`_collect`, the canonical color `_canonical_color`, the edge written by
+`pebbles._add_edge`, and `update_components` last.  A `Multigraph`'s edges
+were checked when it was built, and an `EdgeStream`'s are checked as they
+are played (`play_edge`); every move the step makes has just been shown
+legal, so nothing on the way re-checks it, and `bring_pebble_dynamic` slides
+through `pebbles._slide` for the same reason.  The public steps `play_edge`,
+`collect_pebbles_canonically` and `canonical_add_edge` check their input and
+call the same cores, so each move has one writer and the game one loop.
+Every move returns nothing, so the state's `after_move` hook is the one
+observer of a game: `run_canonical_game(after_move=...)` sees every move, and
+a hook that collects the moves records its trace.
 """
 
 from __future__ import annotations
@@ -28,9 +38,11 @@ from .pebbles import (
     GameState,
     IllegalMoveError,
     Move,
+    _add_edge,
+    _check_endpoints,
+    _slide,
     add_edge,
     find_pebble,
-    pebble_slide,
     reject_fast,
     update_components,
 )
@@ -40,13 +52,11 @@ class CanonicalError(Exception):
     pass
 
 
-def canonical_add_edge(state: GameState, v: int, w: int) -> None:
-    """Add vw with the canonical color choice.
+def _canonical_color(state: GameState, v: int, w: int) -> int:
+    """The canonical color of a new edge vw, or -1 when {v, w} holds no pebble.
 
     Shared color (lowest index) when some color has a pebble on both distinct
-    endpoints; otherwise the highest color present on {v, w}.  A loop always
-    closes a cycle in its own color, so it takes the highest color, keeping the
-    low (tree) colors acyclic.  The chosen color is `state.colors[-1]`.
+    endpoints; otherwise the highest color present on {v, w}.
     """
     sw = state.out_color[w]
     pick = -1
@@ -57,6 +67,20 @@ def canonical_add_edge(state: GameState, v: int, w: int) -> None:
                 break
         elif sw[c] < 0:
             pick = c
+    return pick
+
+
+def canonical_add_edge(state: GameState, v: int, w: int) -> None:
+    """Add vw with the canonical color choice.
+
+    Shared color (lowest index) when some color has a pebble on both distinct
+    endpoints; otherwise the highest color present on {v, w}.  A loop always
+    closes a cycle in its own color, so it takes the highest color, keeping the
+    low (tree) colors acyclic.  The chosen color is `state.colors[-1]`.
+    Requires integer endpoints in 0..n-1 and at least l+1 pebbles on {v, w}.
+    """
+    _check_endpoints(state, v, w)
+    pick = _canonical_color(state, v, w)
     if pick < 0:
         raise IllegalMoveError("no pebble available on either endpoint")
     add_edge(state, v, w, pick)
@@ -114,9 +138,11 @@ def bring_pebble_dynamic(state: GameState, path: list[int]) -> None:
     would close a cycle, the path suffix is replaced by the covering color's
     tree path from its first touch, found by the cycle check's chain walk,
     whose slides are all same-colored and safe.  Each replacement strictly
-    shortens the unprocessed prefix, so this always terminates.  The slides
-    are reported to the state's `after_move` hook only; the caller's list is
-    read, never changed.
+    shortens the unprocessed prefix, so this always terminates.  `path` is a
+    path of edge ids as `find_pebble` returns it, and each slide is made only
+    after its head is seen to hold the covering pebble, so the slides go
+    through the unchecked writer `pebbles._slide`.  They are reported to the
+    state's `after_move` hook only; the caller's list is read, never changed.
     """
     heads = state.heads
     colors = state.colors
@@ -129,13 +155,13 @@ def bring_pebble_dynamic(state: GameState, path: list[int]) -> None:
         head_slots = out_color[h]
         ce = colors[e]
         if head_slots[ce] < 0:  # the edge's own color only re-roots its tree
-            pebble_slide(state, e, ce)
+            _slide(state, e, ce)
             continue
         q = -1  # the lowest available color: the shortcut's, if every cover closes a cycle
         for c, f in enumerate(head_slots):
             if f < 0:
                 if not creates_monochromatic_cycle(state, e, c):
-                    pebble_slide(state, e, c)
+                    _slide(state, e, c)
                     break
                 if q < 0:
                     q = c
@@ -166,7 +192,7 @@ def route_pebble(
 
     Succeeds exactly when `find_pebble` does; no slide closes a monochromatic
     cycle.  Returns False, leaving the state untouched, when no pebble is
-    reachable.
+    reachable.  The game's collection loop makes the same two calls itself.
     """
     path, _ = find_pebble(state, target, forbidden)
     if path is None:
@@ -175,50 +201,64 @@ def route_pebble(
     return True
 
 
-def collect_pebbles_canonically(state: GameState, v: int, w: int) -> bool:
-    """Gather at least l+1 pebbles on {v, w} with canonical slides.
-
-    Fills v first, then w, one `route_pebble` at a time (a full endpoint is
-    skipped); pebbles already on {v, w} are never slid away.  Returns False
-    when the reachable region is exhausted short of l+1.  An endpoint outside
-    0..n-1 raises IllegalMoveError.
-    """
-    n = state.n
-    if not 0 <= v < n > w >= 0:  # a negative id would alias a vertex's pebbles
-        raise IllegalMoveError(f"vertex out of range in edge ({v}, {w}) for n={n}")
+def _collect(state: GameState, v: int, w: int) -> bool:
+    """The collection loop of `collect_pebbles_canonically`, on checked endpoints."""
     k, l = state.params.k, state.params.l
     peb_sum = state.peb_sum
     forbidden = {v, w}
     while (peb_sum[v] if v == w else peb_sum[v] + peb_sum[w]) <= l:
-        if peb_sum[v] < k and route_pebble(state, v, forbidden):
-            continue
-        if v != w and peb_sum[w] < k and route_pebble(state, w, forbidden):
-            continue
-        return False
+        path = None
+        if peb_sum[v] < k:
+            path, _ = find_pebble(state, v, forbidden)
+        if path is None and v != w and peb_sum[w] < k:
+            path, _ = find_pebble(state, w, forbidden)
+        if path is None:
+            return False
+        bring_pebble_dynamic(state, path)
     return True
+
+
+def collect_pebbles_canonically(state: GameState, v: int, w: int) -> bool:
+    """Gather at least l+1 pebbles on {v, w} with canonical slides.
+
+    Fills v first, then w, one pebble at a time: `find_pebble` finds the
+    nearest one and `bring_pebble_dynamic` brings it (a full endpoint is
+    skipped); pebbles already on {v, w} are never slid away.  Returns False
+    when the reachable region is exhausted short of l+1.  An endpoint that is
+    not an integer in 0..n-1 raises IllegalMoveError.
+    """
+    _check_endpoints(state, v, w)
+    return _collect(state, v, w)
+
+
+def _play_edge(state: GameState, u: int, v: int) -> bool:
+    """The game's step on endpoints already known to be vertices: `play_edge`
+    without its input check, as `run_canonical_game` plays a `Multigraph`."""
+    params = state.params
+    if u == v and params.l >= params.k:
+        return False
+    if reject_fast(state, u, v):
+        return False
+    accepted = _collect(state, u, v)
+    if accepted:
+        _add_edge(state, u, v, _canonical_color(state, u, v))
+    update_components(state, u, v)
+    return accepted
 
 
 def play_edge(state: GameState, u: int, v: int) -> bool:
     """One step of the game: add uv canonically if it keeps the graph sparse.
 
     The edge is screened by the loop rule and the component map, then by
-    pebble collection.  A failed collection exposes the same saturated block
-    an accepted tight edge does, so both feed the component map.  Returns
-    True when the edge was added; an endpoint outside 0..n-1 raises
-    IllegalMoveError.
+    pebble collection; an accepted edge takes the canonical color.  A failed
+    collection exposes the same saturated block an accepted tight edge does,
+    so both feed the component map.  Returns True when the edge was added; an
+    endpoint that is not an integer in 0..n-1 raises IllegalMoveError.
+    `run_canonical_game` plays a `Multigraph`'s edges through the same step
+    without this check, because the graph checked them when it was built.
     """
-    n = state.n
-    if not 0 <= u < n > v >= 0:  # checked before the component map is indexed
-        raise IllegalMoveError(f"vertex out of range in edge ({u}, {v}) for n={n}")
-    if u == v and state.params.l >= state.params.k:
-        return False
-    if reject_fast(state, u, v):
-        return False
-    accepted = collect_pebbles_canonically(state, u, v)
-    if accepted:
-        canonical_add_edge(state, u, v)
-    update_components(state, u, v)
-    return accepted
+    _check_endpoints(state, u, v)
+    return _play_edge(state, u, v)
 
 
 @dataclass
@@ -268,12 +308,16 @@ def run_canonical_game(
 ) -> ConstructionResult:
     """Process g's edges in order, keeping a maximum-size sparse subgraph.
 
-    Each edge takes one `play_edge` step; rejection is a normal outcome and
-    leaves no record.  An `EdgeStream` is played as it is read, and its read
-    errors propagate from the game.
+    Each edge takes one `play_edge` step; a `Multigraph`'s edges skip its
+    input check, since the graph checked them when it was built.  Rejection
+    is a normal outcome and leaves no record.  An `EdgeStream` is played as
+    it is read, and its read errors propagate from the game; any stream,
+    including one built by hand, is checked edge by edge, so an endpoint that
+    is not an integer in 0..n-1 raises IllegalMoveError.
     """
     state = GameState(g.n, params)  # raises ValueError on an empty graph
     state.after_move = after_move
-    accepted = [eid for eid, (u, v) in enumerate(g.edges) if play_edge(state, u, v)]
+    step = _play_edge if isinstance(g, Multigraph) else play_edge
+    accepted = [eid for eid, (u, v) in enumerate(g.edges) if step(state, u, v)]
     return ConstructionResult(g, params, state, accepted)
 

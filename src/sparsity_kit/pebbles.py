@@ -5,22 +5,24 @@ one pebble of each of the k colors, and one slot per color records where it
 is: the slot holds either the vertex's single out-edge of that color or, when
 empty, the pebble itself.  An edge is added by spending a pebble from one
 endpoint (which becomes the tail), and a pebble-slide reverses an edge by
-covering it with a pebble taken from its head.  Once a state is built, these
-two moves (`add_edge` and `pebble_slide`) are the only writers of its edges and
-slots.  A move returns nothing: it reports itself only to the state's
-`after_move` hook, the one move sink, as an `AddEdgeMove` or `SlideMove`, and
-builds that record only when a hook is set.  These move records are named
-tuples: immutable, cheap to build, and equal to the plain tuple of their
-fields.  A trace file is a move list collected by such a hook and written by
-`trace_to_lines`; `replay_trace` plays it back move by move.  Because
-per-vertex out-adjacency is this k-slot array, searches stay O(n) on sparse
-states.  In-adjacency is one list per vertex holding the tail vertex of each
-in-edge, not the edge's id: the one walk that reads it, component
-detection's backward closure, needs only vertices, so it never turns an id
-back into a tail.  The pebble search `find_pebble` and component detection's
-forward pre-test are the two users of the state's one stamped `mark` array:
-each marks the vertices it reaches there, so neither allocates a visited set
-or a parent map of its own.
+covering it with a pebble taken from its head.  Once a state is built, two
+private writers, `_add_edge` and `_slide`, are the only writers of its edges
+and slots.  The public moves `add_edge` and `pebble_slide` check their input
+(plain int arguments, ranges, pebbles) and call them; the canonical game calls
+them directly, on moves it has already shown legal.  A move returns nothing:
+it reports itself only to the state's `after_move` hook, the one move sink, as
+an `AddEdgeMove` or `SlideMove`, and builds that record only when a hook is
+set.  These move records are named tuples: immutable, cheap to build, and
+equal to the plain tuple of their fields.  A trace file is a move list
+collected by such a hook and written by `trace_to_lines`; `replay_trace` plays
+it back move by move.  Because per-vertex out-adjacency is this k-slot
+array, searches stay O(n) on sparse states.  In-adjacency is one list per
+vertex holding the tail vertex of each in-edge, not the edge's id: the one
+walk that reads it, component detection's backward closure, needs only
+vertices, so it never turns an id back into a tail.  The pebble search
+`find_pebble` and component detection's forward pre-test are the two users of
+the state's one stamped `mark` array: each marks the vertices it reaches
+there, so neither allocates a visited set or a parent map of its own.
 """
 
 from __future__ import annotations
@@ -204,30 +206,31 @@ class GameState:
 # -- moves -------------------------------------------------------------------
 
 
-def add_edge(state: GameState, v: int, w: int, color: int) -> None:
-    """Add the edge vw, spending a pebble of `color` from v (preferred) or w.
+def _check_ints(*values: object) -> None:
+    """Raise IllegalMoveError unless every value is exactly an int."""
+    for x in values:
+        if type(x) is not int:  # bool is an int subclass, but True is no vertex, color or edge
+            raise IllegalMoveError(f"move arguments must be integers, got {x!r}")
 
-    Requires both endpoints in 0..n-1, at least l+1 pebbles on {v, w} and a
-    pebble of `color` on one of them.  The endpoint the pebble is taken from
-    becomes the tail.
-    """
+
+def _check_endpoints(state: GameState, v: int, w: int) -> None:
+    """Raise IllegalMoveError unless v and w are plain int vertices of the state."""
+    if type(v) is not int or type(w) is not int:  # inline: paid per streamed edge
+        _check_ints(v, w)
     n = state.n
     if not (0 <= v < n and 0 <= w < n):  # a negative id would alias a vertex's slots
         raise IllegalMoveError(f"vertex out of range in edge ({v}, {w}) for n={n}")
-    params = state.params
-    if not 0 <= color < params.k:
-        raise ColorNotAvailableError(f"color {color} out of range")
-    peb_sum = state.peb_sum
-    if (peb_sum[v] if v == w else peb_sum[v] + peb_sum[w]) <= params.l:
-        raise InsufficientPebblesError()
+
+
+def _add_edge(state: GameState, v: int, w: int, color: int) -> None:
+    """Write the edge vw of `color`, with v as its tail if v holds that pebble
+    and w otherwise.  The caller has checked the move."""
     out_color = state.out_color
     if out_color[v][color] < 0:
         tail, head = v, w
-    elif out_color[w][color] < 0:
-        tail, head = w, v
     else:
-        raise ColorNotAvailableError()
-    peb_sum[tail] -= 1
+        tail, head = w, v
+    state.peb_sum[tail] -= 1
     tails = state.tails
     eid = len(tails)
     tails.append(tail)
@@ -240,34 +243,62 @@ def add_edge(state: GameState, v: int, w: int, color: int) -> None:
         hook(state, _record(AddEdgeMove, (v, w, color)))
 
 
-def pebble_slide(state: GameState, eid: int, color: int) -> None:
-    """Reverse edge eid, covering it with a pebble of `color` from its head.
-
-    The pebble that was on the edge returns to the old tail; the edge takes the
-    covering pebble's color.
-    """
+def _slide(state: GameState, eid: int, color: int) -> None:
+    """Write the reversal of edge eid under its head's `color` pebble.  The
+    caller has checked that the edge exists and its head holds that pebble."""
     tails = state.tails
-    if not 0 <= eid < len(tails):
-        raise IllegalMoveError(f"no edge {eid}")
     heads = state.heads
     colors = state.colors
     out_color = state.out_color
     t, h = tails[eid], heads[eid]
-    head_slots = out_color[h]
-    if not 0 <= color < state.params.k or head_slots[color] >= 0:
-        raise IllegalMoveError(f"no pebble of color {color} on vertex {h}")
     peb_sum = state.peb_sum
     in_tails = state.in_tails
     out_color[t][colors[eid]] = -1
     peb_sum[t] += 1
     peb_sum[h] -= 1
     tails[eid], heads[eid], colors[eid] = h, t, color
-    head_slots[color] = eid
+    out_color[h][color] = eid
     in_tails[h].remove(t)  # any one of parallel t -> h edges: the lists hold vertices
     in_tails[t].append(h)
     hook = state.after_move
     if hook is not None:
         hook(state, _record(SlideMove, (eid, t, h, color)))
+
+
+def add_edge(state: GameState, v: int, w: int, color: int) -> None:
+    """Add the edge vw, spending a pebble of `color` from v (preferred) or w.
+
+    Requires integer arguments, both endpoints in 0..n-1, at least l+1
+    pebbles on {v, w} and a pebble of `color` on one of them.  The endpoint
+    the pebble is taken from becomes the tail.
+    """
+    _check_endpoints(state, v, w)
+    _check_ints(color)
+    params = state.params
+    if not 0 <= color < params.k:
+        raise ColorNotAvailableError(f"color {color} out of range")
+    peb_sum = state.peb_sum
+    if (peb_sum[v] if v == w else peb_sum[v] + peb_sum[w]) <= params.l:
+        raise InsufficientPebblesError()
+    out_color = state.out_color
+    if out_color[v][color] >= 0 and out_color[w][color] >= 0:
+        raise ColorNotAvailableError()
+    _add_edge(state, v, w, color)
+
+
+def pebble_slide(state: GameState, eid: int, color: int) -> None:
+    """Reverse edge eid, covering it with a pebble of `color` from its head.
+
+    The pebble that was on the edge returns to the old tail; the edge takes the
+    covering pebble's color.  Both arguments must be integers.
+    """
+    _check_ints(eid, color)
+    if not 0 <= eid < len(state.tails):
+        raise IllegalMoveError(f"no edge {eid}")
+    h = state.heads[eid]
+    if not 0 <= color < state.params.k or state.out_color[h][color] >= 0:
+        raise IllegalMoveError(f"no pebble of color {color} on vertex {h}")
+    _slide(state, eid, color)
 
 
 def apply_move(state: GameState, move: Move) -> None:
@@ -276,6 +307,7 @@ def apply_move(state: GameState, move: Move) -> None:
     if isinstance(move, AddEdgeMove):
         add_edge(state, move.v, move.w, move.color)
         return
+    _check_ints(*move)
     # a negative id would index the edge lists from the end
     if not 0 <= move.edge < state.m or (state.tails[move.edge], state.heads[move.edge]) != (
         move.tail,

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sparsity_kit import (
+    EdgeStream,
     GameState,
     IllegalMoveError,
     Multigraph,
@@ -17,14 +18,23 @@ from sparsity_kit import (
     creates_monochromatic_cycle,
     random_tight_graph,
     read_graph,
+    reject_fast,
     route_pebble,
     run_canonical_game,
+    update_components,
     write_graph,
 )
 from sparsity_kit import pebbles
 from sparsity_kit.canonical import bring_pebble_dynamic, play_edge
 from sparsity_kit.cli import _peak_bytes
-from sparsity_kit.pebbles import SlideMove, find_pebble, pebble_slide, replay_trace, trace_to_lines
+from sparsity_kit.pebbles import (
+    SlideMove,
+    apply_move,
+    find_pebble,
+    pebble_slide,
+    replay_trace,
+    trace_to_lines,
+)
 
 from conftest import ALL_PARAMS
 from reference import chain_reaches, monochromatic_cycle_colors, pebble_colors
@@ -462,6 +472,52 @@ def test_collection_and_play_edge_reject_an_endpoint_out_of_range(u, v):
     assert s.m == 0 and s.total_pebbles() == 3
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [(-1, 0), (0, 3), (True, 1), (1.0, 0)],
+    ids=["negative", "n", "bool", "float"],
+)
+def test_a_hand_built_stream_has_its_edges_checked_as_played(edge):
+    # only read_graph's streams check their edges; a negative endpoint would
+    # alias vertex n + u and leave an edge with that tail in the state
+    g = EdgeStream(3, 2, iter([(0, 1), edge]))
+    with pytest.raises(IllegalMoveError):
+        run_canonical_game(g, SparsityParams(1, 0))
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, None], ids=["true", "false", "float", "none"])
+def test_public_moves_refuse_arguments_that_are_not_plain_ints(bad):
+    # True is an int subclass: it used to be played as 1 but recorded as true,
+    # so the game's own trace failed to replay; a float raised TypeError
+    params = SparsityParams(2, 0)
+    calls = [
+        (add_edge, (bad, 1, 0)),
+        (add_edge, (0, bad, 0)),
+        (add_edge, (0, 1, bad)),
+        (canonical_add_edge, (bad, 1)),
+        (canonical_add_edge, (0, bad)),
+        (collect_pebbles_canonically, (bad, 1)),
+        (collect_pebbles_canonically, (0, bad)),
+        (play_edge, (bad, 2)),
+        (play_edge, (0, bad)),
+    ]
+    for func, args in calls:
+        s = GameState(3, params)
+        fresh = s.state_hash()
+        with pytest.raises(IllegalMoveError, match=r"^move arguments must be integers"):
+            func(s, *args)
+        assert s.state_hash() == fresh
+    s = GameState(3, params)
+    add_edge(s, 0, 1, 0)  # vertex 1, the head, holds both pebbles
+    before = s.state_hash()
+    for edge, color in [(bad, 0), (0, bad)]:
+        with pytest.raises(IllegalMoveError, match=r"^move arguments must be integers"):
+            pebble_slide(s, edge, color)
+        with pytest.raises(IllegalMoveError, match=r"^move arguments must be integers"):
+            apply_move(s, SlideMove(edge, 0, 1, color))
+    assert s.state_hash() == before
+
+
 def test_collect_fails_against_saturated_region():
     # second parallel edge under (2,3) is blocked; the reachable set witnesses
     # span saturation by the subset-balance identity
@@ -544,6 +600,55 @@ def test_upper_range_never_has_cycles():
             assert not monochromatic_cycle_colors(state)
 
         run_canonical_game(g, params, after_move=hook)
+
+
+def _inputs_with_rejections(params, seed):
+    """A buried tight graph, the same graph with every edge repeated, and one
+    with loops at every vertex, each shuffled."""
+    n = 10
+    rng = random.Random(seed)
+    tight = list(random_tight_graph(n, params, seed).edges)
+    buried = tight + [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+    repeated = tight + tight
+    looped = tight + [(v, v) for v in range(n) for _ in range(params.k)]
+    inputs = [buried, repeated, looped]
+    for edges in inputs:
+        rng.shuffle(edges)
+    return [Multigraph(n, edges) for edges in inputs]
+
+
+def test_the_game_step_plays_the_public_moves_composed():
+    # run_canonical_game calls private cores; composing the public loop rule,
+    # screen, collection, canonical add and detection must play the same game
+    rejected_by = {"loop": 0, "screen": 0, "collection": 0}
+    for params in ALL_PARAMS:
+        for g in _inputs_with_rejections(params, 10 * params.k + params.l):
+            moves = []
+            res = run_canonical_game(g, params, after_move=lambda state, move: moves.append(move))
+
+            s = GameState(g.n, params)
+            composed = []
+            s.after_move = lambda state, move: composed.append(move)
+            accepted = []
+            for eid, (u, v) in enumerate(g.edges):
+                if u == v and params.l >= params.k:
+                    rejected_by["loop"] += 1
+                    continue
+                if reject_fast(s, u, v):
+                    rejected_by["screen"] += 1
+                    continue
+                if collect_pebbles_canonically(s, u, v):
+                    canonical_add_edge(s, u, v)
+                    accepted.append(eid)
+                else:
+                    rejected_by["collection"] += 1
+                update_components(s, u, v)
+
+            assert composed == moves
+            assert accepted == res.accepted
+            assert s.component_id == res.state.component_id
+            assert s.state_hash() == res.state.state_hash()
+    assert all(rejected_by.values()), rejected_by  # every way to reject an edge was played
 
 
 # One SHA-256 over seeded games, fixed when the engine's move choices were
