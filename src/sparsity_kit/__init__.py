@@ -37,10 +37,7 @@ from .pebbles import (
 )
 from .canonical import (
     ConstructionResult,
-    canonical_add_edge,
-    collect_pebbles_canonically,
     creates_monochromatic_cycle,
-    route_pebble,
     run_canonical_game,
 )
 from .decompose import (

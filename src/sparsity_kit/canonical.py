@@ -20,9 +20,9 @@ the loop rule, the component screen `reject_fast`, the collection loop
 were checked when it was built, and an `EdgeStream`'s are checked as they
 are played (`play_edge`); every move the step makes has just been shown
 legal, so nothing on the way re-checks it, and `bring_pebble_dynamic` slides
-through `pebbles._slide` for the same reason.  The public steps `play_edge`,
-`collect_pebbles_canonically` and `canonical_add_edge` check their input and
-call the same cores, so each move has one writer and the game one loop.
+through `pebbles._slide` for the same reason.  The one public step,
+`play_edge`, checks its input and calls the same core, so each move has one
+writer and the game one loop.
 Every move returns nothing, so the state's `after_move` hook is the one
 observer of a game: `run_canonical_game(after_move=...)` sees every move, and
 a hook that collects the moves records its trace.
@@ -41,7 +41,6 @@ from .pebbles import (
     _add_edge,
     _check_endpoints,
     _slide,
-    add_edge,
     find_pebble,
     reject_fast,
     update_components,
@@ -68,22 +67,6 @@ def _canonical_color(state: GameState, v: int, w: int) -> int:
         elif sw[c] < 0:
             pick = c
     return pick
-
-
-def canonical_add_edge(state: GameState, v: int, w: int) -> None:
-    """Add vw with the canonical color choice.
-
-    Shared color (lowest index) when some color has a pebble on both distinct
-    endpoints; otherwise the highest color present on {v, w}.  A loop always
-    closes a cycle in its own color, so it takes the highest color, keeping the
-    low (tree) colors acyclic.  The chosen color is `state.colors[-1]`.
-    Requires integer endpoints in 0..n-1 and at least l+1 pebbles on {v, w}.
-    """
-    _check_endpoints(state, v, w)
-    pick = _canonical_color(state, v, w)
-    if pick < 0:
-        raise IllegalMoveError("no pebble available on either endpoint")
-    add_edge(state, v, w, pick)
 
 
 def _chain_reaches(state: GameState, x: int, color: int, goal: int) -> bool:
@@ -185,24 +168,13 @@ def bring_pebble_dynamic(state: GameState, path: list[int]) -> None:
             i = len(path)
 
 
-def route_pebble(
-    state: GameState, target: int, forbidden: frozenset[int] | set[int] = frozenset()
-) -> bool:
-    """Bring one pebble from outside `forbidden` onto `target` with canonical slides.
-
-    Succeeds exactly when `find_pebble` does; no slide closes a monochromatic
-    cycle.  Returns False, leaving the state untouched, when no pebble is
-    reachable.  The game's collection loop makes the same two calls itself.
-    """
-    path, _ = find_pebble(state, target, forbidden)
-    if path is None:
-        return False
-    bring_pebble_dynamic(state, path)
-    return True
-
-
 def _collect(state: GameState, v: int, w: int) -> bool:
-    """The collection loop of `collect_pebbles_canonically`, on checked endpoints."""
+    """Gather l+1 pebbles on the checked endpoints {v, w}, v first, then w.
+
+    Each is the nearest pebble outside {v, w} that `find_pebble` finds,
+    brought by `bring_pebble_dynamic`, so pebbles on {v, w} stay; a full
+    endpoint is skipped.  False when the reachable region runs out first.
+    """
     k, l = state.params.k, state.params.l
     peb_sum = state.peb_sum
     forbidden = {v, w}
@@ -216,19 +188,6 @@ def _collect(state: GameState, v: int, w: int) -> bool:
             return False
         bring_pebble_dynamic(state, path)
     return True
-
-
-def collect_pebbles_canonically(state: GameState, v: int, w: int) -> bool:
-    """Gather at least l+1 pebbles on {v, w} with canonical slides.
-
-    Fills v first, then w, one pebble at a time: `find_pebble` finds the
-    nearest one and `bring_pebble_dynamic` brings it (a full endpoint is
-    skipped); pebbles already on {v, w} are never slid away.  Returns False
-    when the reachable region is exhausted short of l+1.  An endpoint that is
-    not an integer in 0..n-1 raises IllegalMoveError.
-    """
-    _check_endpoints(state, v, w)
-    return _collect(state, v, w)
 
 
 def _play_edge(state: GameState, u: int, v: int) -> bool:

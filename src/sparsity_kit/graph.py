@@ -82,6 +82,8 @@ class Multigraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(map(_int_pair, edges)))
+        if type(n) is not int:  # bool is an int subclass, but True is no vertex count
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         for i, (u, v) in enumerate(self.edges):

@@ -5,7 +5,7 @@ one pebble of each of the k colors, and one slot per color records where it
 is: the slot holds either the vertex's single out-edge of that color or, when
 empty, the pebble itself.  An edge is added by spending a pebble from one
 endpoint (which becomes the tail), and a pebble-slide reverses an edge by
-covering it with a pebble taken from its head.  Once a state is built, two
+covering it with a pebble taken from its head.  A state starts empty: two
 private writers, `_add_edge` and `_slide`, are the only writers of its edges
 and slots.  The public moves `add_edge` and `pebble_slide` check their input
 (plain int arguments, ranges, pebbles) and call them; the canonical game calls
@@ -110,6 +110,8 @@ class GameState:
     )
 
     def __init__(self, n: int, params: SparsityParams):
+        if type(n) is not int:  # bool is an int subclass, but True is no vertex count
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("the game needs at least one vertex")
         k = params.k
@@ -127,38 +129,6 @@ class GameState:
         self.via: list[int] = [-1] * n
         self.stamp = 0
         self.after_move: Optional[Callable[["GameState", Move], None]] = None
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_parts(
-        cls,
-        n: int,
-        params: SparsityParams,
-        edges: Iterable[tuple[int, int, int]],
-    ) -> "GameState":
-        """Build a state directly from (tail, head, color) edges.
-
-        Each edge fills its tail's slot of its color; every slot left empty
-        holds its pebble, so the pebbles follow from the edges.  Intended for
-        tests and adversarial configurations; only structural impossibilities
-        (an endpoint or color out of range, two same-color out-edges at one
-        vertex) are rejected.
-        """
-        state = cls(n, params)
-        for t, h, c in edges:
-            if not (0 <= t < n and 0 <= h < n and 0 <= c < params.k):
-                raise ValueError(f"edge {(t, h, c)} is out of range for n={n}, k={params.k}")
-            eid = len(state.tails)
-            state.tails.append(t)
-            state.heads.append(h)
-            state.colors.append(c)
-            if state.out_color[t][c] != -1:
-                raise ValueError(f"vertex {t} would have two outgoing edges of color {c}")
-            state.out_color[t][c] = eid
-            state.in_tails[h].append(t)
-            state.peb_sum[t] -= 1
-        return state
 
     def new_search(self) -> int:
         """Start a search: return a stamp that no entry of `mark` holds yet.
@@ -334,9 +304,11 @@ def find_pebble(
     set.  Each vertex's out-slots are explored in color order.  The search
     marks vertices in the state's `mark` array and records each one's
     discovering edge in `via`, so it allocates nothing beyond the queue and
-    the path.  A source outside 0..n-1 raises IllegalMoveError.
+    the path.  A source that is not an int in 0..n-1 raises IllegalMoveError.
     """
-    if not 0 <= source < state.n:  # a negative id would alias a vertex
+    # one test per search; a negative id would alias a vertex
+    if type(source) is not int or not 0 <= source < state.n:
+        _check_ints(source)
         raise IllegalMoveError(f"source {source} out of range for n={state.n}")
     queue = [source]
     peb_sum = state.peb_sum

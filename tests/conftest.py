@@ -4,6 +4,8 @@ import pytest
 
 from sparsity_kit import GameState, Multigraph, SparsityParams
 
+from reference import state_from_parts
+
 
 K4_EDGES = [(1, 2), (2, 3), (3, 1), (0, 1), (2, 0), (3, 0)]
 
@@ -30,7 +32,7 @@ def k4_two_color_state() -> GameState:
         (2, 0, 0),
         (3, 0, 0),
     ]
-    return GameState.from_parts(4, SparsityParams(2, 2), edges)
+    return state_from_parts(4, SparsityParams(2, 2), edges)
 
 
 def tight_exists(n: int, params: SparsityParams) -> bool:

@@ -11,11 +11,20 @@ set of the vertices it has seen, for checking the engine's chain walk, which
 keeps none.  `bfs_pebble` is the pebble search with its own
 dict of discovering edges, for checking the engine's search, which marks
 vertices in arrays the state keeps from one search to the next.
+
+The canonical game plays each edge through one private step.  `route_pebble`,
+`collect_pebbles_canonically` and `canonical_add_edge` compose the same step
+from the public moves alone (`find_pebble`, `bring_pebble_dynamic`,
+`add_edge`), and read the canonical color off the slots, so a game composed of
+them checks the private step without sharing its code.  `state_from_parts`
+builds a state from hand-picked edges.
 """
 
 from collections import deque
 from typing import NamedTuple
 
+from sparsity_kit import GameState, IllegalMoveError, add_edge, find_pebble
+from sparsity_kit.canonical import bring_pebble_dynamic
 from sparsity_kit.decompose import _class_components, _out_slots
 
 
@@ -137,3 +146,65 @@ def bfs_pebble(state, source: int, forbidden=frozenset()):
                 return path[::-1], set(via)
             queue.append(y)
     return None, set(via)
+
+
+def state_from_parts(n: int, params, edges) -> GameState:
+    """A state built directly from (tail, head, color) edges.
+
+    Each edge fills its tail's slot of its color; every slot left empty holds
+    its pebble, so the pebbles follow from the edges.  Only structural
+    impossibilities (an endpoint or color out of range, two same-color
+    out-edges at one vertex) are rejected.
+    """
+    state = GameState(n, params)
+    for t, h, c in edges:
+        if not (0 <= t < n and 0 <= h < n and 0 <= c < params.k):
+            raise ValueError(f"edge {(t, h, c)} is out of range for n={n}, k={params.k}")
+        if state.out_color[t][c] != -1:
+            raise ValueError(f"vertex {t} would have two outgoing edges of color {c}")
+        state.out_color[t][c] = len(state.tails)
+        state.tails.append(t)
+        state.heads.append(h)
+        state.colors.append(c)
+        state.in_tails[h].append(t)
+        state.peb_sum[t] -= 1
+    return state
+
+
+def route_pebble(state, target: int, forbidden=frozenset()) -> bool:
+    """Bring the nearest pebble from outside `forbidden` onto `target`:
+    `find_pebble`, then `bring_pebble_dynamic`.  False, with the state
+    untouched, when no pebble is reachable."""
+    path, _ = find_pebble(state, target, forbidden)
+    if path is None:
+        return False
+    bring_pebble_dynamic(state, path)
+    return True
+
+
+def collect_pebbles_canonically(state, v: int, w: int) -> bool:
+    """Route pebbles onto {v, w}, v first and then w, until it holds l+1;
+    False when the pebbles reachable from a short endpoint run out."""
+    k, l = state.params.k, state.params.l
+    forbidden = {v, w}
+    while (state.peb_sum[v] if v == w else state.peb_sum[v] + state.peb_sum[w]) <= l:
+        if state.peb_sum[v] < k and route_pebble(state, v, forbidden):
+            continue
+        if v == w or state.peb_sum[w] == k or not route_pebble(state, w, forbidden):
+            return False
+    return True
+
+
+def canonical_add_edge(state, v: int, w: int) -> None:
+    """Add vw with the canonical color, through the public `add_edge`.
+
+    The lowest color with a pebble on both of two distinct endpoints, and
+    otherwise the highest color with a pebble on either; a loop takes the
+    highest color on its vertex.
+    """
+    on_v, on_w = pebble_colors(state, v), pebble_colors(state, w)
+    shared = [c for c in on_v if c in on_w] if v != w else []
+    present = on_v + on_w
+    if not present:
+        raise IllegalMoveError("no pebble available on either endpoint")
+    add_edge(state, v, w, shared[0] if shared else max(present))

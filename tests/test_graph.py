@@ -8,6 +8,8 @@ import pytest
 
 from sparsity_kit import graph
 from sparsity_kit import (
+    EdgeStream,
+    GameState,
     GraphFormatError,
     Multigraph,
     SparsityParams,
@@ -396,3 +398,18 @@ def test_multigraph_checks_non_exact_pairs_edge_by_edge():
     for edges in ([(0, 0), (5, 0)], [(True, 7)]):
         with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
             Multigraph(-1, edges)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, None, "3"], ids=["bool", "float", "none", "str"])
+def test_a_vertex_count_that_is_not_an_int_is_refused(n):
+    # Multigraph(True, ...) used to play to "tight" and then write a header
+    # "True 1" that parse_graph refuses; Multigraph(2.0, ...) failed in the game
+    with pytest.raises(ValueError, match=r"^vertex count must be an integer, got "):
+        Multigraph(n, [(0, 0)])
+    with pytest.raises(ValueError, match=r"^vertex count must be an integer, got "):
+        GameState(n, SparsityParams(1, 0))
+    with pytest.raises(ValueError, match=r"^vertex count must be an integer, got "):
+        run_canonical_game(EdgeStream(n, 1, iter([(0, 0)])), SparsityParams(1, 0))
+    # the edges are still rebuilt first, so a malformed pair is named before the count
+    with pytest.raises(ValueError, match=r"^too many values to unpack"):
+        Multigraph(n, [(0, 0, 0)])

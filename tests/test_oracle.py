@@ -237,7 +237,8 @@ def test_oracle_imports_no_engine_module_outside_the_generator():
 def test_decompose_reads_games_only_through_construction_results():
     # extraction reads a game's coloring from its ConstructionResult alone, and
     # the piece counters, the cycle scan and the state helpers that only tests
-    # called are test-side references now, defined nowhere in the package
+    # called, and the public game steps no program called, are test-side
+    # references now, defined nowhere in the package
     with open(decompose.__file__, encoding="utf-8") as fh:
         found = _engine_imports(fh.read())
     assert "pebbles" not in set().union(*found.values()), found
@@ -253,9 +254,12 @@ def test_decompose_reads_games_only_through_construction_results():
         "count_tree_pieces_exact",
         "monochromatic_cycle_colors",
         "vertex_subset",
+        "route_pebble",
+        "collect_pebbles_canonically",
+        "canonical_add_edge",
     )
     assert [(m.__name__, name) for m in modules for name in removed if hasattr(m, name)] == []
-    for name in ("edge", "peb_pair", "pebble_colors", "undirected_edges"):
+    for name in ("edge", "peb_pair", "pebble_colors", "undirected_edges", "from_parts"):
         assert not hasattr(GameState, name), name
 
 

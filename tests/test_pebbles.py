@@ -11,9 +11,7 @@ from sparsity_kit import (
     SparsityParams,
     add_edge,
     brute_force_sparse,
-    canonical_add_edge,
     check_invariants,
-    collect_pebbles_canonically,
     find_pebble,
     pebble_slide,
     random_tight_graph,
@@ -23,11 +21,17 @@ from sparsity_kit import (
     trace_to_lines,
     update_components,
 )
-from sparsity_kit.canonical import bring_pebble_dynamic, play_edge, route_pebble
+from sparsity_kit.canonical import bring_pebble_dynamic, play_edge
 from sparsity_kit.pebbles import _saturated_block
 
 from conftest import ALL_PARAMS
-from reference import pebble_colors
+from reference import (
+    canonical_add_edge,
+    collect_pebbles_canonically,
+    pebble_colors,
+    route_pebble,
+    state_from_parts,
+)
 
 
 def total_pebbles_everywhere(state):
@@ -159,6 +163,15 @@ def test_find_pebble_rejects_a_source_out_of_range(source):
     assert s.m == 0 and s.total_pebbles() == 3
 
 
+@pytest.mark.parametrize("source", [1.0, True, None], ids=["float", "bool", "none"])
+def test_find_pebble_refuses_a_source_that_is_not_an_int(source):
+    # 1.0 and None used to raise TypeError, and True was searched as vertex 1
+    s = GameState(3, SparsityParams(1, 0))
+    with pytest.raises(IllegalMoveError, match=r"^move arguments must be integers"):
+        find_pebble(s, source)
+    assert s.m == 0 and s.total_pebbles() == 3
+
+
 def test_find_pebble_reports_reachable_set_on_failure():
     s = GameState(2, SparsityParams(1, 0))
     add_edge(s, 0, 1, 0)
@@ -171,7 +184,7 @@ def test_find_pebble_reports_reachable_set_on_failure():
 def test_find_pebble_walks_cycle_to_the_pebbled_vertex():
     # orient a triangle cyclically, all pebbles drained except one vertex;
     # exhaustive search over simple paths is the oracle for the endpoint
-    s = GameState.from_parts(
+    s = state_from_parts(
         3,
         SparsityParams(1, 0),
         [(0, 1, 0), (1, 2, 0)],
@@ -292,7 +305,7 @@ def test_bring_pebble_never_changes_undirected_edges():
 
 def test_check_invariants_flags_doubled_pebble():
     # the peb_sum cache counts three pebbles on vertex 0, which has two slots
-    s = GameState.from_parts(2, SparsityParams(2, 2), [])
+    s = state_from_parts(2, SparsityParams(2, 2), [])
     s.peb_sum[0] += 1
     report = check_invariants(s)
     assert not report.ok
@@ -302,7 +315,7 @@ def test_check_invariants_flags_doubled_pebble():
 def test_check_invariants_subset_witness():
     # an edge with no pebble spent anywhere: the cache still counts the pebble
     # its tail spent, which breaks the subset balance at that tail
-    s = GameState.from_parts(2, SparsityParams(1, 0), [(0, 1, 0)])
+    s = state_from_parts(2, SparsityParams(1, 0), [(0, 1, 0)])
     s.peb_sum[0] += 1
     report = check_invariants(s)
     assert not report.ok
@@ -312,7 +325,7 @@ def test_check_invariants_subset_witness():
 def test_check_invariants_flags_stale_slot():
     # vertex 2's slot claims edge 0, whose tail is vertex 0: every per-vertex
     # count balances, but the subset {2} does not
-    s = GameState.from_parts(3, SparsityParams(1, 0), [(0, 1, 0)])
+    s = state_from_parts(3, SparsityParams(1, 0), [(0, 1, 0)])
     s.out_color[2][0] = 0
     s.peb_sum[2] = 0
     assert s.pebbles == ((0,), (1,), (0,))  # the stale slot hides vertex 2's pebble
@@ -324,7 +337,7 @@ def test_check_invariants_flags_out_of_range_endpoints():
     # tail -1 indexes vertex 2's slot, which holds the edge, so every slot and
     # balance check agrees; the endpoint itself is what is wrong, and vertex 0
     # still lists tail 2, which no in-range edge into it has
-    s = GameState.from_parts(3, SparsityParams(1, 0), [(2, 0, 0)])
+    s = state_from_parts(3, SparsityParams(1, 0), [(2, 0, 0)])
     s.tails[0] = -1
     assert [f.name for f in check_invariants(s).failures] == ["edge-range", "in-edges"]
     s.tails[0] = 3  # no slot to read: reported, not an IndexError
@@ -340,7 +353,7 @@ def test_check_invariants_witnesses_are_vertices_of_the_state():
     # a caller may index the state by a witness, so every witness lies in
     # 0..n-1, also when the failure is an endpoint out of range
     for h in (5, 3, -1, -4):
-        s = GameState.from_parts(3, SparsityParams(1, 0), [(2, 0, 0)])
+        s = state_from_parts(3, SparsityParams(1, 0), [(2, 0, 0)])
         s.heads[0] = h
         report = check_invariants(s)
         assert [(f.name, f.witness) for f in report.failures] == [
@@ -375,7 +388,7 @@ def test_check_invariants_flags_in_edge_disagreement():
     # component detection walks in_tails, which must hold each in-edge's tail
     # exactly once: a list can hold a tail one time too many or too few, and
     # a slide that skipped its update would leave the tail at the old head
-    s = GameState.from_parts(2, SparsityParams(2, 2), [(0, 1, 0)])
+    s = state_from_parts(2, SparsityParams(2, 2), [(0, 1, 0)])
     pebble_slide(s, 0, 0)  # edge 0 now runs 1 -> 0
     assert check_invariants(s).ok and s.in_tails == [[1], []]
     s.in_tails[0].append(1)
@@ -393,7 +406,7 @@ def test_check_invariants_flags_in_edge_disagreement():
     assert report.failures[0].detail.endswith("tails [], but its in-edges come from [1]")
 
     # two parallel edges are two entries: one entry for both is a missing entry
-    s = GameState.from_parts(2, SparsityParams(2, 2), [(0, 1, 0), (0, 1, 1)])
+    s = state_from_parts(2, SparsityParams(2, 2), [(0, 1, 0), (0, 1, 1)])
     assert check_invariants(s).ok and s.in_tails == [[], [0, 0]]
     s.in_tails[1].pop()
     report = check_invariants(s)
@@ -434,7 +447,7 @@ def test_from_parts_rebuilds_played_states():
         edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
         rng.shuffle(edges)
         s = run_canonical_game(Multigraph(n, edges), params).state
-        rebuilt = GameState.from_parts(s.n, s.params, zip(s.tails, s.heads, s.colors))
+        rebuilt = state_from_parts(s.n, s.params, zip(s.tails, s.heads, s.colors))
         assert rebuilt.state_hash() == s.state_hash()
         assert rebuilt.peb_sum == s.peb_sum
         assert check_invariants(rebuilt).ok
@@ -447,7 +460,7 @@ def test_from_parts_rejects_out_of_range_edges(edge):
     # a negative color would fill slot k-1 through negative indexing, and a
     # head past n would fail with a bare IndexError
     with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}, {edge[2]}\)"):
-        GameState.from_parts(3, SparsityParams(2, 2), [edge])
+        state_from_parts(3, SparsityParams(2, 2), [edge])
 
 
 def test_pebbles_view_is_read_only():
@@ -710,7 +723,7 @@ def _skip_walk_finds_pebble(state, v, w):
          "pebble-behind-component", "block-spans-component"],
 )
 def test_saturated_block_on_built_states(n, kl, edges, pair, block):
-    s = GameState.from_parts(n, SparsityParams(*kl), edges)
+    s = state_from_parts(n, SparsityParams(*kl), edges)
     assert _definitional_block(s, *pair) == block  # the case is built as described
     assert _saturated_block(s, *pair) == block
     # the component map only bounds the pre-test: with the first pair
@@ -740,7 +753,7 @@ def test_saturated_block_matches_the_definition_on_random_slot_fillings():
             for c in range(k)
             if rng.random() < fill
         ]
-        s = GameState.from_parts(n, params, edges)
+        s = state_from_parts(n, params, edges)
         v, w = rng.randrange(n), rng.randrange(n)
         block = _saturated_block(s, v, w)
         assert block == _definitional_block(s, v, w), (n, params, edges, v, w)

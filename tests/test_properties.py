@@ -15,10 +15,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsity_kit import GameState, SparsityParams, find_pebble, pebble_slide
+from sparsity_kit import SparsityParams, find_pebble, pebble_slide
 from sparsity_kit.pebbles import _saturated_block
 
-from reference import bfs_pebble, pebble_colors
+from reference import bfs_pebble, pebble_colors, state_from_parts
 from test_pebbles import _definitional_block
 
 
@@ -31,7 +31,7 @@ def slot_states(draw):
     vertex = st.integers(0, n - 1)
     heads = draw(st.lists(st.none() | vertex, min_size=n * k, max_size=n * k))
     edges = [(i // k, h, i % k) for i, h in enumerate(heads) if h is not None]
-    state = GameState.from_parts(n, params, edges)
+    state = state_from_parts(n, params, edges)
     # few distinct ids, so endpoints often share theirs with vertices they reach
     state.component_id = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     return state, draw(vertex), draw(vertex)
