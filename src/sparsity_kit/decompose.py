@@ -4,14 +4,15 @@ A pebble game configuration colors every edge and orients it away from the
 vertex its pebble was spent at, so each color class has out-degree at most one
 per vertex.  `extract_certificate` reads that coloring from a game's
 `ConstructionResult` and only derives a certificate's tree and map roles from
-it; `validate_certificate` is the one checker for every kind.  It
-works from the stored orientation: out-degree is a per-vertex slot count, tree
-checks are connectivity counts, and tree-piece counts come from the root rule
-(a piece is rooted at a vertex whose color slot holds a pebble, or whose
-colored out-edge leaves the subgraph).  By that rule a subset holds exactly
-k*n' - m' pieces, so the "at least l pieces everywhere" condition of coloring
-and proper lTk certificates is (k,l)-sparsity itself, decided exactly by
-`oracle.overfull_subset`.
+it; `validate_certificate` is the one checker for every kind.  Both split a
+color class into trees with one routine, `_forest`: a union-find pass over
+flat lists that also finds any cycle.  The checker works from the stored
+orientation: out-degree is a per-vertex slot count, and tree-piece counts
+come from the root rule (a piece is rooted at a vertex whose color slot holds
+a pebble, or whose colored out-edge leaves the subgraph).  By that rule a
+subset holds exactly k*n' - m' pieces, so the "at least l pieces everywhere"
+condition of coloring and proper lTk certificates is (k,l)-sparsity itself,
+decided exactly by `oracle.overfull_subset`.
 
 Edge records are `ColoredEdge` named tuples.  Certificates are written as
 canonical JSON one formatted string per edge, so serialization holds about
@@ -26,7 +27,7 @@ import json
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .canonical import ConstructionResult
 from .graph import Multigraph, SparsityParams, induced_edge_count
@@ -143,38 +144,32 @@ def _overfull_failure(g: Multigraph, params: SparsityParams) -> str:
 # -- role-bearing certificates -------------------------------------------------
 
 
-def _class_components(
-    vertices: Iterable[int], rows: Iterable[ColoredEdge]
-) -> list[tuple[int, list[int], list[int]]]:
-    """(root, edge ids, vertices) per connected component, singletons included.
+def _forest(n: int, rows: Sequence[ColoredEdge]) -> list[tuple[int, tuple[int, ...]]] | None:
+    """(root, sorted edge ids) per tree of one color class on vertices 0..n-1,
+    single vertices included; None if an edge of the class closes a cycle.
 
-    `rows` must lie inside `vertices` with at most one row per tail vertex, as
-    in one color class of a checked orientation, so a component's edges are
-    the out-edges of its vertices.  The root is the unique component vertex
-    without an outgoing edge; only meaningful for acyclic classes.
+    `rows` must hold at most one row per tail, as in a checked orientation or
+    a game's class, so a tree's root is its one vertex without an out-edge.
+    One union-find pass over flat lists keeps each tree's root as its
+    representative: a tail has no out-edge before its own row, so it is still
+    a root, and it is hung below the root its head finds by path halving.
+    The row closes a cycle exactly when that root is the tail itself.
     """
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    out: dict[int, int] = {}
+    parent = list(range(n))
     for eid, u, v, _, tail in rows:
-        adj[u].append(v)
-        adj[v].append(u)
-        out[tail] = eid
-    comps = []
-    seen: set[int] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for x in comp:  # breadth-first: the list grows while it is walked
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        roots = [v for v in comp if v not in out]
-        root = min(roots) if roots else min(comp)
-        comps.append((root, sorted(out[v] for v in comp if v in out), comp))
-    return comps
+        r = v if tail == u else u
+        while r != parent[r]:
+            parent[r] = r = parent[parent[r]]
+        if r == tail:
+            return None
+        parent[tail] = r
+    ids = [[] if p == v else None for v, p in enumerate(parent)]
+    for e in rows:
+        r = e.tail
+        while r != parent[r]:
+            parent[r] = r = parent[parent[r]]
+        ids[r].append(e.id)
+    return [(v, tuple(sorted(t))) for v, t in enumerate(ids) if t is not None]
 
 
 def _roles(d: Certificate, kind: str) -> tuple[_Roles, _Roles]:
@@ -189,10 +184,10 @@ def _roles(d: Certificate, kind: str) -> tuple[_Roles, _Roles]:
     if kind == "maps-and-trees":
         ids = [tuple(sorted(e.id for e in rows)) for rows in classes]
         return tuple(ids[: d.params.l]), tuple(ids[d.params.l :])
-    found = sorted(
-        (root, c, tuple(eids))
+    found = sorted(  # a cyclic class lists no trees; validation names its cycle
+        (root, c, eids)
         for c, rows in enumerate(classes)
-        for root, eids, _ in _class_components(range(d.n), rows)
+        for root, eids in _forest(d.n, rows) or ()
     )
     return tuple(eids for _, _, eids in found), ()
 
@@ -240,9 +235,9 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
     tree-role class a forest (for maps-and-trees also one spanning component),
     and roles equal to the derived ones: by position for maps-and-trees, as a
     multiset for proper-lTk, ids in any order, with no map roles.  Map classes
-    then have exactly n edges each.  coloring and proper-lTk: g is
-    (k,l)-sparse, decided exactly by `oracle.overfull_subset`; valid
-    maps-and-trees roles imply sparsity.
+    then have exactly n edges each.  A coloring lists no roles at all.
+    coloring and proper-lTk: g is (k,l)-sparse, decided exactly by
+    `oracle.overfull_subset`; valid maps-and-trees roles imply sparsity.
     """
     params, kind = cert.params, cert.kind
     try:
@@ -252,6 +247,8 @@ def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
         return False, str(exc)
     if kind not in CERTIFICATE_KINDS:
         return False, f"unknown certificate kind {kind!r}"
+    if kind == "coloring" and (cert.trees or cert.maps):
+        return False, "a coloring certificate has no roles"
     if kind != "coloring":
         lower = kind == "maps-and-trees"
         if not (params.lower_range if lower else params.upper_range):
@@ -270,34 +267,29 @@ def _role_failure(g: Multigraph, cert: Certificate, lower: bool) -> str:
     passed the cover and slot checks and number k*n - l; empty if none fails.
 
     Tree-role colors (the first l of maps-and-trees, every color of
-    proper-lTk) are checked in color order, but only the colors that occur
-    are walked, so the work is O(m + roles listed) whatever k the certificate
-    declares.  An empty color class is n single-vertex trees: a spanning tree
-    only when n <= 1, and in proper-lTk part of the empty roles.  Forest
-    classes have k*n - m = l components in all, so l minus the components
-    that hold an edge is the number of empty roles expected.
+    proper-lTk) are checked in color order, one `_forest` pass each.  With
+    n > 1, maps-and-trees walks all l tree colors: l <= k <= m, since m =
+    k*n - l, and an empty class is n single-vertex trees, so it fails as not
+    one tree.  Otherwise only the colors that occur are walked, so the work is
+    O(m + roles listed) whatever k the certificate declares: an empty class
+    then spans when n <= 1, and in proper-lTk it is part of the empty roles.
+    Forest classes have k*n - m = l trees in all, so l minus the trees that
+    hold an edge is the number of empty roles expected.
     """
     params, n = cert.params, g.n
     classes = _color_classes(cert.edges)
-    tree_colors = params.l if lower else params.k
-    empty = 0  # the lowest color without an edge
-    while empty in classes:
-        empty += 1
-    found = []  # the edge ids of every component with an edge
-    for c in sorted(classes):
-        if c >= tree_colors:
-            break
-        if lower and n > 1 and empty < c:
-            break
-        for _, eids, comp in _class_components(range(n), classes[c]):
-            if len(eids) != len(comp) - 1:
-                return f"color {c} contains a cycle"
-            if lower and len(comp) != n:
-                return f"color {c} is not a spanning tree"
-            if eids:
-                found.append(tuple(eids))
-    if lower and n > 1 and empty < tree_colors:
-        return f"color {empty} is not a spanning tree"
+    if lower and n > 1:
+        colors = range(params.l)
+    else:
+        colors = sorted(c for c in classes if c < (params.l if lower else params.k))
+    found = []  # the edge ids of every tree with an edge
+    for c in colors:
+        forest = _forest(n, classes.get(c, ()))
+        if forest is None:
+            return f"color {c} contains a cycle"
+        if lower and len(forest) > 1:
+            return f"color {c} is not a spanning tree"
+        found.extend(eids for _, eids in forest if eids)
     trees, maps = (tuple(tuple(sorted(ids)) for ids in r) for r in (cert.trees, cert.maps))
     if lower:
         ids = {c: tuple(sorted(e.id for e in rows)) for c, rows in classes.items()}

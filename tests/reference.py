@@ -5,12 +5,15 @@ enumerating them.
 `count_tree_pieces` counts them by the root rule; a forest decomposition has
 exactly k*n' - m' pieces on every subset, which is why the library decides
 the paper's "at least l tree-pieces everywhere" condition as sparsity.
-`monochromatic_cycle_colors` scans a game state for the cycles that canonical
-slides must never close, and `chain_reaches` follows one color-chain with a
-set of the vertices it has seen, for checking the engine's chain walk, which
-keeps none.  `bfs_pebble` is the pebble search with its own
-dict of discovering edges, for checking the engine's search, which marks
-vertices in arrays the state keeps from one search to the next.
+`class_components` splits one color class into components by a breadth-first
+search over a dict adjacency, for checking the library's union-find
+`_forest`, and `tree_pieces` builds on it.  `monochromatic_cycle_colors`
+scans a game state for the cycles that canonical slides must never close,
+and `chain_reaches` follows one color-chain with a set of the vertices it has
+seen, for checking the engine's chain walk, which keeps none.  `bfs_pebble`
+is the pebble search with its own dict of discovering edges, for checking
+the engine's search, which marks vertices in arrays the state keeps from one
+search to the next.
 
 The canonical game plays each edge through one private step.  `route_pebble`,
 `collect_pebbles_canonically` and `canonical_add_edge` compose the same step
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 from sparsity_kit import GameState, IllegalMoveError, add_edge, find_pebble
 from sparsity_kit.canonical import bring_pebble_dynamic
-from sparsity_kit.decompose import _class_components, _out_slots
+from sparsity_kit.decompose import _out_slots
 
 
 class Piece(NamedTuple):
@@ -39,6 +42,40 @@ class Piece(NamedTuple):
 def pebble_colors(state, v: int) -> list[int]:
     """The colors whose pebble sits on vertex v."""
     return [c for c, e in enumerate(state.out_color[v]) if e < 0]
+
+
+def class_components(vertices, rows) -> list[tuple[int, list[int], list[int]]]:
+    """(root, sorted edge ids, vertices) per connected component of one color
+    class, singletons included, by breadth-first search over a dict adjacency.
+
+    `rows` must lie inside `vertices` with at most one row per tail, so a
+    component's edges are the out-edges of its vertices.  The root is the
+    component's one vertex without an out-edge, or its least vertex when it
+    has none (a cyclic component).  The library splits classes with
+    `decompose._forest`, a union-find pass; this shares none of its code.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    out: dict[int, int] = {}
+    for eid, u, v, _, tail in rows:
+        adj[u].append(v)
+        adj[v].append(u)
+        out[tail] = eid
+    comps = []
+    seen: set[int] = set()
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for x in comp:  # breadth-first: the list grows while it is walked
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        roots = [v for v in comp if v not in out]
+        root = min(roots) if roots else min(comp)
+        comps.append((root, sorted(out[v] for v in comp if v in out), comp))
+    return comps
 
 
 def tree_pieces(d, subset) -> list[Piece]:
@@ -58,7 +95,7 @@ def tree_pieces(d, subset) -> list[Piece]:
     pieces = []
     for color in range(k):
         inside = [e for v in s if (e := slots.get(v * k + color)) is not None and e.head in s]
-        for root, eids, comp in _class_components(s, inside):
+        for root, eids, comp in class_components(s, inside):
             if len(eids) >= len(comp):
                 continue  # holds a cycle inside the subgraph: a map piece
             kind = "pebble" if root * k + color not in slots else "out-edge"

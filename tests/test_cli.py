@@ -735,3 +735,16 @@ def test_certify_rejects_roles_that_are_not_an_object(k4_file, tmp_path, capsys,
     cert_path.write_text(json.dumps(payload))
     assert main(["certify", k4_file, str(cert_path)]) == 1
     assert "roles must be an object" in capsys.readouterr().err
+
+
+def test_certify_rejects_a_coloring_that_lists_roles(k4_file, tmp_path, capsys):
+    cert_path = tmp_path / "k4.cert.json"
+    argv = ["decompose", "--k", "2", "--l", "2", "--kind", "coloring", k4_file]
+    assert main([*argv, "-o", str(cert_path)]) == 0
+    assert main(["certify", k4_file, str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    payload["roles"] = {"trees": [[99, 100]], "maps": [[5]]}
+    cert_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["certify", k4_file, str(cert_path)]) == 4
+    assert capsys.readouterr().out == "invalid: a coloring certificate has no roles\n"

@@ -29,12 +29,11 @@ from sparsity_kit.decompose import (
     CERTIFICATE_KINDS,
     Certificate,
     ColoredEdge,
-    _class_components,
     _color_classes,
 )
 
 from conftest import K4_EDGES
-from reference import count_tree_pieces, tree_pieces
+from reference import class_components, count_tree_pieces, tree_pieces
 
 
 @pytest.fixture
@@ -541,7 +540,40 @@ def test_validator_catches_cycle_in_upper_range():
     bad = type(cert)(cert.kind, cert.params, cert.n, tuple(rows), cert.trees, cert.maps)
     ok, why = validate_certificate(tri, bad)
     assert not ok
-    assert "cycle" in why or "match" in why
+    assert why == "color 0 contains a cycle"
+
+
+def test_validator_catches_cycle_in_lower_range(k4_graph):
+    # (2,2) on K4: color 0 is the directed triangle 0->1->2->0, color 1 the
+    # star into vertex 3; every slot is single and m = 2*4 - 2
+    color = {(0, 1): 0, (1, 2): 0, (2, 0): 0, (0, 3): 1, (1, 3): 1, (2, 3): 1}
+    rows = []
+    for i, (u, v) in enumerate(K4_EDGES):
+        tail, head = (u, v) if (u, v) in color else (v, u)
+        rows.append(ColoredEdge(i, u, v, color[tail, head], tail))
+    trees = tuple(tuple(e.id for e in rows if e.color == c) for c in range(2))
+    cert = Certificate("maps-and-trees", SparsityParams(2, 2), 4, tuple(rows), trees)
+    assert validate_certificate(k4_graph, cert) == (False, "color 0 contains a cycle")
+
+
+def test_validator_names_the_first_failing_tree_color():
+    # (2,2) on a doubled edge: color 0 is empty, so it does not span, and
+    # color 1 holds both edges oriented opposite ways, a cycle; color 0 is named
+    g = Multigraph(2, [(0, 1), (0, 1)])
+    rows = (ColoredEdge(0, 0, 1, 1, 0), ColoredEdge(1, 0, 1, 1, 1))
+    cert = Certificate("maps-and-trees", SparsityParams(2, 2), 2, rows, ((), (0, 1)))
+    assert validate_certificate(g, cert) == (False, "color 0 is not a spanning tree")
+
+
+def test_coloring_certificate_with_roles_is_invalid(k4_graph, k4_decomposition):
+    d = k4_decomposition
+    assert validate_certificate(k4_graph, d) == (True, "")
+    for trees, maps in ((((99, 100),), ((5,),)), (((0, 1),), ()), ((), ((5,),))):
+        cert = Certificate("coloring", d.params, d.n, d.edges, trees, maps)
+        assert validate_certificate(k4_graph, cert) == (
+            False,
+            "a coloring certificate has no roles",
+        )
 
 
 def test_extraction_derives_roles_and_validation_checks():
@@ -576,7 +608,7 @@ def _rederived(cert, edges):
         found = sorted(
             (root, c, tuple(eids))
             for c, rows in enumerate(classes)
-            for root, eids, _ in _class_components(range(cert.n), rows)
+            for root, eids, _ in class_components(range(cert.n), rows)
         )
         trees = tuple(eids for _, _, eids in found)
     return Certificate(cert.kind, cert.params, cert.n, tuple(edges), trees, maps)
@@ -754,7 +786,7 @@ def test_relabelled_22_coloring_is_neither_23_certificate():
         trees = tuple(
             tuple(eids)
             for c in range(2)
-            for _, eids, _ in _class_components(range(g.n), classes.get(c, ()))
+            for _, eids, _ in class_components(range(g.n), classes.get(c, ()))
         )
         for cert in (
             Certificate("proper-ltk", params, g.n, d.edges, trees),

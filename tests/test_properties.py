@@ -1,9 +1,11 @@
-"""Property-based tests: component detection and pebble search against
-references that share no state with the engine.
+"""Property-based tests: component detection, pebble search and the
+certificate forest split against references that share no state with the
+library.
 
 Hypothesis draws small states no game need reach (every slot filled with a
 random head or left holding its pebble), a component map and a vertex pair,
-and shrinks any counterexample to a minimal one.
+and one-color classes with at most one out-edge per vertex, and shrinks any
+counterexample to a minimal one.
 """
 
 import random
@@ -12,13 +14,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsity_kit import SparsityParams, find_pebble, pebble_slide
+from sparsity_kit.decompose import ColoredEdge, _forest
 from sparsity_kit.pebbles import _saturated_block
 
-from reference import bfs_pebble, pebble_colors, state_from_parts
+from reference import bfs_pebble, class_components, pebble_colors, state_from_parts
 from test_pebbles import _definitional_block
 
 
@@ -89,3 +92,52 @@ def test_searches_on_one_state_leave_no_stale_marks(case, seed):
             pytest.fail("256 detections and the search stamps never wrapped")
     for _ in range(20):
         _search_round(state, rng)
+
+
+def _class_rows(arcs, ids=None, flips=None):
+    """One color class from (tail, head) arcs, in the given order, with edge
+    ids `ids` (0, 1, ... by default) and the endpoints of the i-th arc stored
+    head first when `flips[i]`."""
+    ids = range(len(arcs)) if ids is None else ids
+    flips = flips or [False] * len(arcs)
+    return [
+        ColoredEdge(i, *((h, t) if flip else (t, h)), 0, t)
+        for i, (t, h), flip in zip(ids, arcs, flips)
+    ]
+
+
+@st.composite
+def color_classes(draw):
+    """(n, rows): one color class with at most one out-edge per tail, in a
+    random order, with shuffled edge ids and either endpoint stored first."""
+    n = draw(st.integers(0, 40))
+    # per vertex: no out-edge, a step of -2..2 along the ring 0..n-1 (0 is a
+    # loop, +1 and -1 make opposite pairs and long cycles), or any head
+    steps = st.none() | st.integers(-2, 2) | st.tuples(st.integers(0, max(n - 1, 0)))
+    moves = draw(st.lists(steps, min_size=n, max_size=n))
+    arcs = [
+        (t, s[0] if isinstance(s, tuple) else (t + s) % n)
+        for t, s in enumerate(moves)
+        if s is not None
+    ]
+    arcs = draw(st.permutations(arcs))
+    ids = draw(st.permutations(range(len(arcs))))
+    flips = draw(st.lists(st.booleans(), min_size=len(arcs), max_size=len(arcs)))
+    return n, _class_rows(arcs, ids, flips)
+
+
+@settings(max_examples=400, deadline=None)
+@given(color_classes())
+@example((3, _class_rows([(1, 1)])))  # a loop beside isolated vertices
+@example((4, _class_rows([(0, 1), (1, 0), (2, 1)])))  # an opposite pair
+@example((6, _class_rows([(4, 0), (0, 1), (1, 2), (2, 3), (3, 4), (5, 3)])))  # a long cycle
+@example((5, _class_rows([(3, 4), (0, 4), (2, 0)], [2, 0, 1], [True, False, False])))  # a tree
+@example((0, []))
+def test_forest_matches_the_reference_components(case):
+    n, rows = case
+    components = class_components(range(n), rows)
+    cyclic = any(len(eids) != len(comp) - 1 for _, eids, comp in components)
+    forest = _forest(n, rows)
+    assert (forest is None) == cyclic
+    if forest is not None:
+        assert sorted(forest) == sorted((root, tuple(eids)) for root, eids, _ in components)
