@@ -23,12 +23,13 @@ import statistics
 import sys
 import time
 import tracemalloc
+from typing import Iterable
 
 from .canonical import ConstructionResult, run_canonical_game
 from .decompose import (
-    Certificate,
     CertificateError,
     NotTightError,
+    _json_chunks,
     certificate_from_json,
     certificate_to_json,
     extract_certificate,
@@ -71,12 +72,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the text `chunks` make up, one chunk at a time, to `path` or to
+    stdout for None or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _default_seed() -> int:
@@ -167,7 +170,7 @@ def _play(args, g: Multigraph | EdgeStream, params: SparsityParams) -> Construct
         return run_canonical_game(g, params)
     moves: list[Move] = []
     result = run_canonical_game(g, params, after_move=lambda state, move: moves.append(move))
-    _write_text(args.trace, "\n".join(trace_to_lines(result.state, moves)) + "\n")
+    _write_chunks(args.trace, ["\n".join(trace_to_lines(result.state, moves)) + "\n"])
     return result
 
 
@@ -206,10 +209,10 @@ def cmd_decompose(args) -> int:
     except NotTightError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_TIGHT
-    if args.format == "dot":
-        _write_text(args.output, to_dot(cert))
-    else:
-        _write_text(args.output, certificate_to_json(cert))
+    # the certificate is checked before any of it is written, and then
+    # written a block of edges at a time
+    chunks = [to_dot(cert)] if args.format == "dot" else _json_chunks(cert)
+    _write_chunks(args.output, chunks)
     return EXIT_OK
 
 
@@ -235,7 +238,7 @@ def cmd_generate(args) -> int:
     if params.max_edges(args.n) < 0:
         raise UsageError(f"k*n - l is negative for n={args.n}")
     g = random_tight_graph(args.n, params, seed)
-    _write_text(args.output, write_graph(g))
+    _write_chunks(args.output, [write_graph(g)])
     return EXIT_OK
 
 

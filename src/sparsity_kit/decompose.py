@@ -15,9 +15,11 @@ condition of coloring and proper lTk certificates is (k,l)-sparsity itself,
 decided exactly by `oracle.overfull_subset`.
 
 Edge records are `ColoredEdge` named tuples.  Certificates are written as
-canonical JSON one formatted string per edge, so serialization holds about
-0.2 KB per edge beyond its output, and read with each edge record turned into
-its `ColoredEdge` inside the JSON decoder, so reading holds about 0.2 KB per
+canonical JSON, checked whole and then formatted a block of edges at a time,
+so `decompose` holds no more than one block of its text, and
+`certificate_to_json` about 120 B per edge, its output included.  They are
+read with each edge record turned into its `ColoredEdge` inside the JSON
+decoder, with one int object per vertex id, so reading holds about 175 B per
 edge (a dict per edge record held about 0.4 KB).
 """
 
@@ -27,7 +29,7 @@ import json
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .canonical import ConstructionResult
 from .graph import Multigraph, SparsityParams, induced_edge_count
@@ -60,6 +62,11 @@ class ColoredEdge(NamedTuple):
     @property
     def head(self) -> int:
         return self.v if self.tail == self.u else self.u
+
+
+# Builds a ColoredEdge from its field tuple at C level, skipping the named
+# tuple's Python-level __new__; the record is the same type and value.
+_new_edge = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -214,8 +221,9 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
         raise NotTightError("a proper tree decomposition requires the upper range (l >= k)")
     if kind != "coloring" and not result.is_tight():
         raise NotTightError("input not tight")
+    ends, colors, tails = g.edges, state.colors, state.tails
     edges = tuple(
-        ColoredEdge(eid, *g.edges[eid], state.colors[pos], state.tails[pos])
+        _new_edge(ColoredEdge, (eid, *ends[eid], colors[pos], tails[pos]))
         for pos, eid in enumerate(result.accepted)
     )
     coloring = Certificate("coloring", params, g.n, edges)
@@ -315,11 +323,10 @@ _EDGE_FIELDS = ("id", "u", "v", "color", "oriented_from")
 # Fetches an edge record's fields from its object at C level, raising as
 # record["id"], record["u"], ... would.
 _edge_fields = operator.itemgetter(*_EDGE_FIELDS)
-# Builds a ColoredEdge from its field tuple at C level, skipping the named
-# tuple's Python-level __new__; the record is the same type and value.
-_new_edge = tuple.__new__
 # One edge in canonical (sorted-key) order, filled from (color, id, tail, u, v).
 _EDGE_JSON = '{"color":%d,"id":%d,"oriented_from":%d,"u":%d,"v":%d}'
+# Edges formatted into one chunk of certificate text, about 30 KB.
+_WRITE_BLOCK = 1 << 9
 
 
 def _require_int_fields(edges: tuple[ColoredEdge, ...]) -> None:
@@ -343,26 +350,48 @@ def _require_int_ids(ids: _Roles, role: str) -> None:
             _as_int(i, f"{role} edge id")
 
 
-def certificate_to_json(cert: Certificate) -> str:
-    """Canonical JSON serialization; parse -> write is byte-identical.
+def _json_chunks(cert: Certificate) -> Iterator[str]:
+    """The canonical JSON text of `cert`, as consecutive chunks of at most
+    _WRITE_BLOCK edges each.
 
-    Each edge is formatted straight into its canonical string instead of going
-    through a dict, so the writer holds about 0.2 KB per edge beyond its output.
-    Every edge field, `n` and every written role id must be a plain int (not a
-    bool or a float): anything else raises CertificateError, as reading it
-    back would.
+    Every check runs before the chunks are returned, so a refused certificate
+    yields nothing: every edge field, `n` and every written role id must be a
+    plain int (not a bool or a float), as reading it back requires, and a
+    coloring lists no roles, which the text has no place for.  Anything else
+    raises CertificateError.
     """
     _require_int_fields(cert.edges)
-    rows = ",".join([_EDGE_JSON % (c, i, t, u, v) for i, u, v, c, t in cert.edges])
     n = _as_int(cert.n, "n")
     rest: dict = {"k": cert.params.k, "l": cert.params.l, "n": n, "kind": cert.kind}
     if cert.kind in ("maps-and-trees", "proper-ltk"):
         for role, ids in (("trees", cert.trees), ("maps", cert.maps)):
             _require_int_ids(ids, role)
         rest["roles"] = {"trees": cert.trees, "maps": cert.maps}
+    elif cert.trees or cert.maps:
+        raise CertificateError(f"a {cert.kind} certificate has no roles")
     # "edges" sorts before every other key, so it leads the object
     rest_json = json.dumps(rest, sort_keys=True, separators=(",", ":"))
-    return '{"edges":[' + rows + "]," + rest_json[1:] + "\n"
+    return _edge_chunks(cert.edges, "]," + rest_json[1:] + "\n")
+
+
+def _edge_chunks(edges: tuple[ColoredEdge, ...], tail: str) -> Iterator[str]:
+    """The edge list's text a block of edges at a time, then `tail`."""
+    yield '{"edges":['
+    for start in range(0, len(edges), _WRITE_BLOCK):
+        if start:
+            yield ","
+        block = edges[start : start + _WRITE_BLOCK]
+        yield ",".join([_EDGE_JSON % (c, i, t, u, v) for i, u, v, c, t in block])
+    yield tail
+
+
+def certificate_to_json(cert: Certificate) -> str:
+    """Canonical JSON serialization; parse -> write is byte-identical.
+
+    The text is the join of the chunks `decompose` writes, with the same
+    checks before any of it is built (CertificateError).
+    """
+    return "".join(_json_chunks(cert))
 
 
 def _as_int(value, what: str) -> int:
@@ -371,16 +400,31 @@ def _as_int(value, what: str) -> int:
     return value
 
 
-def _edge_record(obj: dict):
-    """The certificate decoder's object hook: an object with exactly the five
-    edge fields becomes its ColoredEdge as soon as it is parsed, so no edge
-    record keeps its dict; any other object stays a dict."""
-    if len(obj) == 5:
-        try:
-            return _new_edge(ColoredEdge, _edge_fields(obj))
-        except KeyError:  # five keys, but not the edge fields
-            pass
-    return obj
+def _edge_records():
+    """A certificate decoder's object hook, for one read: an object with
+    exactly the five edge fields becomes its ColoredEdge as soon as it is
+    parsed, so no edge record keeps its dict; any other object stays a dict.
+
+    The hook's table shares one int object per vertex id across the `u`, `v`
+    and `oriented_from` fields of the edges it builds, as the graph reader
+    does.  Only a row whose three vertex fields are all exact ints is shared:
+    1.0 and true hash and compare equal to 1, and would come back as it.
+    """
+    shared: dict[int, int] = {}
+    share = shared.setdefault
+
+    def edge_record(obj: dict):
+        if len(obj) == 5:
+            try:
+                eid, u, v, color, tail = _edge_fields(obj)
+            except KeyError:  # five keys, but not the edge fields
+                return obj
+            if type(u) is type(v) is type(tail) is int:
+                u, v, tail = share(u, u), share(v, v), share(tail, tail)
+            return _new_edge(ColoredEdge, (eid, u, v, color, tail))
+        return obj
+
+    return edge_record
 
 
 def _as_object(value):
@@ -405,8 +449,9 @@ def certificate_from_json(text: str | bytes) -> Certificate:
     """Parse a certificate file; raises CertificateError if it is malformed.
 
     The JSON decoder turns every edge record into its `ColoredEdge` as it
-    parses it, so a read of a (3,3) n = 500 certificate peaks at about 210 B
-    per edge, against 384 B when every record stayed a dict until all the
+    parses it, sharing one int object per vertex id, so a read of a (3,3)
+    n = 500 certificate peaks at about 175 B per edge, against 209 B with an
+    int per field and 384 B when every record stayed a dict until all the
     edges were built (tracemalloc, Python 3.11).  A record with other keys
     than the five edge fields stays an object and is converted afterwards,
     with the same errors.  The five fields of every edge are type-checked in
@@ -416,7 +461,7 @@ def certificate_from_json(text: str | bytes) -> Certificate:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        payload = _as_object(json.loads(text, object_hook=_edge_record))
+        payload = _as_object(json.loads(text, object_hook=_edge_records()))
     except json.JSONDecodeError as exc:
         raise CertificateError(f"bad certificate JSON: {exc}") from None
     try:

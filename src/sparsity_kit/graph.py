@@ -5,7 +5,8 @@ of (u, v) pairs; loops (u == v) and parallel edges are allowed, and the edge
 id is the tuple position.  Edge ids are stable: there is no deletion, and
 subgraphs are expressed as id or vertex-id subsets.  `Multigraph` keeps an
 edge given as an exact (int, int) tuple as it is and rebuilds any other with
-int() on both endpoints.
+int() on both endpoints, refusing a float or any endpoint whose value that
+changes.
 
 The text format is a header line "n m", then m lines "u v"; lines whose first
 token starts with '#' are comments.  One reader serves every caller:
@@ -21,7 +22,7 @@ plays the stream itself, so recognition never holds the input's edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -64,12 +65,18 @@ class SparsityParams:
         return self.k * n - self.l
 
 
-def _int_pair(edge) -> tuple[int, int]:
-    """`edge` as a pair of plain ints; an exact (int, int) tuple is returned as is."""
+def _int_pair(i: int, edge) -> tuple[int, int]:
+    """Edge `i` as a pair of plain ints; an exact (int, int) tuple is returned
+    as is.  Any other pair is rebuilt with int(), and an endpoint that is a
+    float, or that int() would change, is refused: int() truncates 0.9 to 0."""
     u, v = edge
     if type(edge) is tuple and type(u) is int and type(v) is int:
         return edge
-    return (int(u), int(v))
+    pair = (int(u), int(v))
+    for x, given in zip(pair, (u, v)):
+        if x != given or isinstance(given, float):
+            raise ValueError(f"edge {i} endpoint {given!r} is not an integer")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class Multigraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(map(_int_pair, edges)))
+        object.__setattr__(self, "edges", tuple(starmap(_int_pair, enumerate(edges))))
         if type(n) is not int:  # bool is an int subclass, but True is no vertex count
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:

@@ -29,7 +29,9 @@ from sparsity_kit.decompose import (
     CERTIFICATE_KINDS,
     Certificate,
     ColoredEdge,
+    _WRITE_BLOCK,
     _color_classes,
+    _json_chunks,
 )
 
 from conftest import K4_EDGES
@@ -333,8 +335,9 @@ def test_colored_edge_is_a_plain_tuple():
 
 
 def test_certificate_writer_memory_per_edge():
-    # between a dict per edge for json.dumps (about 1 KB per edge) and one
-    # formatted string per edge (about 0.2 KB)
+    # a dict per edge for json.dumps held about 1 KB per edge, one formatted
+    # string per edge joined at once 183 B, and rows joined a block of edges
+    # at a time 122 B (Python 3.11): the output text and its chunks
     params = SparsityParams(3, 3)
     res = run_canonical_game(random_tight_graph(500, params, 12345), params)
     cert = extract_certificate(res, "maps-and-trees")
@@ -344,13 +347,14 @@ def test_certificate_writer_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(cert.edges) < 300
+    assert peak / len(cert.edges) < 135
 
 
 def test_certificate_reader_memory_per_edge():
-    # between a dict per edge record held until every edge is built (384 B per
-    # edge under Python 3.11, 429 B under 3.10) and records turned into edges
-    # inside the decoder (209 B under both)
+    # a dict per edge record held until every edge is built took 384 B per
+    # edge under Python 3.11 (429 B under 3.10), records turned into edges
+    # inside the decoder 209 B under both, and one int object shared per
+    # vertex id 173 B under 3.11
     params = SparsityParams(3, 3)
     res = run_canonical_game(random_tight_graph(500, params, 12345), params)
     text = certificate_to_json(extract_certificate(res, "maps-and-trees"))
@@ -361,7 +365,50 @@ def test_certificate_reader_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(cert.edges) < 300
+    assert peak / len(cert.edges) < 190
+    ends = [x for e in cert.edges for x in (e.u, e.v, e.tail)]
+    assert len({id(x) for x in ends}) == len(set(ends)) == cert.n
+
+
+def test_certificate_chunks_join_to_the_written_text():
+    # (3,3) n = 500 has 1497 edges, so the edge list spans three blocks
+    params = SparsityParams(3, 3)
+    res = run_canonical_game(random_tight_graph(500, params, 12345), params)
+    cert = extract_certificate(res, "maps-and-trees")
+    chunks = list(_json_chunks(cert))
+    assert "".join(chunks) == certificate_to_json(cert)
+    blocks = [chunk.count('"id":') for chunk in chunks]
+    assert [b for b in blocks if b] == [_WRITE_BLOCK, _WRITE_BLOCK, 1497 - 2 * _WRITE_BLOCK]
+
+
+@pytest.mark.parametrize("bad", ["field", "coloring roles"])
+def test_certificate_chunks_raise_before_the_first_chunk(k4_graph, bad):
+    # the checks run when the chunks are asked for, so a refused certificate
+    # hands its writer nothing to write
+    cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)), "coloring")
+    if bad == "field":
+        edges = (*cert.edges[:-1], cert.edges[-1]._replace(tail=1.0))
+        cert = Certificate(cert.kind, cert.params, cert.n, edges)
+        message = "oriented_from must be an integer, got 1.0"
+    else:
+        cert = Certificate(cert.kind, cert.params, cert.n, cert.edges, ((99, 100),), ((5,),))
+        message = "a coloring certificate has no roles"
+    with pytest.raises(CertificateError, match=message):
+        _json_chunks(cert)
+
+
+def test_writer_refuses_a_coloring_that_lists_roles():
+    # the text has no place for a coloring's roles: writing them nowhere made
+    # a coloring the validator refuses valid after one write and read
+    edge = ColoredEdge(0, 0, 1, 0, 0)
+    for trees, maps in ((((99, 100),), ((5,),)), (((0,),), ()), ((), ((0,),))):
+        cert = Certificate("coloring", SparsityParams(1, 0), 2, (edge,), trees, maps)
+        assert validate_certificate(Multigraph(2, [(0, 1)]), cert) == (
+            False,
+            "a coloring certificate has no roles",
+        )
+        with pytest.raises(CertificateError, match="^a coloring certificate has no roles$"):
+            certificate_to_json(cert)
 
 
 @pytest.mark.parametrize("field, value", [("color", True), ("id", 1.0)])

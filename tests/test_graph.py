@@ -347,6 +347,19 @@ def test_multigraph_normalises_int_likes_to_plain_ints():
     assert all(type(e) is tuple for e in g.edges)
 
 
+def test_multigraph_refuses_float_endpoints():
+    # int() truncates, so (0.9, 1) used to become (0, 1) and this list the
+    # triangle the (2,3) game calls tight
+    with pytest.raises(ValueError, match=r"^edge 0 endpoint 0\.9 is not an integer$"):
+        Multigraph(3, [(0.9, 1), (True, 2), (2, 0)])
+    for edges in ([(0, 1), (1, 2.0)], [(0, 1), [1.0, 2]], [(0, 1), iter((2, 1.5))]):
+        with pytest.raises(ValueError, match=r"^edge 1 endpoint \d\.\d is not an integer$"):
+            Multigraph(3, edges)
+    # an endpoint that int() reads as another value is refused as well
+    with pytest.raises(ValueError, match=r"^edge 0 endpoint '2' is not an integer$"):
+        Multigraph(3, [("2", "0")])
+
+
 def test_multigraph_keeps_exact_int_tuples_without_a_copy():
     edges = [(0, 1), (1, 2), (2, 2)]
     g = Multigraph(3, edges)
