@@ -203,8 +203,9 @@ def cmd_decompose(args) -> int:
         raise UsageError("--trace - would mix the trace into the output on stdout")
     params = _params(args)
     try:
-        # the graph and the game state are dropped here, so neither is held
-        # while the certificate is written
+        # extraction lets the game state go before it builds the certificate,
+        # and the graph is dropped here, so neither is held while the
+        # certificate is written
         cert = extract_certificate(_play(args, _load_graph(args.graph), params), args.kind)
     except NotTightError as exc:
         print(f"error: {exc}", file=sys.stderr)

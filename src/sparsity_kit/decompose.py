@@ -207,6 +207,12 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
     in their range (NotTightError otherwise).  Extraction only derives the
     roles from the coloring, so an engine bug shows up as an invalid
     certificate from `validate_certificate`.
+
+    Once the checks have run, extraction drops its references to `result`
+    and its game state before it builds the certificate's edges, so a game
+    passed as a temporary is freed first (from Python 3.11; 3.10 holds a
+    call's arguments until it returns).  A caller who keeps the result keeps
+    the whole game, unchanged.
     """
     g, params, state = result.graph, result.params, result.state
     if not isinstance(g, Multigraph):
@@ -221,11 +227,14 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
         raise NotTightError("a proper tree decomposition requires the upper range (l >= k)")
     if kind != "coloring" and not result.is_tight():
         raise NotTightError("input not tight")
-    ends, colors, tails = g.edges, state.colors, state.tails
+    ends, colors, tails, accepted = g.edges, state.colors, state.tails, result.accepted
+    # the rest of the game is freed here when the caller holds no reference to it
+    del result, state
     edges = tuple(
         _new_edge(ColoredEdge, (eid, *ends[eid], colors[pos], tails[pos]))
-        for pos, eid in enumerate(result.accepted)
+        for pos, eid in enumerate(accepted)
     )
+    del colors, tails, accepted
     coloring = Certificate("coloring", params, g.n, edges)
     if kind == "coloring":
         return coloring

@@ -340,8 +340,11 @@ def test_decompose_memory_per_edge(tmp_path, capsys):
     # the whole decompose operation on the same (3,3) n = 500 graph, graph
     # text, game and certificate included: 338 B per edge under Python 3.11
     # when the whole certificate text was built before it was written, 309 B
-    # when it is written a block of edges at a time; the peak is now while
-    # the certificate is extracted, with the game and the graph still alive
+    # when it is written a block of edges at a time, and 232 B when extraction
+    # lets the game go before it builds the certificate, so the played game
+    # now sets the peak.  Python 3.10 keeps a call's arguments on the
+    # caller's stack until it returns, so there the game is still alive
+    # while the certificate is built.
     params = SparsityParams(3, 3)
     g = random_tight_graph(500, params, 12345)
     graph, cert_path = tmp_path / "g.txt", tmp_path / "g.cert.json"
@@ -350,7 +353,7 @@ def test_decompose_memory_per_edge(tmp_path, capsys):
     assert cert_path.read_text() == certificate_to_json(
         extract_certificate(run_canonical_game(g, params))
     )
-    assert peak / g.m < 335
+    assert peak / g.m < (255 if sys.version_info >= (3, 11) else 335)
 
 
 def test_decompose_writes_nothing_for_a_refused_certificate(k4_file, tmp_path, capsys, monkeypatch):
@@ -802,3 +805,57 @@ def test_certify_rejects_a_coloring_that_lists_roles(k4_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["certify", k4_file, str(cert_path)]) == 4
     assert capsys.readouterr().out == "invalid: a coloring certificate has no roles\n"
+
+
+# -- several calls in one process ------------------------------------------------
+
+
+def test_a_call_keeps_no_option_of_the_call_before(k4_file, tmp_path, capsys):
+    kl = ["--k", "2", "--l", "2"]
+    cert_path = tmp_path / "c.json"
+    assert main(["decompose", *kl, "--kind", "coloring", k4_file, "-o", str(cert_path)]) == 0
+    assert json.loads(cert_path.read_text())["kind"] == "coloring"
+    assert main(["decompose", *kl, k4_file, "-o", str(cert_path)]) == 0
+    assert json.loads(cert_path.read_text())["kind"] == "maps-and-trees"
+    trace = tmp_path / "t.jsonl"
+    assert main(["recognize", *kl, k4_file, "--trace", str(trace)]) == 0
+    trace.unlink()
+    assert main(["recognize", *kl, k4_file]) == 0
+    assert not trace.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "k4.txt"]
+    assert capsys.readouterr() == ("tight\naccepted=6 rejected=0\n" * 2, "")
+
+
+def test_a_usage_error_and_a_valid_call_each_report_their_own_result(k4_file, capsys):
+    argv = ["recognize", "--k", "2", "--l", "2", k4_file]
+    assert main(["recognize", "--k", "x", "--l", "2", k4_file]) == 1
+    assert capsys.readouterr() == ("", "usage error: argument --k: invalid int value: 'x'\n")
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("tight\naccepted=6 rejected=0\n", "")
+    assert main(["recognize", "--l", "2", k4_file]) == 1
+    assert capsys.readouterr() == ("", "usage error: the following arguments are required: --k\n")
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("tight\naccepted=6 rejected=0\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("recognize", "--trace"),
+        ("decompose", "--kind"),
+        ("certify", "certificate"),
+        ("generate", "--seed"),
+        ("replay", "--debug-invariants"),
+        ("bench", "--sizes"),
+    ],
+)
+def test_subcommand_help_exits_0_and_the_next_call_works(k4_file, capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: sparsity-kit {command} ")
+    assert option in out
+    assert main(["recognize", "--k", "2", "--l", "2", k4_file]) == 0
+    assert capsys.readouterr() == ("tight\naccepted=6 rejected=0\n", "")
+

@@ -3,7 +3,9 @@ import itertools
 import json
 import random
 import re
+import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from sparsity_kit import (
     brute_force_sparse,
     certificate_from_json,
     certificate_to_json,
+    check_invariants,
     extract_certificate,
     induced_edge_count,
     random_tight_graph,
@@ -25,6 +28,7 @@ from sparsity_kit import (
     to_dot,
     validate_certificate,
 )
+from sparsity_kit import decompose
 from sparsity_kit.decompose import (
     CERTIFICATE_KINDS,
     Certificate,
@@ -774,6 +778,50 @@ def test_extract_certificate_refuses_a_streamed_game():
         assert res.is_tight()
         with pytest.raises(ValueError, match="played on a Multigraph"):
             extract_certificate(res, kind)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="Python 3.10 keeps a call's arguments on the caller's stack until it returns",
+)
+@pytest.mark.parametrize("kind", ["maps-and-trees", "proper-ltk"])
+def test_extraction_frees_a_game_passed_as_a_temporary(monkeypatch, kind):
+    # extract_certificate drops its references to the result once it has read
+    # the coloring, so a game that nobody else holds is freed before the
+    # certificate's edges and roles are built
+    params = SparsityParams(3, 3)
+    g = random_tight_graph(30, params, 1)
+    refs = []
+
+    def played():
+        result = run_canonical_game(g, params)
+        refs.append(weakref.ref(result))
+        return result
+
+    derive = decompose._roles
+    freed = []
+
+    def roles(d, kind):
+        freed.append(refs[0]() is None)
+        return derive(d, kind)
+
+    monkeypatch.setattr(decompose, "_roles", roles)
+    cert = extract_certificate(played(), kind)
+    assert freed == [True]
+    assert validate_certificate(g, cert) == (True, "")
+
+
+def test_extraction_leaves_a_held_game_as_it_was():
+    # a caller that keeps its result keeps the whole game, unchanged
+    params = SparsityParams(3, 3)
+    g = random_tight_graph(30, params, 2)
+    result = run_canonical_game(g, params)
+    digest, accepted = result.state.state_hash(), list(result.accepted)
+    for kind in CERTIFICATE_KINDS:
+        extract_certificate(result, kind)
+        assert check_invariants(result.state).ok
+        assert result.state.state_hash() == digest and result.accepted == accepted
+    assert result.is_tight()
 
 
 def test_cover_check_rejects_repeated_edge_id():
