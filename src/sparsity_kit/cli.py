@@ -82,16 +82,6 @@ def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("SPARSITY_KIT_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"SPARSITY_KIT_SEED must be an integer, got {env!r}") from None
-
-
 def _params(args) -> SparsityParams:
     try:
         return SparsityParams(args.k, args.l)
@@ -235,10 +225,9 @@ def cmd_certify(args) -> int:
 
 def cmd_generate(args) -> int:
     params = _params(args)
-    seed = args.seed if args.seed is not None else _default_seed()
     if params.max_edges(args.n) < 0:
         raise UsageError(f"k*n - l is negative for n={args.n}")
-    g = random_tight_graph(args.n, params, seed)
+    g = random_tight_graph(args.n, params, args.seed)
     _write_chunks(args.output, [write_graph(g)])
     return EXIT_OK
 
@@ -277,7 +266,6 @@ def cmd_bench(args) -> int:
     sizes = args.sizes
     if sizes != sorted(set(sizes)):
         raise UsageError("sizes must be strictly increasing")
-    seed = args.seed if args.seed is not None else _default_seed()
     rows = []
     prev: tuple[int, float] | None = None
     slides = 0
@@ -288,7 +276,7 @@ def cmd_bench(args) -> int:
             slides += 1
 
     for n in sizes:
-        g = random_tight_graph(n, params, seed * 1_000_003 + n)
+        g = random_tight_graph(n, params, args.seed * 1_000_003 + n)
         times = []
         for _ in range(BENCH_REPEATS):  # every repeat plays the same moves
             slides = 0
@@ -323,18 +311,13 @@ def cmd_bench(args) -> int:
         payload = {
             "k": params.k,
             "l": params.l,
-            "seed": seed,
+            "seed": args.seed,
             "repeats": BENCH_REPEATS,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             "rows": rows,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("n,edges,seconds,ratio,slides")
-        for r in rows:
-            ratio = "" if r["ratio"] is None else f"{r['ratio']:.3f}"
-            print(f"{r['n']},{r['edges']},{r['seconds']:.6f},{ratio},{r['slides']}")
     else:
         print(f"{'n':>8} {'edges':>8} {'seconds':>10} {'t(2n)/t(n)':>11} {'slides':>8}")
         for r in rows:
@@ -375,7 +358,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="emit a seeded random tight graph")
     add_kl(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_generate)
 
@@ -387,8 +370,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="time constructions and count slides on random tight graphs")
     add_kl(p)
     p.add_argument("--sizes", type=int, nargs="+", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -4,15 +4,17 @@ A pebble game configuration colors every edge and orients it away from the
 vertex its pebble was spent at, so each color class has out-degree at most one
 per vertex.  `extract_certificate` reads that coloring from a game's
 `ConstructionResult` and only derives a certificate's tree and map roles from
-it; `validate_certificate` is the one checker for every kind.  Both split a
-color class into trees with one routine, `_forest`: a union-find pass over
-flat lists that also finds any cycle.  The checker works from the stored
-orientation: out-degree is a per-vertex slot count, and tree-piece counts
-come from the root rule (a piece is rooted at a vertex whose color slot holds
-a pebble, or whose colored out-edge leaves the subgraph).  By that rule a
-subset holds exactly k*n' - m' pieces, so the "at least l pieces everywhere"
-condition of coloring and proper lTk certificates is (k,l)-sparsity itself,
-decided exactly by `oracle.overfull_subset`.
+it; `validate_certificate` is the one checker for every kind, and keeps only
+the checks that no other implies: for maps-and-trees, the count m = k*n - l
+makes every tree color that is a forest span, so spanning is never tested.
+Both split a color class into trees with one routine, `_forest`: a
+union-find pass over flat lists that also finds any cycle.  The checker works
+from the stored orientation: out-degree is a per-vertex slot count, and
+tree-piece counts come from the root rule (a piece is rooted at a vertex
+whose color slot holds a pebble, or whose colored out-edge leaves the
+subgraph).  By that rule a subset holds exactly k*n' - m' pieces, so the "at
+least l pieces everywhere" condition of coloring and proper lTk certificates
+is (k,l)-sparsity itself, decided exactly by `oracle.overfull_subset`.
 
 Edge records are `ColoredEdge` named tuples.  Certificates are written as
 canonical JSON, checked whole and then formatted a block of edges at a time,
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .canonical import ConstructionResult
@@ -94,47 +96,41 @@ def _color_classes(edges: Iterable[ColoredEdge]) -> dict[int, list[ColoredEdge]]
 
 
 def _check_cover(g: Multigraph, d: Certificate) -> None:
-    """Each edge id 0..m-1 once, on the graph's endpoints and oriented from one
-    of them; `_out_slots` checks the colors."""
+    """Each edge id 0..m-1 once, on the graph's endpoints, oriented from one of
+    them and colored below k, with at most one out-edge per vertex and color.
+
+    A tail is one of its edge's endpoints in g, so it is a vertex of g and
+    needs no range test of its own.  The slots are checked in one sorted list
+    of the keys `tail * k + color`, one int per edge whatever k the
+    certificate declares; a color out of range would name another vertex's
+    slot, so it is refused first.
+    """
     if d.n != g.n:
         raise CertificateError("vertex counts differ")
-    if len(d.edges) != g.m:
+    ends, m, k = g.edges, g.m, d.params.k
+    if len(d.edges) != m:
         raise CertificateError("decomposition does not cover the graph's edges")
-    seen = bytearray(g.m)
-    for eid, a, b, _, tail in d.edges:
-        if not 0 <= eid < g.m:
+    seen = bytearray(m)
+    slots = []
+    for eid, a, b, color, tail in d.edges:
+        if not 0 <= eid < m:
             raise CertificateError(f"edge id {eid} out of range")
         if seen[eid]:
             raise CertificateError(f"edge id {eid} listed twice")
         seen[eid] = 1
-        u, v = g.edges[eid]
+        u, v = ends[eid]
         if not (a == u and b == v or a == v and b == u):
             raise CertificateError(f"edge {eid} endpoints disagree with the graph")
         if tail != a and tail != b:
             raise CertificateError(f"edge {eid} oriented from a non-endpoint")
-
-
-def _out_slots(d: Certificate) -> dict[int, ColoredEdge]:
-    """Map slot `vertex * k + color` -> its outgoing edge.
-
-    Raises CertificateError if any slot is doubled, or if a tail or color is
-    out of range, where its key would name another vertex's slot.  The map
-    holds one entry per edge, whatever k the certificate declares, and an int
-    key costs less than a (vertex, color) tuple.
-    """
-    n, k = d.n, d.params.k
-    slots: dict[int, ColoredEdge] = {}
-    for e in d.edges:
-        eid, _, _, color, tail = e
         if not 0 <= color < k:
             raise CertificateError(f"edge {eid} color {color} out of range")
-        if not 0 <= tail < n:
-            raise CertificateError(f"edge {eid} oriented from vertex {tail}, out of range")
-        key = tail * k + color
-        if key in slots:
+        slots.append(tail * k + color)
+    slots.sort()
+    for key, after in zip(slots, islice(slots, 1, None)):
+        if key == after:
+            tail, color = divmod(key, k)
             raise CertificateError(f"vertex {tail} has two outgoing edges of color {color}")
-        slots[key] = e
-    return slots
 
 
 def _overfull_failure(g: Multigraph, params: SparsityParams) -> str:
@@ -247,19 +243,26 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
 def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
     """The one certificate checker, for every kind; returns (ok, first failing check).
 
-    Every kind: the edges cover g once each, with out-degree at most one per
-    vertex and color.  Role-bearing kinds: the range, m = k*n - l, every
-    tree-role class a forest (for maps-and-trees also one spanning component),
-    and roles equal to the derived ones: by position for maps-and-trees, as a
-    multiset for proper-lTk, ids in any order, with no map roles.  Map classes
-    then have exactly n edges each.  A coloring lists no roles at all.
+    Every kind: the fields the file format holds as integers are plain ints,
+    as the writer requires, and the edges cover g once each, with out-degree
+    at most one per vertex and color.  Role-bearing kinds: the range, m =
+    k*n - l, every tree-role class a forest, and roles equal to the derived
+    ones: by position for maps-and-trees, as a multiset for proper-lTk, ids in
+    any order, with no map roles.  A coloring lists no roles at all.  The
+    counts imply the rest of maps-and-trees: with single slots a forest color
+    holds at most n - 1 edges and a map color at most n, and l*(n - 1) +
+    (k - l)*n = m, so every tree color spans and every map color has n edges.
     coloring and proper-lTk: g is (k,l)-sparse, decided exactly by
     `oracle.overfull_subset`; valid maps-and-trees roles imply sparsity.
     """
     params, kind = cert.params, cert.kind
     try:
+        _require_int_fields(cert.edges)
+        _as_int(cert.n, "n")
+        if kind in ("maps-and-trees", "proper-ltk"):
+            for role, ids in (("trees", cert.trees), ("maps", cert.maps)):
+                _require_int_ids(ids, role)
         _check_cover(g, cert)
-        _out_slots(cert)
     except CertificateError as exc:
         return False, str(exc)
     if kind not in CERTIFICATE_KINDS:
@@ -283,29 +286,22 @@ def _role_failure(g: Multigraph, cert: Certificate, lower: bool) -> str:
     """The first failing role check of a role-bearing certificate whose edges
     passed the cover and slot checks and number k*n - l; empty if none fails.
 
-    Tree-role colors (the first l of maps-and-trees, every color of
-    proper-lTk) are checked in color order, one `_forest` pass each.  With
-    n > 1, maps-and-trees walks all l tree colors: l <= k <= m, since m =
-    k*n - l, and an empty class is n single-vertex trees, so it fails as not
-    one tree.  Otherwise only the colors that occur are walked, so the work is
-    O(m + roles listed) whatever k the certificate declares: an empty class
-    then spans when n <= 1, and in proper-lTk it is part of the empty roles.
-    Forest classes have k*n - m = l trees in all, so l minus the trees that
-    hold an edge is the number of empty roles expected.
+    The tree-role colors that occur (those below l for maps-and-trees, every
+    color for proper-lTk) are checked in color order, one `_forest` pass
+    each, so the work is O(m + roles listed) whatever k the certificate
+    declares.  No color is tested for spanning: by the counts, a tree color
+    of maps-and-trees that does not span forces another to hold a cycle, and
+    that cycle is named.  Forest classes have k*n - m = l trees in all, so
+    for proper-lTk l minus the trees that hold an edge is the number of empty
+    roles expected.
     """
     params, n = cert.params, g.n
     classes = _color_classes(cert.edges)
-    if lower and n > 1:
-        colors = range(params.l)
-    else:
-        colors = sorted(c for c in classes if c < (params.l if lower else params.k))
     found = []  # the edge ids of every tree with an edge
-    for c in colors:
-        forest = _forest(n, classes.get(c, ()))
+    for c in sorted(c for c in classes if c < (params.l if lower else params.k)):
+        forest = _forest(n, classes[c])
         if forest is None:
             return f"color {c} contains a cycle"
-        if lower and len(forest) > 1:
-            return f"color {c} is not a spanning tree"
         found.extend(eids for _, eids in forest if eids)
     trees, maps = (tuple(tuple(sorted(ids)) for ids in r) for r in (cert.trees, cert.maps))
     if lower:

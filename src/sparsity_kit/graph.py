@@ -109,12 +109,15 @@ class Multigraph:
 def induced_edge_count(g: Multigraph, subset: Iterable[int]) -> int:
     """Number of edges with both endpoints (for loops, the one endpoint) in `subset`.
 
-    Raises ValueError if `subset` is empty or holds a vertex out of range.
+    Raises ValueError if `subset` is empty or holds a vertex that is not an
+    int in 0..n-1.
     """
     s = frozenset(subset)
     if not s:
         raise ValueError("empty subgraph undefined")
     for v in s:
+        if type(v) is not int:  # True and 2.0 hash and compare equal to vertices 1 and 2
+            raise ValueError(f"vertex {v!r} is not an int")
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     return sum(1 for u, v in g.edges if u in s and v in s)

@@ -4,7 +4,9 @@ enumerating them.
 `tree_pieces` builds the monochromatic tree-pieces of an induced subgraph and
 `count_tree_pieces` counts them by the root rule; a forest decomposition has
 exactly k*n' - m' pieces on every subset, which is why the library decides
-the paper's "at least l tree-pieces everywhere" condition as sparsity.
+the paper's "at least l tree-pieces everywhere" condition as sparsity.  Both
+read the orientation through `out_slots`, a dict keyed by (vertex, color)
+pairs; the library's checker keeps no slot map at all.
 `class_components` splits one color class into components by a breadth-first
 search over a dict adjacency, for checking the library's union-find
 `_forest`, and `tree_pieces` builds on it.  `monochromatic_cycle_colors`
@@ -26,9 +28,8 @@ builds a state from hand-picked edges.
 from collections import deque
 from typing import NamedTuple
 
-from sparsity_kit import GameState, IllegalMoveError, add_edge, find_pebble
+from sparsity_kit import CertificateError, GameState, IllegalMoveError, add_edge, find_pebble
 from sparsity_kit.canonical import bring_pebble_dynamic
-from sparsity_kit.decompose import _out_slots
 
 
 class Piece(NamedTuple):
@@ -78,6 +79,20 @@ def class_components(vertices, rows) -> list[tuple[int, list[int], list[int]]]:
     return comps
 
 
+def out_slots(d) -> dict:
+    """Map (vertex, color) -> the edge of certificate `d` oriented out of
+    that slot.  Raises CertificateError if a tail or color is out of range or
+    a slot is doubled."""
+    slots = {}
+    for e in d.edges:
+        if not (0 <= e.tail < d.n and 0 <= e.color < d.params.k):
+            raise CertificateError(f"edge {e.id} slot ({e.tail}, {e.color}) out of range")
+        if (e.tail, e.color) in slots:
+            raise CertificateError(f"vertex {e.tail} has two outgoing edges of color {e.color}")
+        slots[e.tail, e.color] = e
+    return slots
+
+
 def tree_pieces(d, subset) -> list[Piece]:
     """All monochromatic tree-pieces of the subgraph of certificate `d` induced
     by `subset`.
@@ -87,18 +102,17 @@ def tree_pieces(d, subset) -> list[Piece]:
     every color's vertex set.  A piece is rooted at its one vertex with no
     out-edge of its color inside the subgraph; the root kind says whether that
     color slot is free (a pebble in game terms) or its out-edge leaves the
-    subgraph.  `_out_slots` raises CertificateError on a malformed orientation.
+    subgraph.  `out_slots` raises CertificateError on a malformed orientation.
     """
     s = frozenset(subset)
-    slots = _out_slots(d)
-    k = d.params.k
+    slots = out_slots(d)
     pieces = []
-    for color in range(k):
-        inside = [e for v in s if (e := slots.get(v * k + color)) is not None and e.head in s]
+    for color in range(d.params.k):
+        inside = [e for v in s if (e := slots.get((v, color))) is not None and e.head in s]
         for root, eids, comp in class_components(s, inside):
             if len(eids) >= len(comp):
                 continue  # holds a cycle inside the subgraph: a map piece
-            kind = "pebble" if root * k + color not in slots else "out-edge"
+            kind = "pebble" if (root, color) not in slots else "out-edge"
             pieces.append(Piece(color, frozenset(comp), tuple(eids), root, kind))
     return pieces
 
@@ -112,10 +126,12 @@ def count_tree_pieces(d, subset) -> int:
     and tree-pieces are in bijection.
     """
     s = frozenset(subset)
-    slots = _out_slots(d)
-    k = d.params.k
+    slots = out_slots(d)
     return sum(
-        1 for v in s for c in range(k) if (e := slots.get(v * k + c)) is None or e.head not in s
+        1
+        for v in s
+        for c in range(d.params.k)
+        if (e := slots.get((v, c))) is None or e.head not in s
     )
 
 

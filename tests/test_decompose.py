@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -38,7 +39,7 @@ from sparsity_kit.decompose import (
     _json_chunks,
 )
 
-from conftest import K4_EDGES
+from conftest import ALL_PARAMS, K4_EDGES
 from reference import class_components, count_tree_pieces, tree_pieces
 
 
@@ -609,11 +610,13 @@ def test_validator_catches_cycle_in_lower_range(k4_graph):
 
 def test_validator_names_the_first_failing_tree_color():
     # (2,2) on a doubled edge: color 0 is empty, so it does not span, and
-    # color 1 holds both edges oriented opposite ways, a cycle; color 0 is named
+    # color 1 holds both edges oriented opposite ways, a cycle, which is named
+    # (forest colors hold at most n - 1 edges each, and m = 2n - 2, so a
+    # color short of spanning leaves another one edge too many for a forest)
     g = Multigraph(2, [(0, 1), (0, 1)])
     rows = (ColoredEdge(0, 0, 1, 1, 0), ColoredEdge(1, 0, 1, 1, 1))
     cert = Certificate("maps-and-trees", SparsityParams(2, 2), 2, rows, ((), (0, 1)))
-    assert validate_certificate(g, cert) == (False, "color 0 is not a spanning tree")
+    assert validate_certificate(g, cert) == (False, "color 1 contains a cycle")
 
 
 def test_coloring_certificate_with_roles_is_invalid(k4_graph, k4_decomposition):
@@ -642,7 +645,8 @@ def test_extraction_derives_roles_and_validation_checks():
     assert [len(t) for t in cert.trees] == [g.n - 2, g.n]
     ok, why = validate_certificate(g, cert)
     assert not ok
-    assert why == "color 0 is not a spanning tree"
+    # color 1 received the edge: n edges on n vertices cannot be a forest
+    assert why == "color 1 contains a cycle"
 
 
 def _rederived(cert, edges):
@@ -730,6 +734,84 @@ def test_validator_verdicts_are_pinned():
     text = "".join(verdicts)
     assert 300 < text.count("1") < len(text) - 300, text.count("1")
     assert hashlib.sha256(text.encode()).hexdigest() == VALIDATOR_VERDICT_DIGEST
+
+
+def test_counts_make_every_forest_tree_color_span():
+    # every single-edge recoloring and reorientation of seeded maps-and-trees
+    # certificates that keeps each slot single, with the roles its coloring
+    # defines.  The validator tests no color for spanning: a forest color
+    # holds at most n - 1 edges and a map color at most n, and m = k*n - l
+    # leaves none to spare, so a tree color short of spanning forces a cycle.
+    accepted = short = 0
+    for params in ALL_PARAMS:
+        if not params.lower_range:
+            continue
+        for n in range(1, 7):
+            for seed in range(3):
+                g = random_tight_graph(n, params, seed)
+                cert = extract_certificate(run_canonical_game(g, params))
+                slots = {(e.tail, e.color) for e in cert.edges}
+                for i, e in enumerate(cert.edges):
+                    changed = [e._replace(color=c) for c in range(params.k) if c != e.color]
+                    changed.append(e._replace(tail=e.head))
+                    for new in changed:
+                        if new == e or (new.tail, new.color) in slots:
+                            continue
+                        edges = cert.edges[:i] + (new,) + cert.edges[i + 1 :]
+                        ok, why = validate_certificate(g, _rederived(cert, edges))
+                        classes = _color_classes(edges)
+                        for c in range(params.l):
+                            comps = class_components(range(n), classes.get(c, ()))
+                            if len(comps) == 1 and len(comps[0][1]) == n - 1:
+                                continue  # one tree spanning all n vertices
+                            assert not ok, (params, n, seed, new)
+                            assert re.fullmatch(r"color \d+ contains a cycle", why), why
+                            short += 1
+                        accepted += ok
+    assert accepted > 50 and short > 50, (accepted, short)
+
+
+def _fields_case(field):
+    """(graph, valid (2,1) maps-and-trees certificate, the certificate with
+    `field` holding a float, the same with a bool), each faulty value equal
+    to the int it replaces."""
+    if field == "n":  # n = 1, so that true equals it
+        g = Multigraph(1, [(0, 0)])
+        rows = (ColoredEdge(0, 0, 0, 1, 0),)
+        cert = Certificate("maps-and-trees", SparsityParams(2, 1), 1, rows, ((),), ((0,),))
+        return g, cert, replace(cert, n=1.0), replace(cert, n=True)
+    # tree color 0 is 0->1->2, map color 1 the cycle 0->2->1->0
+    g = Multigraph(3, [(0, 1), (0, 2), (1, 2), (1, 2), (0, 1)])
+    rows = (
+        ColoredEdge(0, 0, 1, 0, 0),
+        ColoredEdge(1, 0, 2, 1, 0),
+        ColoredEdge(2, 1, 2, 0, 1),
+        ColoredEdge(3, 1, 2, 1, 2),
+        ColoredEdge(4, 0, 1, 1, 1),
+    )
+    cert = Certificate("maps-and-trees", SparsityParams(2, 1), 3, rows, ((0, 2),), ((1, 3, 4),))
+    if field in ("trees", "maps"):  # the role's first id is 0 or 1
+        ((first, *rest),) = getattr(cert, field)
+        return g, cert, *(replace(cert, **{field: ((to(first), *rest),)}) for to in (float, bool))
+    # edge 0 holds 0 or 1 in every field
+    value = getattr(rows[0], field)
+    return g, cert, *(
+        replace(cert, edges=(rows[0]._replace(**{field: to(value)}), *rows[1:]))
+        for to in (float, bool)
+    )
+
+
+@pytest.mark.parametrize("field", ["id", "u", "v", "color", "tail", "n", "trees", "maps"])
+@pytest.mark.parametrize("faulty", ["float", "bool"])
+def test_validator_refuses_what_the_writer_refuses(field, faulty):
+    # a float or bool equals the int it replaces, so without the writer's
+    # type checks the certificate validated, or the checker misread it
+    g, cert, as_float, as_bool = _fields_case(field)
+    assert validate_certificate(g, cert) == (True, "")
+    bad = as_float if faulty == "float" else as_bool
+    with pytest.raises(CertificateError, match="must be an integer") as refused:
+        certificate_to_json(bad)
+    assert validate_certificate(g, bad) == (False, str(refused.value))
 
 
 def test_adversarial_proper_coloring_implies_sparse():
@@ -841,10 +923,21 @@ def test_cover_check_rejects_repeated_edge_id():
     assert "edge id 3 listed twice" in why
 
 
+@pytest.mark.parametrize("kind", CERTIFICATE_KINDS[:2])
+@pytest.mark.parametrize("color", [-1, 2])
+def test_validator_refuses_a_color_out_of_range(k4_graph, kind, color):
+    # the slot key tail * k + color of such a color names another vertex's
+    # slot, and no role lists its edge, so the counts would not bind
+    cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)), kind)
+    e = cert.edges[3]
+    bad = replace(cert, edges=cert.edges[:3] + (e._replace(color=color),) + cert.edges[4:])
+    assert validate_certificate(k4_graph, bad) == (False, f"edge {e.id} color {color} out of range")
+
+
 @pytest.mark.parametrize("field, value", [("tail", -1), ("tail", 4), ("color", 2), ("color", -1)])
 def test_piece_counts_reject_out_of_range_tails_and_colors(k4_decomposition, field, value):
-    # both piece counts read the orientation through `_out_slots`, which
-    # refuses a slot key that would name another vertex's slot
+    # both piece counts read the orientation through the reference's own
+    # slot map, which refuses a tail or color out of range
     rows = list(k4_decomposition.edges)
     rows[0] = rows[0]._replace(**{field: value})
     d = Certificate("coloring", SparsityParams(2, 2), 4, tuple(rows))

@@ -66,6 +66,16 @@ def test_induced_count_rejects_out_of_range_vertices(k4):
             induced_edge_count(k4, {0, bad})
 
 
+@pytest.mark.parametrize("subset", [[True, 2.0], [True, 2], [1, 2.0], ["1", 2]])
+def test_induced_count_rejects_vertices_that_are_not_ints(subset):
+    # True and 2.0 hash and compare equal to the vertices 1 and 2, so as
+    # vertices they would count the triangle's edge 1-2
+    triangle = Multigraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert induced_edge_count(triangle, [1, 2]) == 1
+    with pytest.raises(ValueError, match=r"^vertex .* is not an int$"):
+        induced_edge_count(triangle, subset)
+
+
 def test_induced_count_monotone_over_chains():
     rng = random.Random(5)
     for _ in range(50):
