@@ -27,6 +27,7 @@ from typing import Iterable
 
 from .canonical import ConstructionResult, run_canonical_game
 from .decompose import (
+    CERTIFICATE_KINDS,
     CertificateError,
     NotTightError,
     _json_chunks,
@@ -344,7 +345,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="write a sparsity-certifying certificate")
     add_kl(p)
     p.add_argument("graph")
-    p.add_argument("--kind", choices=("coloring", "maps-and-trees", "proper-ltk"), default=None)
+    p.add_argument("--kind", choices=CERTIFICATE_KINDS, default=None)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--trace", help="write the construction trace to this file")

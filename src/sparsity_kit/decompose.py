@@ -7,18 +7,19 @@ per vertex.  `extract_certificate` reads that coloring from a game's
 it; `validate_certificate` is the one checker for every kind, and keeps only
 the checks that no other implies: for maps-and-trees, the count m = k*n - l
 makes every tree color that is a forest span, so spanning is never tested.
-Both split a color class into trees with one routine, `_forest`: a
-union-find pass over flat lists that also finds any cycle.  The checker works
-from the stored orientation: out-degree is a per-vertex slot count, and
-tree-piece counts come from the root rule (a piece is rooted at a vertex
-whose color slot holds a pebble, or whose colored out-edge leaves the
-subgraph).  By that rule a subset holds exactly k*n' - m' pieces, so the "at
-least l pieces everywhere" condition of coloring and proper lTk certificates
-is (k,l)-sparsity itself, decided exactly by `oracle.overfull_subset`.
+Both split a color class with `_parents`, one union-find pass over flat
+lists that also finds any cycle.  The checker works from the stored
+orientation: out-degree is a per-vertex slot count, and tree-piece counts
+come from the root rule (a piece is rooted at a vertex whose color slot
+holds a pebble, or whose colored out-edge leaves the subgraph).  By that
+rule a subset holds exactly k*n' - m' pieces, so the "at least l pieces
+everywhere" condition of coloring and proper lTk certificates is
+(k,l)-sparsity itself, decided exactly by `oracle.overfull_subset`.
 
-Edge records are `ColoredEdge` named tuples.  Certificates are written as
-canonical JSON, checked whole and then formatted a block of edges at a time,
-so `decompose` holds no more than one block of its text, and
+Edge records are `ColoredEdge` named tuples.  A `Certificate` checks its
+field types when it is built, so the reader, writer and checker do not.
+Certificates are written as canonical JSON a block of edges at a time, so
+`decompose` holds no more than one block of its text, and
 `certificate_to_json` about 120 B per edge, its output included.  They are
 read with each edge record turned into its `ColoredEdge` inside the JSON
 decoder, with one int object per vertex id, so reading holds about 175 B per
@@ -82,6 +83,17 @@ class Certificate:
     edges: tuple[ColoredEdge, ...]
     trees: _Roles = ()
     maps: _Roles = ()
+
+    def __post_init__(self):
+        """The one type check, `dataclasses.replace` included: a known kind, and
+        plain ints in every edge field, role id and `n`, not a bool or float
+        that equals one; in the reader's order, raising CertificateError."""
+        if self.kind not in CERTIFICATE_KINDS:
+            raise CertificateError(f"unknown kind {self.kind!r}")
+        _require_int_fields(self.edges)
+        _require_int_ids(self.trees, "trees")
+        _require_int_ids(self.maps, "maps")
+        _as_int(self.n, "n")
 
 
 def _color_classes(edges: Iterable[ColoredEdge]) -> dict[int, list[ColoredEdge]]:
@@ -147,16 +159,15 @@ def _overfull_failure(g: Multigraph, params: SparsityParams) -> str:
 # -- role-bearing certificates -------------------------------------------------
 
 
-def _forest(n: int, rows: Sequence[ColoredEdge]) -> list[tuple[int, tuple[int, ...]]] | None:
-    """(root, sorted edge ids) per tree of one color class on vertices 0..n-1,
-    single vertices included; None if an edge of the class closes a cycle.
+def _parents(n: int, rows: Sequence[ColoredEdge]) -> list[int] | None:
+    """Union-find parents of one color class on vertices 0..n-1, with each
+    tree's root as its representative; None if an edge closes a cycle.
 
     `rows` must hold at most one row per tail, as in a checked orientation or
     a game's class, so a tree's root is its one vertex without an out-edge.
-    One union-find pass over flat lists keeps each tree's root as its
-    representative: a tail has no out-edge before its own row, so it is still
-    a root, and it is hung below the root its head finds by path halving.
-    The row closes a cycle exactly when that root is the tail itself.
+    A tail has no out-edge before its own row, so it is still a root, and it
+    is hung below the root its head finds by path halving.  The row closes a
+    cycle exactly when that root is the tail itself.
     """
     parent = list(range(n))
     for eid, u, v, _, tail in rows:
@@ -166,6 +177,11 @@ def _forest(n: int, rows: Sequence[ColoredEdge]) -> list[tuple[int, tuple[int, .
         if r == tail:
             return None
         parent[tail] = r
+    return parent
+
+
+def _trees(parent: list[int], rows: Sequence[ColoredEdge]) -> list[tuple[int, tuple[int, ...]]]:
+    """(root, sorted edge ids) per tree that `_parents` found, single vertices included."""
     ids = [[] if p == v else None for v, p in enumerate(parent)]
     for e in rows:
         r = e.tail
@@ -175,22 +191,25 @@ def _forest(n: int, rows: Sequence[ColoredEdge]) -> list[tuple[int, tuple[int, .
     return [(v, tuple(sorted(t))) for v, t in enumerate(ids) if t is not None]
 
 
-def _roles(d: Certificate, kind: str) -> tuple[_Roles, _Roles]:
-    """The (trees, maps) roles of `kind` that the coloring of `d` defines, unchecked.
+def _roles(
+    edges: tuple[ColoredEdge, ...], params: SparsityParams, n: int, kind: str
+) -> tuple[_Roles, _Roles]:
+    """The (trees, maps) roles of `kind` that a coloring of n vertices defines, unchecked.
 
     maps-and-trees: each color class's edge ids, sorted; colors below l are
     the trees, the rest the maps.  proper-lTk: every component of every color
     class, ordered by (root, color), and no maps.
     """
-    by_color = _color_classes(d.edges)
-    classes = [by_color.get(c, ()) for c in range(d.params.k)]
+    by_color = _color_classes(edges)
+    classes = [by_color.get(c, ()) for c in range(params.k)]
     if kind == "maps-and-trees":
         ids = [tuple(sorted(e.id for e in rows)) for rows in classes]
-        return tuple(ids[: d.params.l]), tuple(ids[d.params.l :])
+        return tuple(ids[: params.l]), tuple(ids[params.l :])
     found = sorted(  # a cyclic class lists no trees; validation names its cycle
         (root, c, eids)
         for c, rows in enumerate(classes)
-        for root, eids in _forest(d.n, rows) or ()
+        if (parent := _parents(n, rows)) is not None
+        for root, eids in _trees(parent, rows)
     )
     return tuple(eids for _, _, eids in found), ()
 
@@ -231,10 +250,9 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
         for pos, eid in enumerate(accepted)
     )
     del colors, tails, accepted
-    coloring = Certificate("coloring", params, g.n, edges)
     if kind == "coloring":
-        return coloring
-    return Certificate(kind, params, g.n, edges, *_roles(coloring, kind))
+        return Certificate(kind, params, g.n, edges)
+    return Certificate(kind, params, g.n, edges, *_roles(edges, params, g.n, kind))
 
 
 # -- validation -----------------------------------------------------------------
@@ -243,30 +261,23 @@ def extract_certificate(result: ConstructionResult, kind: str | None = None) -> 
 def validate_certificate(g: Multigraph, cert: Certificate) -> tuple[bool, str]:
     """The one certificate checker, for every kind; returns (ok, first failing check).
 
-    Every kind: the fields the file format holds as integers are plain ints,
-    as the writer requires, and the edges cover g once each, with out-degree
-    at most one per vertex and color.  Role-bearing kinds: the range, m =
-    k*n - l, every tree-role class a forest, and roles equal to the derived
-    ones: by position for maps-and-trees, as a multiset for proper-lTk, ids in
-    any order, with no map roles.  A coloring lists no roles at all.  The
-    counts imply the rest of maps-and-trees: with single slots a forest color
-    holds at most n - 1 edges and a map color at most n, and l*(n - 1) +
-    (k - l)*n = m, so every tree color spans and every map color has n edges.
-    coloring and proper-lTk: g is (k,l)-sparse, decided exactly by
-    `oracle.overfull_subset`; valid maps-and-trees roles imply sparsity.
+    The types were checked when `cert` was built.  Every kind: the edges
+    cover g once each, with out-degree at most one per vertex and color.
+    Role-bearing kinds: the range, m = k*n - l, every tree-role class a
+    forest, and roles equal to the derived ones: by position for
+    maps-and-trees, as a multiset for proper-lTk, ids in any order, with no
+    map roles.  A coloring lists no roles at all.  The counts imply the rest
+    of maps-and-trees: with single slots a forest color holds at most n - 1
+    edges and a map color at most n, and l*(n - 1) + (k - l)*n = m, so every
+    tree color spans and every map color has n edges.  coloring and
+    proper-lTk: g is (k,l)-sparse, decided exactly by `oracle.overfull_subset`;
+    valid maps-and-trees roles imply sparsity.
     """
     params, kind = cert.params, cert.kind
     try:
-        _require_int_fields(cert.edges)
-        _as_int(cert.n, "n")
-        if kind in ("maps-and-trees", "proper-ltk"):
-            for role, ids in (("trees", cert.trees), ("maps", cert.maps)):
-                _require_int_ids(ids, role)
         _check_cover(g, cert)
     except CertificateError as exc:
         return False, str(exc)
-    if kind not in CERTIFICATE_KINDS:
-        return False, f"unknown certificate kind {kind!r}"
     if kind == "coloring" and (cert.trees or cert.maps):
         return False, "a coloring certificate has no roles"
     if kind != "coloring":
@@ -287,22 +298,23 @@ def _role_failure(g: Multigraph, cert: Certificate, lower: bool) -> str:
     passed the cover and slot checks and number k*n - l; empty if none fails.
 
     The tree-role colors that occur (those below l for maps-and-trees, every
-    color for proper-lTk) are checked in color order, one `_forest` pass
-    each, so the work is O(m + roles listed) whatever k the certificate
-    declares.  No color is tested for spanning: by the counts, a tree color
-    of maps-and-trees that does not span forces another to hold a cycle, and
-    that cycle is named.  Forest classes have k*n - m = l trees in all, so
-    for proper-lTk l minus the trees that hold an edge is the number of empty
-    roles expected.
+    color for proper-lTk) are checked in color order, one `_parents` pass
+    each, and only proper-lTk lists their trees' edge ids, so the work is
+    O(m + roles listed) whatever k the certificate declares.  No color is
+    tested for spanning: by the counts, a tree color of maps-and-trees that
+    does not span forces another to hold a cycle, and that cycle is named.
+    Forest classes have k*n - m = l trees in all, so for proper-lTk l minus
+    the trees that hold an edge is the number of empty roles expected.
     """
     params, n = cert.params, g.n
     classes = _color_classes(cert.edges)
-    found = []  # the edge ids of every tree with an edge
+    found = []  # proper-lTk: the edge ids of every tree with an edge
     for c in sorted(c for c in classes if c < (params.l if lower else params.k)):
-        forest = _forest(n, classes[c])
-        if forest is None:
+        parent = _parents(n, classes[c])
+        if parent is None:
             return f"color {c} contains a cycle"
-        found.extend(eids for _, eids in forest if eids)
+        if not lower:
+            found.extend(eids for _, eids in _trees(parent, classes[c]) if eids)
     trees, maps = (tuple(tuple(sorted(ids)) for ids in r) for r in (cert.trees, cert.maps))
     if lower:
         ids = {c: tuple(sorted(e.id for e in rows)) for c, rows in classes.items()}
@@ -359,21 +371,15 @@ def _json_chunks(cert: Certificate) -> Iterator[str]:
     """The canonical JSON text of `cert`, as consecutive chunks of at most
     _WRITE_BLOCK edges each.
 
-    Every check runs before the chunks are returned, so a refused certificate
-    yields nothing: every edge field, `n` and every written role id must be a
-    plain int (not a bool or a float), as reading it back requires, and a
-    coloring lists no roles, which the text has no place for.  Anything else
-    raises CertificateError.
+    A coloring that lists roles, which the text has no place for, raises
+    CertificateError before the chunks are returned, so it yields nothing;
+    the field types were checked when `cert` was built.
     """
-    _require_int_fields(cert.edges)
-    n = _as_int(cert.n, "n")
-    rest: dict = {"k": cert.params.k, "l": cert.params.l, "n": n, "kind": cert.kind}
-    if cert.kind in ("maps-and-trees", "proper-ltk"):
-        for role, ids in (("trees", cert.trees), ("maps", cert.maps)):
-            _require_int_ids(ids, role)
+    rest: dict = {"k": cert.params.k, "l": cert.params.l, "n": cert.n, "kind": cert.kind}
+    if cert.kind != "coloring":
         rest["roles"] = {"trees": cert.trees, "maps": cert.maps}
     elif cert.trees or cert.maps:
-        raise CertificateError(f"a {cert.kind} certificate has no roles")
+        raise CertificateError("a coloring certificate has no roles")
     # "edges" sorts before every other key, so it leads the object
     rest_json = json.dumps(rest, sort_keys=True, separators=(",", ":"))
     return _edge_chunks(cert.edges, "]," + rest_json[1:] + "\n")
@@ -394,7 +400,7 @@ def certificate_to_json(cert: Certificate) -> str:
     """Canonical JSON serialization; parse -> write is byte-identical.
 
     The text is the join of the chunks `decompose` writes, with the same
-    checks before any of it is built (CertificateError).
+    check before any of it is built (CertificateError).
     """
     return "".join(_json_chunks(cert))
 
@@ -443,13 +449,6 @@ def _as_object(value):
     return dict(zip(_EDGE_FIELDS, value)) if type(value) is ColoredEdge else value
 
 
-def _role_ids(rows, role: str) -> _Roles:
-    """One role list read from JSON, as a tuple of id tuples."""
-    ids = tuple(tuple(_as_object(row)) for row in _as_object(rows))
-    _require_int_ids(ids, role)
-    return ids
-
-
 def certificate_from_json(text: str | bytes) -> Certificate:
     """Parse a certificate file; raises CertificateError if it is malformed.
 
@@ -459,9 +458,9 @@ def certificate_from_json(text: str | bytes) -> Certificate:
     int per field and 384 B when every record stayed a dict until all the
     edges were built (tracemalloc, Python 3.11).  A record with other keys
     than the five edge fields stays an object and is converted afterwards,
-    with the same errors.  The five fields of every edge are type-checked in
-    one pass over all records; only when that finds a non-int is the bad
-    field named.
+    with the same errors.  The reader checks what only parsing knows: the
+    JSON, the keys, the roles object, k and l; building the `Certificate`
+    checks the kind and every other field's type.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -472,22 +471,22 @@ def certificate_from_json(text: str | bytes) -> Certificate:
     try:
         params = SparsityParams(_as_int(payload["k"], "k"), _as_int(payload["l"], "l"))
         kind = payload["kind"]
-        if kind not in CERTIFICATE_KINDS:
-            raise CertificateError(f"unknown kind {kind!r}")
         edges = tuple(_as_object(payload["edges"]))
         if not set(map(type, edges)) <= {ColoredEdge}:  # records the decoder kept as objects
             edges = tuple(
                 e if type(e) is ColoredEdge else _new_edge(ColoredEdge, _edge_fields(e))
                 for e in edges
             )
-        _require_int_fields(edges)
         roles = _as_object(payload.get("roles", {}))
         if not isinstance(roles, dict):
             raise CertificateError(
                 f"malformed certificate: roles must be an object, got {roles!r}"
             )
-        trees, maps = (_role_ids(roles.get(role, []), role) for role in ("trees", "maps"))
-        return Certificate(kind, params, _as_int(payload["n"], "n"), edges, trees, maps)
+        trees, maps = (  # each role list as a tuple of id tuples
+            tuple(tuple(_as_object(row)) for row in _as_object(roles.get(role, [])))
+            for role in ("trees", "maps")
+        )
+        return Certificate(kind, params, payload["n"], edges, trees, maps)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CertificateError):
             raise

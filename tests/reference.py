@@ -9,13 +9,13 @@ read the orientation through `out_slots`, a dict keyed by (vertex, color)
 pairs; the library's checker keeps no slot map at all.
 `class_components` splits one color class into components by a breadth-first
 search over a dict adjacency, for checking the library's union-find
-`_forest`, and `tree_pieces` builds on it.  `monochromatic_cycle_colors`
-scans a game state for the cycles that canonical slides must never close,
-and `chain_reaches` follows one color-chain with a set of the vertices it has
-seen, for checking the engine's chain walk, which keeps none.  `bfs_pebble`
-is the pebble search with its own dict of discovering edges, for checking
-the engine's search, which marks vertices in arrays the state keeps from one
-search to the next.
+`_parents` and its `_trees`, and `tree_pieces` builds on it.
+`monochromatic_cycle_colors` scans a game state for the cycles that canonical
+slides must never close, and `chain_reaches` follows one color-chain with a
+set of the vertices it has seen, for checking the engine's chain walk, which
+keeps none.  `bfs_pebble` is the pebble search with its own dict of
+discovering edges, for checking the engine's search, which marks vertices in
+arrays the state keeps from one search to the next.
 
 The canonical game plays each edge through one private step.  `route_pebble`,
 `collect_pebbles_canonically` and `canonical_add_edge` compose the same step
@@ -53,7 +53,7 @@ def class_components(vertices, rows) -> list[tuple[int, list[int], list[int]]]:
     component's edges are the out-edges of its vertices.  The root is the
     component's one vertex without an out-edge, or its least vertex when it
     has none (a cyclic component).  The library splits classes with
-    `decompose._forest`, a union-find pass; this shares none of its code.
+    `decompose._parents`, a union-find pass; this shares none of its code.
     """
     adj: dict[int, list[int]] = {v: [] for v in vertices}
     out: dict[int, int] = {}

@@ -6,7 +6,7 @@ import re
 import sys
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -388,17 +388,17 @@ def test_certificate_chunks_join_to_the_written_text():
 
 @pytest.mark.parametrize("bad", ["field", "coloring roles"])
 def test_certificate_chunks_raise_before_the_first_chunk(k4_graph, bad):
-    # the checks run when the chunks are asked for, so a refused certificate
-    # hands its writer nothing to write
+    # an ill-typed field is refused when the certificate is built, so no
+    # writer is handed one; roles on a coloring are refused when the chunks
+    # are asked for, so the writer has nothing to write
     cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)), "coloring")
     if bad == "field":
         edges = (*cert.edges[:-1], cert.edges[-1]._replace(tail=1.0))
-        cert = Certificate(cert.kind, cert.params, cert.n, edges)
-        message = "oriented_from must be an integer, got 1.0"
-    else:
-        cert = Certificate(cert.kind, cert.params, cert.n, cert.edges, ((99, 100),), ((5,),))
-        message = "a coloring certificate has no roles"
-    with pytest.raises(CertificateError, match=message):
+        with pytest.raises(CertificateError, match="oriented_from must be an integer, got 1.0"):
+            Certificate(cert.kind, cert.params, cert.n, edges)
+        return
+    cert = Certificate(cert.kind, cert.params, cert.n, cert.edges, ((99, 100),), ((5,),))
+    with pytest.raises(CertificateError, match="a coloring certificate has no roles"):
         _json_chunks(cert)
 
 
@@ -418,23 +418,24 @@ def test_writer_refuses_a_coloring_that_lists_roles():
 
 @pytest.mark.parametrize("field, value", [("color", True), ("id", 1.0)])
 def test_certificate_writer_rejects_non_integer_fields(k4_graph, field, value):
+    # the certificate refuses the field when it is built, so the writer is
+    # never handed one
     cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)))
     edges = (cert.edges[0], cert.edges[1]._replace(**{field: value}), *cert.edges[2:])
-    bad = Certificate(cert.kind, cert.params, cert.n, edges, cert.trees, cert.maps)
-    with pytest.raises(CertificateError, match=f"{field} must be an integer"):
-        certificate_to_json(bad)
+    with pytest.raises(CertificateError, match=f"{field} must be an integer, got {value!r}"):
+        certificate_to_json(Certificate(cert.kind, cert.params, cert.n, edges, cert.trees, cert.maps))
 
 
 @pytest.mark.parametrize("field", ["n", "trees edge id"])
 def test_certificate_writer_rejects_boolean_n_and_role_ids(k4_graph, field):
     cert = extract_certificate(run_canonical_game(k4_graph, SparsityParams(2, 2)))
+    n, trees = cert.n, cert.trees
     if field == "n":
-        bad = Certificate(cert.kind, cert.params, True, cert.edges, cert.trees, cert.maps)
+        n = True
     else:
         trees = ((True, *cert.trees[0][1:]), *cert.trees[1:])
-        bad = Certificate(cert.kind, cert.params, cert.n, cert.edges, trees, cert.maps)
     with pytest.raises(CertificateError, match=f"{field} must be an integer, got True"):
-        certificate_to_json(bad)
+        certificate_to_json(Certificate(cert.kind, cert.params, n, cert.edges, trees, cert.maps))
 
 
 def test_reader_reads_back_every_built_certificate():
@@ -772,15 +773,14 @@ def test_counts_make_every_forest_tree_color_span():
 
 
 def _fields_case(field):
-    """(graph, valid (2,1) maps-and-trees certificate, the certificate with
-    `field` holding a float, the same with a bool), each faulty value equal
-    to the int it replaces."""
+    """(graph, valid (2,1) maps-and-trees certificate) where `field` holds 0
+    or 1, so that a float or bool can equal it."""
     if field == "n":  # n = 1, so that true equals it
         g = Multigraph(1, [(0, 0)])
         rows = (ColoredEdge(0, 0, 0, 1, 0),)
-        cert = Certificate("maps-and-trees", SparsityParams(2, 1), 1, rows, ((),), ((0,),))
-        return g, cert, replace(cert, n=1.0), replace(cert, n=True)
-    # tree color 0 is 0->1->2, map color 1 the cycle 0->2->1->0
+        return g, Certificate("maps-and-trees", SparsityParams(2, 1), 1, rows, ((),), ((0,),))
+    # tree color 0 is 0->1->2, map color 1 the cycle 0->2->1->0; edge 0 holds
+    # 0 or 1 in every field, and each role's first id is 0 or 1
     g = Multigraph(3, [(0, 1), (0, 2), (1, 2), (1, 2), (0, 1)])
     rows = (
         ColoredEdge(0, 0, 1, 0, 0),
@@ -789,29 +789,61 @@ def _fields_case(field):
         ColoredEdge(3, 1, 2, 1, 2),
         ColoredEdge(4, 0, 1, 1, 1),
     )
-    cert = Certificate("maps-and-trees", SparsityParams(2, 1), 3, rows, ((0, 2),), ((1, 3, 4),))
-    if field in ("trees", "maps"):  # the role's first id is 0 or 1
+    return g, Certificate("maps-and-trees", SparsityParams(2, 1), 3, rows, ((0, 2),), ((1, 3, 4),))
+
+
+def _type_fault(cert, field, faulty):
+    """The field changes that give `cert` one fault, `field` as a float or a
+    bool equal to its int or the kind "bogus"; the same fault in the
+    certificate's JSON text; and the message that refuses it."""
+    payload = json.loads(certificate_to_json(cert))
+    if field == "kind":
+        payload["kind"] = "bogus"
+        return {"kind": "bogus"}, json.dumps(payload), "unknown kind 'bogus'"
+    to = float if faulty == "float" else bool
+    if field == "n":
+        value = payload["n"] = to(cert.n)
+        changes, name = {"n": value}, "n"
+    elif field in ("trees", "maps"):
         ((first, *rest),) = getattr(cert, field)
-        return g, cert, *(replace(cert, **{field: ((to(first), *rest),)}) for to in (float, bool))
-    # edge 0 holds 0 or 1 in every field
-    value = getattr(rows[0], field)
-    return g, cert, *(
-        replace(cert, edges=(rows[0]._replace(**{field: to(value)}), *rows[1:]))
-        for to in (float, bool)
-    )
+        value = payload["roles"][field][0][0] = to(first)
+        changes, name = {field: ((value, *rest),)}, f"{field} edge id"
+    else:
+        name = "oriented_from" if field == "tail" else field
+        value = payload["edges"][0][name] = to(getattr(cert.edges[0], field))
+        changes = {"edges": (cert.edges[0]._replace(**{field: value}), *cert.edges[1:])}
+    message = f"malformed certificate: {name} must be an integer, got {value!r}"
+    return changes, json.dumps(payload), message
 
 
-@pytest.mark.parametrize("field", ["id", "u", "v", "color", "tail", "n", "trees", "maps"])
-@pytest.mark.parametrize("faulty", ["float", "bool"])
-def test_validator_refuses_what_the_writer_refuses(field, faulty):
-    # a float or bool equals the int it replaces, so without the writer's
-    # type checks the certificate validated, or the checker misread it
-    g, cert, as_float, as_bool = _fields_case(field)
+@pytest.mark.parametrize(
+    "faulty, field",
+    [
+        *(
+            (faulty, field)
+            for faulty in ("float", "bool")
+            for field in ("id", "u", "v", "color", "tail", "n", "trees", "maps")
+        ),
+        ("bogus", "kind"),
+    ],
+)
+def test_validator_refuses_what_the_writer_refuses(faulty, field):
+    # a float or bool equals the int it replaces, so unchecked the certificate
+    # validated, or the checker misread it.  Building a certificate, directly
+    # or by `replace`, is the one check, so neither the writer nor the
+    # validator is handed one, and it refuses with the reader's message for
+    # the same fault in the certificate's text
+    g, cert = _fields_case(field)
     assert validate_certificate(g, cert) == (True, "")
-    bad = as_float if faulty == "float" else as_bool
-    with pytest.raises(CertificateError, match="must be an integer") as refused:
-        certificate_to_json(bad)
-    assert validate_certificate(g, bad) == (False, str(refused.value))
+    changes, text, message = _type_fault(cert, field, faulty)
+    with pytest.raises(CertificateError) as read:
+        certificate_from_json(text)
+    built_from = {f.name: getattr(cert, f.name) for f in fields(cert)} | changes
+    with pytest.raises(CertificateError) as built:
+        Certificate(**built_from)
+    with pytest.raises(CertificateError) as replaced:
+        replace(cert, **changes)
+    assert str(read.value) == str(built.value) == str(replaced.value) == message
 
 
 def test_adversarial_proper_coloring_implies_sparse():
@@ -883,9 +915,9 @@ def test_extraction_frees_a_game_passed_as_a_temporary(monkeypatch, kind):
     derive = decompose._roles
     freed = []
 
-    def roles(d, kind):
+    def roles(edges, params, n, kind):
         freed.append(refs[0]() is None)
-        return derive(d, kind)
+        return derive(edges, params, n, kind)
 
     monkeypatch.setattr(decompose, "_roles", roles)
     cert = extract_certificate(played(), kind)
@@ -904,6 +936,44 @@ def test_extraction_leaves_a_held_game_as_it_was():
         assert check_invariants(result.state).ok
         assert result.state.state_hash() == digest and result.accepted == accepted
     assert result.is_tight()
+
+
+def test_extraction_builds_one_certificate_and_one_type_check(monkeypatch):
+    # the roles are derived from the edges, not from a coloring certificate
+    # built first, so each kind's extraction runs the type check once
+    checked = []
+    check = Certificate.__post_init__
+
+    def counted(cert):
+        checked.append(cert.kind)
+        check(cert)
+
+    monkeypatch.setattr(Certificate, "__post_init__", counted)
+    params = SparsityParams(3, 3)
+    result = run_canonical_game(random_tight_graph(30, params, 3), params)
+    for kind in CERTIFICATE_KINDS:
+        extract_certificate(result, kind)
+    assert checked == list(CERTIFICATE_KINDS)
+
+
+def test_maps_and_trees_role_check_lists_no_tree_ids(monkeypatch):
+    # acyclicity is all maps-and-trees asks of a tree color, so only the
+    # proper-lTk check lists each tree's edge ids
+    listed = []
+    trees = decompose._trees
+
+    def counted(parent, rows):
+        listed.append(len(rows))
+        return trees(parent, rows)
+
+    g = random_tight_graph(40, SparsityParams(3, 3), 4)
+    res = run_canonical_game(g, SparsityParams(3, 3))
+    certs = {kind: extract_certificate(res, kind) for kind in ("maps-and-trees", "proper-ltk")}
+    monkeypatch.setattr(decompose, "_trees", counted)
+    assert validate_certificate(g, certs["maps-and-trees"]) == (True, "")
+    assert listed == []
+    assert validate_certificate(g, certs["proper-ltk"]) == (True, "")
+    assert sorted(listed) == [g.m // 3] * 3
 
 
 def test_cover_check_rejects_repeated_edge_id():

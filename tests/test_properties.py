@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsity_kit import SparsityParams, find_pebble, pebble_slide
-from sparsity_kit.decompose import ColoredEdge, _forest
+from sparsity_kit.decompose import ColoredEdge, _parents, _trees
 from sparsity_kit.pebbles import _saturated_block
 
 from reference import bfs_pebble, class_components, pebble_colors, state_from_parts
@@ -137,7 +137,8 @@ def test_forest_matches_the_reference_components(case):
     n, rows = case
     components = class_components(range(n), rows)
     cyclic = any(len(eids) != len(comp) - 1 for _, eids, comp in components)
-    forest = _forest(n, rows)
-    assert (forest is None) == cyclic
-    if forest is not None:
-        assert sorted(forest) == sorted((root, tuple(eids)) for root, eids, _ in components)
+    parent = _parents(n, rows)
+    assert (parent is None) == cyclic
+    if parent is not None:
+        trees = _trees(parent, rows)
+        assert sorted(trees) == sorted((root, tuple(eids)) for root, eids, _ in components)
